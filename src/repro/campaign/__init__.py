@@ -32,11 +32,7 @@ from repro.campaign.engine import (
     summarize_store,
     summarize_stores,
 )
-from repro.campaign.executor import (
-    ExecutionReport,
-    TrialFailure,
-    execute_trials,
-)
+from repro.campaign.executor import ExecutionReport, execute_trials
 from repro.campaign.progress import ProgressTracker, Ticker
 from repro.campaign.spec import (
     CampaignError,
@@ -68,7 +64,7 @@ __all__ = [
     "Aggregator", "CellAggregate",
     "CampaignSummary", "as_store", "run_campaign", "store_append_order",
     "summarize_store", "summarize_stores",
-    "ExecutionReport", "TrialFailure", "execute_trials",
+    "ExecutionReport", "execute_trials",
     "ProgressTracker", "Ticker",
     "CampaignError", "CampaignSpec", "PROTECTED_SCHEMES", "TrialSpec",
     "cell_id",

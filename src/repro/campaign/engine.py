@@ -20,6 +20,7 @@ number they report (the tests pin both).
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -34,7 +35,12 @@ from typing import (
 )
 
 from repro.campaign.aggregate import Aggregator, CellAggregate
-from repro.campaign.executor import ExecutionReport, execute_trials, run_trial
+from repro.campaign.executor import (
+    ExecutionReport,
+    default_workers,
+    execute_trials,
+    run_trial,
+)
 from repro.campaign.progress import ProgressTracker, Ticker
 from repro.campaign.spec import (
     CampaignError,
@@ -261,16 +267,16 @@ def run_campaign(spec: CampaignSpec,
         raise CampaignError(
             f"exec_mode {exec_mode!r} unknown (choose from {EXEC_MODES})")
     exec_fn = execute_trials if executor is None else executor
-    submit_order = None
+    warm = None
     if exec_mode == "differential" and runner is run_trial:
         # a caller-supplied runner wins over the mode switch (tests and
         # external harnesses replace the trial function wholesale)
-        from repro.campaign.snapshot import (
-            differential_runner,
-            submission_key,
-        )
+        from repro.campaign.snapshot import CACHE, differential_runner
         runner = differential_runner(snapshot_interval)
-        submit_order = submission_key(snapshot_interval)
+        if executor is None and multiprocessing.get_start_method() == "fork":
+            # forked trial pools inherit what the coordinator built
+            CACHE.configure(snapshot_interval)
+            warm = CACHE.warm
     store = as_store(store_path)
     store.repair()  # drop any torn final line before we append past it
     if store.exists():
@@ -300,7 +306,6 @@ def run_campaign(spec: CampaignSpec,
 
     early_stopped: List[str] = []
     finished: Set[str] = set()
-    report = ExecutionReport()
 
     def on_result(result: TrialResult) -> None:
         store.append_trial(result.to_record())
@@ -351,14 +356,13 @@ def run_campaign(spec: CampaignSpec,
                 wave.extend(pending_batch)
             if not wave:
                 break
+            wave_workers = workers or default_workers(len(wave))
+            if warm is not None and wave_workers > 1:
+                warm(wave, wave_workers)
             wave_report = ExecutionReport()
             exec_fn(wave, workers=workers, timeout=timeout,
                     runner=runner, on_result=on_result,
-                    report=wave_report, submit_order=submit_order)
-            report.worker_failures += wave_report.worker_failures
-            report.retries += wave_report.retries
-            report.timeouts += wave_report.timeouts
-            report.crashes += wave_report.crashes
+                    report=wave_report)
             tracker.absorb(wave_report.worker_failures, wave_report.retries,
                            wave_report.timeouts, wave_report.crashes)
             if wave_report.degraded_to_serial:

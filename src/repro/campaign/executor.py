@@ -31,20 +31,6 @@ from repro.campaign.spec import TrialSpec
 from repro.campaign.trial import TrialResult, crash_result, run_trial
 
 
-class TrialFailure(RuntimeError):
-    """A trial failed its worker run *and* its in-process retry.
-
-    No longer raised by :func:`execute_trials` (a doubly-failed trial is
-    recorded as a ``CRASH`` result instead); kept because external
-    callers may still catch it.
-    """
-
-    def __init__(self, trial: TrialSpec, cause: BaseException) -> None:
-        super().__init__(f"trial {trial} failed twice: {cause!r}")
-        self.trial = trial
-        self.cause = cause
-
-
 @dataclass
 class ExecutionReport:
     """What the fan-out had to absorb (feeds the progress layer)."""
@@ -112,8 +98,6 @@ def execute_trials(trials: Sequence[TrialSpec],
                    runner: Callable[[TrialSpec], TrialResult] = run_trial,
                    on_result: Optional[Callable[[TrialResult], None]] = None,
                    report: Optional[ExecutionReport] = None,
-                   submit_order: Optional[Callable[[TrialSpec], object]]
-                   = None,
                    ) -> List[TrialResult]:
     """Run one wave of trials; results in the wave's original order.
 
@@ -121,15 +105,6 @@ def execute_trials(trials: Sequence[TrialSpec],
     collected (the engine appends to the store and ticks progress from
     it). ``timeout`` bounds each job's wait in seconds; a timed-out job
     is counted and retried in-process like any other failure.
-
-    ``submit_order`` is a pure *scheduling hint*: a sort key applied to
-    the order trials enter the pool's queue (differential replay groups
-    a wave by (cell, snapshot epoch) so worker-local prefix caches stay
-    warm). Results, ``on_result`` firing and retries keep the original
-    order regardless — the key can never change a campaign store by a
-    byte. The serial path ignores it: one process holds one cache, and
-    waves are already cell-grouped, so reordering would only delay the
-    store appends that make interrupted runs resumable.
     """
     if report is None:
         report = ExecutionReport()
@@ -144,13 +119,7 @@ def execute_trials(trials: Sequence[TrialSpec],
     results: List[TrialResult] = []
     abandoned = False
     try:
-        if submit_order is None:
-            futures = [pool.submit(runner, t) for t in trials]
-        else:
-            order = sorted(range(len(trials)),
-                           key=lambda i: submit_order(trials[i]))
-            by_index = {i: pool.submit(runner, trials[i]) for i in order}
-            futures = [by_index[i] for i in range(len(trials))]
+        futures = [pool.submit(runner, t) for t in trials]
         for index, (trial, future) in enumerate(zip(trials, futures)):
             try:
                 result = future.result(timeout=timeout)

@@ -1,10 +1,10 @@
-"""Differential-replay trial execution: the per-worker prefix cache.
+"""Differential-replay trial execution: the fault-free prefix cache.
 
 Every trial of a campaign cell simulates the *same* fault-free prefix
 from cycle 0 up to its first strike — for paper-scale SER (1e-7..1e-17)
 that prefix is most (often all) of the trial. Because every simulator in
 this repository is deterministic by construction, that work can be done
-once per worker: run the fault-free prefix a single time, snapshot it at
+once: run the fault-free prefix a single time, snapshot it at
 coarse cycle epochs (:mod:`repro.checkpoint.snapshot`), and start each
 trial from the newest epoch at or before its first injection cycle.
 
@@ -25,17 +25,21 @@ Correctness argument, scheme-agnostic:
   cached fault-free result (or the cached watchdog hang) — the dominant
   fast path of low-SER grids.
 
-Everything here is per-worker module state (the same lifetime contract
-as :data:`repro.campaign.trial.CONTEXT`); nothing crosses process
-boundaries except the :class:`~repro.campaign.spec.TrialSpec` itself.
+:data:`CACHE` is process-wide, like :data:`repro.campaign.trial.CONTEXT`.
+Before each wave of a local pooled campaign the coordinator builds the
+prefixes the wave lacks (:meth:`PrefixSnapshotCache.warm`), and the
+wave's forked trial pool inherits them. Everywhere else a process builds
+a prefix on first use. A prefix is a pure function of its key, so where
+it was built cannot change a byte of any store.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.campaign.spec import TrialSpec
 from repro.campaign.trial import (
@@ -50,13 +54,17 @@ from repro.campaign.trial import (
 DEFAULT_INTERVAL = 1024
 #: snapshot-ring slots per prefix (a full ring thins to every other)
 RING_CAPACITY = 32
-#: prefixes kept per worker before LRU eviction
+#: prefixes kept per process before LRU eviction
 MAX_PREFIXES = 8
 
 #: cache key: one fault-free prefix per (scheme, workload, budget) — the
 #: SER axis and the fault model share it (neither can influence a run
 #: before its first strike)
 PrefixKey = Tuple[str, str, Optional[int]]
+
+
+def prefix_key(trial: TrialSpec) -> PrefixKey:
+    return (trial.scheme, trial.workload, trial.watchdog_cycles)
 
 
 def peek_first_strike(trial: TrialSpec) -> Optional[int]:
@@ -91,7 +99,7 @@ class _Prefix:
 
 
 class PrefixSnapshotCache:
-    """Per-worker cache of fault-free prefixes with epoch snapshots."""
+    """Per-process cache of fault-free prefixes with epoch snapshots."""
 
     def __init__(self, interval: int = DEFAULT_INTERVAL,
                  ring_capacity: int = RING_CAPACITY,
@@ -113,13 +121,19 @@ class PrefixSnapshotCache:
         self._pools.clear()
         self._ins_index.clear()
 
-    def _per_workload(self, memo: "OrderedDict[str, Any]", workload: str,
-                      build: Callable[[], Any]) -> Any:
-        value = memo.get(workload)
+    def configure(self, interval: Optional[int]) -> None:
+        """Use ``interval`` (``None``: keep); a change drops all prefixes."""
+        if interval is not None and interval != self.interval:
+            self.clear()
+            self.interval = interval
+
+    def _lru(self, memo: "OrderedDict[Any, Any]", key: Any,
+             build: Callable[[], Any]) -> Any:
+        value = memo.get(key)
         if value is None:
             value = build()
-        memo[workload] = value
-        memo.move_to_end(workload)
+        memo[key] = value
+        memo.move_to_end(key)
         while len(memo) > self.max_prefixes:
             memo.popitem(last=False)
         return value
@@ -127,16 +141,53 @@ class PrefixSnapshotCache:
     # -- prefix construction ------------------------------------------------
     def prefix(self, trial: TrialSpec) -> _Prefix:
         """The (lazily built) fault-free prefix for ``trial``'s cell."""
-        key: PrefixKey = (trial.scheme, trial.workload,
-                          trial.watchdog_cycles)
-        entry = self._prefixes.get(key)
-        if entry is None:
-            entry = self._build(trial)
-            self._prefixes[key] = entry
-        self._prefixes.move_to_end(key)
-        while len(self._prefixes) > self.max_prefixes:
-            self._prefixes.popitem(last=False)
-        return entry
+        return self._lru(self._prefixes, prefix_key(trial),
+                         partial(self._build, trial))
+
+    def warm(self, wave: Sequence[TrialSpec], workers: int) -> None:
+        """Build every prefix ``wave`` needs that the cache lacks.
+
+        Each missing key (at most ``max_prefixes``) is built once, in a
+        short-lived pool of up to ``workers`` processes, or in-process
+        when only one is missing; a trial pool forked afterwards
+        inherits them all. A build that raises leaves its key cold.
+        """
+        missing = {prefix_key(t): t for t in wave
+                   if prefix_key(t) not in self._prefixes}
+        todo = list(missing.values())[:self.max_prefixes]
+        if len(todo) <= 1:  # a pool gains nothing for one key
+            for trial in todo:
+                self._adopt(trial, partial(self._build, trial))
+            return
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(todo)))
+        done = False
+        try:
+            futures = [pool.submit(build_prefix, trial, self.interval,
+                                   self.ring_capacity) for trial in todo]
+            for trial, future in zip(todo, futures):
+                self._adopt(trial, future.result)
+            done = True
+        finally:
+            # an interrupt cancels the builds not yet started
+            pool.shutdown(wait=done, cancel_futures=not done)
+
+    def _adopt(self, trial: TrialSpec, build: Callable[[], _Prefix]
+               ) -> None:
+        """Cache what ``build`` returns, bound to this process's program
+        and its pages interned into this process's page pool."""
+        try:
+            built = build()
+        except Exception:
+            # left cold: the trial worker builds it on first use, where
+            # the executor's retry/CRASH policy classifies any failure
+            return
+        built.program = CONTEXT.program(trial.workload)
+        pool = self._lru(self._pools, trial.workload, dict)
+        for checkpoint in built.ring:
+            for mem in checkpoint.state.mems:
+                mem.update({pno: pool.setdefault(page, page)
+                            for pno, page in mem.items()})
+        self._lru(self._prefixes, prefix_key(trial), lambda: built)
 
     def _build(self, trial: TrialSpec) -> _Prefix:
         from repro.checkpoint.snapshot import instruction_index
@@ -147,10 +198,9 @@ class PrefixSnapshotCache:
         from repro.schemes import get as get_scheme
 
         program = CONTEXT.program(trial.workload)
-        pool = self._per_workload(self._pools, trial.workload, dict)
-        ins_index = self._per_workload(
-            self._ins_index, trial.workload,
-            lambda: instruction_index(program))
+        pool = self._lru(self._pools, trial.workload, dict)
+        ins_index = self._lru(self._ins_index, trial.workload,
+                              partial(instruction_index, program))
         desc = get_scheme(trial.scheme)
         # rate zero: construction behaves injected, RNG stays untouched
         system = desc.build_system(program, injector=FaultInjector(0.0))
@@ -216,21 +266,22 @@ class PrefixSnapshotCache:
             return hang_result(trial, exc)
         return finish_trial(trial, res)
 
-    def epoch_of(self, trial: TrialSpec) -> int:
-        """The snapshot epoch a trial would restore from (scheduling key;
-        does not build the prefix — uses the configured interval)."""
-        first = peek_first_strike(trial)
-        if first is None:
-            return -1  # fast-path trials group together, after the rest
-        return first // self.interval
-
 
 def _max_cycles() -> int:
     from repro.harness.runner import MAX_CYCLES
     return int(MAX_CYCLES)
 
 
-#: the worker-process-wide cache ``run_trial_differential`` pulls from
+def build_prefix(trial: TrialSpec, interval: int,
+                 ring_capacity: int) -> _Prefix:
+    """Build-pool entry point of :meth:`PrefixSnapshotCache.warm`; the
+    prefix travels without its program (the receiver binds its own)."""
+    built = PrefixSnapshotCache(interval, ring_capacity)._build(trial)
+    built.program = None
+    return built
+
+
+#: the process-wide cache ``run_trial_differential`` pulls from
 CACHE = PrefixSnapshotCache()
 
 
@@ -241,9 +292,7 @@ def run_trial_differential(trial: TrialSpec,
     it pickles; ``snapshot_interval`` is bound with ``functools.partial``
     by the engine and inherited by forked workers).
     """
-    if snapshot_interval is not None and snapshot_interval != CACHE.interval:
-        CACHE.clear()
-        CACHE.interval = snapshot_interval
+    CACHE.configure(snapshot_interval)
     return CACHE.run(trial)
 
 
@@ -254,25 +303,3 @@ def differential_runner(snapshot_interval: Optional[int] = None
         return run_trial_differential
     return partial(run_trial_differential,
                    snapshot_interval=snapshot_interval)
-
-
-def submission_key(snapshot_interval: Optional[int] = None
-                   ) -> Callable[[TrialSpec], Tuple[str, int, int]]:
-    """Sort key grouping a wave by (cell, snapshot epoch) for submission.
-
-    Trials restoring from the same epoch land adjacently in the pool's
-    queue, so a worker's page pool and snapshot ring stay warm across
-    consecutive trials. Pure scheduling hint: the executor still collects
-    results — and the engine still appends store records — in the wave's
-    original order, which is what keeps differential-mode stores
-    byte-identical to full-mode ones.
-    """
-    interval = snapshot_interval if snapshot_interval is not None \
-        else DEFAULT_INTERVAL
-
-    def key(trial: TrialSpec) -> Tuple[str, int, int]:
-        first = peek_first_strike(trial)
-        epoch = 2 ** 62 if first is None else first // interval
-        return (trial.cell, epoch, trial.seed)
-
-    return key

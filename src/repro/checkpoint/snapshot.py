@@ -15,10 +15,10 @@ hatch for the objects that must *not* be copied by value:
 * the :class:`~repro.isa.program.Program` (and every ``Instruction`` it
   owns, which in-flight pipeline records reference) is stored by
   identity and re-bound on restore — programs are immutable and shared
-  per worker;
+  per process;
 * every :class:`~repro.isa.memory.PagedMemory` image is lifted out of
   the stream as a table of immutable ``bytes`` pages, content-interned
-  in a per-worker page pool, and restored as a
+  in a per-process page pool, and restored as a
   :class:`~repro.isa.memory.CowPagedMemory` — so the epochs of one
   prefix (and every restore from them) share unchanged pages instead of
   copying the memory image;
@@ -187,8 +187,8 @@ def restore_system(snapshot: SystemSnapshot, program: Program) -> Any:
 
     Restores may repeat freely: every call builds fresh mutable state,
     and memory pages stay shared (copy-on-write) until the replica
-    writes them. ``program`` must be the object the capture was bound to
-    (per-worker program memos guarantee that in campaign workers).
+    writes them. ``program`` must equal the one the capture was bound to
+    (instructions re-bind by index; campaigns pass their program memo).
     """
     stream = io.BytesIO(snapshot.payload)
     return _SnapshotUnpickler(stream, program, snapshot.mems).load()

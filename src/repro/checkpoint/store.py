@@ -10,7 +10,7 @@ checkpoint (incremental checkpointing, the charitable implementation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from repro.isa.golden import ArchState
 
@@ -54,6 +54,9 @@ class CheckpointStore:
 
     def __len__(self) -> int:
         return len(self._stack)
+
+    def __iter__(self) -> Iterator[Checkpoint]:
+        return iter(self._stack)
 
     @property
     def full(self) -> bool:

@@ -107,7 +107,7 @@ class ResilienceScheme:
     def restore(self, snapshot, program, injector=None):
         """Thaw an independent replica; optionally arm a live injector.
 
-        ``program`` must be the program object the capture was bound to.
+        ``program`` must equal the program the capture was bound to.
         With ``injector`` the replica is re-armed exactly as
         :meth:`build_system` would have armed it at cycle 0, so a
         restored-then-injected run is cycle-identical to a full injected

@@ -400,8 +400,6 @@ class WaveDispatcher:
                  runner: Callable[[TrialSpec], TrialResult] = run_trial,
                  on_result: Optional[Callable[[TrialResult], None]] = None,
                  report: Optional[ExecutionReport] = None,
-                 submit_order: Optional[Callable[[TrialSpec], object]]
-                 = None,
                  ) -> List[TrialResult]:
         if report is None:
             report = ExecutionReport()
@@ -411,7 +409,7 @@ class WaveDispatcher:
         if not self._distributed_ready():
             return execute_trials(trials, workers=workers, timeout=timeout,
                                   runner=runner, on_result=on_result,
-                                  report=report, submit_order=submit_order)
+                                  report=report)
         return self._run_wave(list(trials), workers, timeout, runner,
                               on_result, report)
 

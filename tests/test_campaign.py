@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign import (
     Aggregator, CampaignError, CampaignSpec, ProgressTracker, ResultStore,
-    StoreCorruption, Ticker, TrialFailure, TrialResult, cell_id,
+    StoreCorruption, Ticker, TrialResult, cell_id,
     execute_trials, run_campaign, run_trial, summarize_store,
 )
 from repro.campaign.executor import ExecutionReport
@@ -211,8 +211,6 @@ def test_executor_records_double_failure_as_crash():
     assert all(r.outcome == "crash" for r in results)
     assert all("ValueError" in r.error for r in results)
     assert report.crashes == len(results)
-    # TrialFailure stays importable for external callers
-    assert issubclass(TrialFailure, RuntimeError)
 
 
 def test_executor_on_result_order_matches_submission():

@@ -10,11 +10,16 @@ never change a single byte of a campaign store. That decomposes into
   seed, SER, fault model) — the hypothesis property;
 * the prefix ring / checkpoint-store plumbing and the copy-on-write
   page sharing the fast path rides on;
-* the executor's ``submit_order`` hint being order-neutral for results;
+* the executor returning pooled results in wave order;
+* the coordinator building each prefix once per campaign, pool workers
+  inheriting it, and a failed warm-up build falling back to the lazy
+  per-worker build;
 * whole campaigns: serial/parallel x full/differential, one JSONL.
 """
 
 import filecmp
+import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,10 +29,10 @@ from repro.campaign.engine import run_campaign
 from repro.campaign.executor import execute_trials
 from repro.campaign.snapshot import (
     CACHE,
+    DEFAULT_INTERVAL,
     PrefixSnapshotCache,
     peek_first_strike,
     run_trial_differential,
-    submission_key,
 )
 from repro.campaign.spec import CampaignError, CampaignSpec, TrialSpec
 from repro.campaign.store import ResultStore
@@ -261,18 +266,16 @@ def test_prefix_cache_is_lru_bounded():
 # ---------------------------------------------------------------------------
 # executor ordering + whole-campaign byte identity
 # ---------------------------------------------------------------------------
-def test_submit_order_cannot_reorder_results():
-    trials = [TrialSpec(scheme="unsync", workload="fibonacci", ser=0.005,
-                        seed=s) for s in range(6)]
-    plain = execute_trials(trials, workers=2)
-    reordered = execute_trials(trials, workers=2,
-                               submit_order=lambda t: -t.seed)
-    assert [r.to_record() for r in reordered] == \
-           [r.to_record() for r in plain]
-    # the differential scheduling key is a pure function of the spec
-    key = submission_key()
-    assert [key(t) for t in trials] == [key(t) for t in trials]
-    assert len({key(t)[0] for t in trials}) == 1  # one cell, one group
+def test_pooled_results_come_back_in_wave_order():
+    trials = [TrialSpec(scheme=scheme, workload="fibonacci", ser=0.005,
+                        seed=s) for scheme in ("unsync", "reunion")
+              for s in range(3)]
+    seen = []
+    results = execute_trials(trials, workers=2, on_result=seen.append)
+    assert [r.key() for r in results] == [t.key() for t in trials]
+    assert seen == results
+    assert [r.to_record() for r in results] == \
+           [run_trial(t).to_record() for t in trials]
 
 
 def test_exec_mode_is_validated(tmp_path):
@@ -324,3 +327,103 @@ def test_module_cache_reconfigures_on_interval_change():
     assert CACHE.interval == 256
     CACHE.clear()
     CACHE.interval = 1024
+
+
+# ---------------------------------------------------------------------------
+# coordinator warm-up: each prefix built once per campaign
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def cold_cache():
+    """The calling process's prefix cache, empty before and after."""
+    CACHE.clear()
+    yield CACHE
+    CACHE.clear()
+    CACHE.interval = DEFAULT_INTERVAL
+
+
+def record_builds(monkeypatch, log, fail_first=None):
+    """Log ``scheme workload pid`` for every prefix build, in any process
+    (forked pools inherit the wrapper); the first build of scheme
+    ``fail_first`` raises instead of building."""
+    real = PrefixSnapshotCache._build
+
+    def build(self, trial):
+        first = trial.scheme not in {scheme for scheme, _, _ in builds(log)}
+        with open(log, "a") as fh:
+            fh.write(f"{trial.scheme} {trial.workload} {os.getpid()}\n")
+        if trial.scheme == fail_first and first:
+            raise RuntimeError("injected prefix build failure")
+        return real(self, trial)
+
+    monkeypatch.setattr(PrefixSnapshotCache, "_build", build)
+
+
+def builds(log):
+    if not log.exists():
+        return []
+    return [tuple(line.split()) for line in log.read_text().splitlines()]
+
+
+def run_both_modes(tmp_path, spec, **differential):
+    full = tmp_path / "full.jsonl"
+    diff = tmp_path / "diff.jsonl"
+    run_campaign(spec, full, workers=1, exec_mode="full")
+    run_campaign(spec, diff, workers=2, exec_mode="differential",
+                 **differential)
+    assert filecmp.cmp(full, diff, shallow=False)
+
+
+THREE_KEYS = CampaignSpec(schemes=("unsync", "reunion", "reptfd"),
+                          workloads=("fibonacci",), sers=(0.005, 1e-6),
+                          trials=4, batch=2)
+
+
+@pytest.mark.parametrize("interval", [None, 256])
+def test_each_prefix_is_built_once_per_campaign(tmp_path, monkeypatch,
+                                                cold_cache, interval):
+    log = tmp_path / "builds.log"
+    record_builds(monkeypatch, log)
+    # two waves (batch 2 of 4), struck and unstruck trials in each
+    run_both_modes(tmp_path, THREE_KEYS, snapshot_interval=interval)
+    keys = sorted((scheme, workload) for scheme, workload, _ in builds(log))
+    assert keys == sorted((s, "fibonacci") for s in THREE_KEYS.schemes)
+
+
+def test_one_missing_key_builds_in_the_calling_process(tmp_path,
+                                                       monkeypatch,
+                                                       cold_cache):
+    log = tmp_path / "builds.log"
+    record_builds(monkeypatch, log)
+    spec = CampaignSpec(schemes=("unsync",), workloads=("fibonacci",),
+                        sers=(0.005,), trials=4, batch=4)
+    run_both_modes(tmp_path, spec)
+    assert builds(log) == [("unsync", "fibonacci", str(os.getpid()))]
+
+
+def test_failed_warm_up_build_falls_back_to_lazy_builds(tmp_path,
+                                                        monkeypatch,
+                                                        cold_cache):
+    log = tmp_path / "builds.log"
+    record_builds(monkeypatch, log, fail_first="reunion")
+    # one wave: a later wave's warm-up would retry the key
+    run_both_modes(tmp_path, replace(THREE_KEYS, batch=4))
+    pids = {}
+    for scheme, _, pid in builds(log):
+        pids.setdefault(scheme, []).append(pid)
+    assert len(pids["unsync"]) == len(pids["reptfd"]) == 1
+    # the failed warm-up build, then the trial workers' own builds
+    failed, *lazy = pids["reunion"]
+    assert lazy and failed not in lazy
+    assert str(os.getpid()) not in pids["reunion"]
+
+
+def test_interrupt_during_warm_up_propagates(monkeypatch, cold_cache):
+    def interrupted(self, trial, build):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(PrefixSnapshotCache, "_adopt", interrupted)
+    wave = [TrialSpec(scheme=scheme, workload="fibonacci", ser=1e-6, seed=0)
+            for scheme in ("unsync", "reunion", "reptfd")]
+    with pytest.raises(KeyboardInterrupt):
+        cold_cache.warm(wave, workers=2)
+    assert not cold_cache._prefixes
