@@ -66,9 +66,8 @@ class CellAggregate:
             self.metrics[key] = self.metrics.get(key, 0) + value
 
     # -- proportions --------------------------------------------------------
-    def proportion(self, successes: int,
-                   confidence: float = 0.95) -> Interval:
-        return wilson_interval(successes, self.trials, confidence=confidence)
+    def proportion(self, successes: int) -> Interval:
+        return wilson_interval(successes, self.trials)
 
     @property
     def sdc_interval(self) -> Interval:

@@ -1,29 +1,28 @@
-"""Statistical helpers for the Monte-Carlo experiments.
+"""Confidence intervals for Monte-Carlo fault-injection estimates.
 
-The hazard model, ROEC sampling and CRC-aliasing measurements all
-estimate probabilities by sampling; results should carry intervals, not
-bare point estimates. Wilson intervals for proportions (well-behaved at
-the small counts our rare-event estimates produce) and normal-theory
-intervals for means.
+Campaign outcome rates carry intervals, not bare point estimates. The
+Wilson score interval stays well-behaved at the small counts rare-event
+estimates produce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
 
-from scipy import stats as _scipy_stats
+#: Two-sided 95% normal quantile: ``scipy.stats.norm.ppf(0.975)``, bit
+#: for bit. ``statistics.NormalDist().inv_cdf(0.975)`` is two ulp lower,
+#: which would change the last digit of every reported interval.
+z = 1.959963984540054
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A point estimate with a confidence interval."""
+    """A point estimate with its 95% confidence interval."""
 
     estimate: float
     low: float
     high: float
-    confidence: float = 0.95
 
     def __contains__(self, value: float) -> bool:
         return self.low <= value <= self.high
@@ -33,14 +32,12 @@ class Interval:
         return self.high - self.low
 
 
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> Interval:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> Interval:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("need at least one trial")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2))
     p = successes / trials
     denom = 1 + z * z / trials
     centre = (p + z * z / (2 * trials)) / denom
@@ -56,31 +53,4 @@ def wilson_interval(successes: int, trials: int,
         high = 1.0
     low = min(low, p)
     high = max(high, p)
-    return Interval(estimate=p, low=low, high=high, confidence=confidence)
-
-
-def mean_interval(samples: Sequence[float],
-                  confidence: float = 0.95) -> Interval:
-    """t-based confidence interval for a mean."""
-    n = len(samples)
-    if n < 2:
-        raise ValueError("need at least two samples")
-    mean = sum(samples) / n
-    var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    se = math.sqrt(var / n)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1))
-    return Interval(estimate=mean, low=mean - t * se, high=mean + t * se,
-                    confidence=confidence)
-
-
-def required_trials(p: float, relative_precision: float = 0.1,
-                    confidence: float = 0.95) -> int:
-    """Trials needed to estimate a proportion ``p`` to the given relative
-    precision — the planning tool for rare-event Monte Carlo (e.g. CRC
-    aliasing at 2^-16 needs ~25M trials for 10%)."""
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    if relative_precision <= 0:
-        raise ValueError("precision must be positive")
-    z = float(_scipy_stats.norm.ppf(0.5 + confidence / 2))
-    return math.ceil(z * z * (1 - p) / (p * relative_precision ** 2))
+    return Interval(estimate=p, low=low, high=high)

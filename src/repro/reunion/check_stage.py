@@ -172,6 +172,9 @@ class CheckStage:
         self._done_cycle: List[Dict[int, int]] = [{}, {}]
         #: group -> (verified_at_cycle, fingerprints_matched)
         self._verdict: Dict[int, Tuple[int, bool]] = {}
+        #: group -> verified_at_cycle, for the mismatched verdicts only:
+        #: polled every cycle, so it must not grow with the run
+        self._failed: Dict[int, int] = {}
         #: serializing drain: group each core's front end waits on
         self.block_group: List[Optional[int]] = [None, None]
         #: pending single-shot fingerprint corruption per core (faults)
@@ -218,6 +221,7 @@ class CheckStage:
         self._verdict[group] = (verified_at, matched)
         self.fingerprints_compared += 1
         if not matched:
+            self._failed[group] = verified_at
             self.mismatches += 1
         elif group in self.corrupted_groups:
             self.aliased_corruptions += 1
@@ -278,9 +282,8 @@ class CheckStage:
 
     def mismatch_ready(self, now: int) -> Optional[int]:
         """Oldest group whose comparison failed and is due at ``now``."""
-        candidates = [g for g, (at, ok) in self._verdict.items()
-                      if not ok and now >= at]
-        return min(candidates) if candidates else None
+        due = [g for g, at in self._failed.items() if now >= at]
+        return min(due) if due else None
 
     # -- rollback ------------------------------------------------------------
     def reset_unverified(self, committed_seq: List[int]) -> None:
@@ -290,9 +293,9 @@ class CheckStage:
         next instruction to re-execute); verified groups stay verified so
         re-executed tails commit immediately without re-hashing.
         """
-        stale = [g for g, (_, ok) in self._verdict.items() if not ok]
-        for g in stale:
+        for g in self._failed:
             del self._verdict[g]
+        self._failed.clear()
         for core in range(2):
             for store in (self._fp[core], self._completed[core],
                           self._done_cycle[core]):

@@ -1,81 +1,55 @@
-"""Tests for the parallel sweep runner."""
+"""Fan-out determinism and the per-scheme knobs the figure sweeps vary."""
 
 import pytest
 
-from repro.harness import parallel
-from repro.harness.parallel import GridJobError, JobSpec, run_grid
+from repro.campaign import CampaignSpec, execute_trials
+from repro.harness.runner import run_scheme
+from repro.reunion.check_stage import ReunionParams
+from repro.unsync.system import UnSyncConfig
+from repro.workloads import load_benchmark
+
+SCHEMES = ("unsync", "reunion", "reptfd", "meek")
 
 
-def small_jobs():
-    return [JobSpec(scheme=s, benchmark="sha")
-            for s in ("baseline", "unsync", "reunion")]
+@pytest.fixture(scope="module")
+def trials():
+    spec = CampaignSpec(schemes=SCHEMES, workloads=("sha",), sers=(0.001,),
+                        trials=2, batch=2)
+    return spec.expand()
+
+
+@pytest.fixture(scope="module")
+def serial(trials):
+    return execute_trials(trials, workers=1)
 
 
 def test_empty_grid():
-    assert run_grid([]) == []
+    assert execute_trials([]) == []
 
 
-def test_serial_grid_runs_all():
-    results = run_grid(small_jobs(), workers=1)
-    assert len(results) == 3
-    assert [r.spec.scheme for r in results] == ["baseline", "unsync",
-                                                "reunion"]
-    for r in results:
+def test_serial_grid_runs_all(trials, serial):
+    assert [(r.scheme, r.seed) for r in serial] == \
+        [(t.scheme, t.seed) for t in trials]
+    for r in serial:
         assert r.cycles > 0 and r.instructions > 0
 
 
-def test_parallel_matches_serial():
-    jobs = small_jobs()
-    serial = run_grid(jobs, workers=1)
-    parallel = run_grid(jobs, workers=3)
-    assert [(r.spec.key(), r.cycles, r.instructions) for r in serial] == \
-        [(r.spec.key(), r.cycles, r.instructions) for r in parallel]
+def test_parallel_matches_serial(trials, serial):
+    assert execute_trials(trials, workers=3) == serial
 
 
 def test_parameterized_jobs():
-    jobs = [JobSpec(scheme="reunion", benchmark="sha",
-                    fingerprint_interval=30, comparison_latency=40),
-            JobSpec(scheme="reunion", benchmark="sha")]
-    slow, fast = run_grid(jobs, workers=1)
+    sha = load_benchmark("sha")
+    slow = run_scheme("reunion", sha, reunion_params=ReunionParams(
+        fingerprint_interval=30, comparison_latency=40))
+    fast = run_scheme("reunion", sha)
     assert slow.cycles > fast.cycles  # FI=30/lat=40 is the Fig 5 cliff
 
 
 def test_cb_entries_job():
-    jobs = [JobSpec(scheme="unsync", benchmark="bzip2", cb_entries=4),
-            JobSpec(scheme="unsync", benchmark="bzip2", cb_entries=256)]
-    tiny, big = run_grid(jobs, workers=1)
-    assert tiny.extra["cb_full_stalls"] > big.extra["cb_full_stalls"]
-
-
-def test_bad_benchmark_raises_with_spec_attached():
-    job = JobSpec(scheme="baseline", benchmark="nope")
-    with pytest.raises(GridJobError) as exc:
-        run_grid([job], workers=1)
-    assert exc.value.spec == job
-    assert isinstance(exc.value.cause, KeyError)
-
-
-def test_bad_benchmark_raises_in_pool_too():
-    jobs = [JobSpec(scheme="baseline", benchmark="sha"),
-            JobSpec(scheme="baseline", benchmark="nope")]
-    with pytest.raises(GridJobError) as exc:
-        run_grid(jobs, workers=2)
-    assert exc.value.spec == jobs[1]
-
-
-def test_transient_failure_is_retried_once(monkeypatch):
-    real_run_one = parallel._run_one
-    attempts = {}
-
-    def flaky(spec):
-        attempts[spec.benchmark] = attempts.get(spec.benchmark, 0) + 1
-        if spec.benchmark == "gzip" and attempts["gzip"] == 1:
-            raise OSError("transient worker death")
-        return real_run_one(spec)
-
-    monkeypatch.setattr(parallel, "_run_one", flaky)
-    jobs = [JobSpec(scheme="baseline", benchmark=b)
-            for b in ("sha", "gzip")]
-    results = run_grid(jobs, workers=1)
-    assert [r.spec.benchmark for r in results] == ["sha", "gzip"]
-    assert attempts["gzip"] == 2  # failed once, retried, succeeded
+    bzip2 = load_benchmark("bzip2")
+    tiny, big = (run_scheme("unsync", bzip2,
+                            unsync_config=UnSyncConfig(cb_entries=n))
+                 for n in (4, 256))
+    assert tiny.metrics["unsync.cb.full_stalls"] > \
+        big.metrics["unsync.cb.full_stalls"]

@@ -263,6 +263,29 @@ def test_reset_unverified_keeps_verified_groups():
     assert not stage.needs_hash(0)        # replays skip hashing
 
 
+def test_one_mismatch_among_many_matched_groups():
+    stage = make_stage(fi=2, lat=5)
+    groups, bad = 200, 150
+    for g in range(groups):
+        for core in (0, 1):
+            stage.on_dispatch(core, 2 * g, False)
+            stage.on_dispatch(core, 2 * g + 1, False)
+            complete_group(stage, core, g, [2 * g], now=g)
+            result = 999 if (core, g) == (1, bad) else 2 * g + 1
+            stage.record_completion(core, g, pc=8 * g + 4, result=result,
+                                    store_addr=None, store_value=None,
+                                    now=g)
+    assert stage.mismatches == 1
+    assert stage.mismatch_ready(bad + 4) is None   # verdict not yet due
+    assert stage.mismatch_ready(bad + 5) == bad
+    assert stage.mismatch_ready(10 ** 9) == bad
+    stage.reset_unverified([2 * bad, 2 * bad])
+    assert stage.mismatch_ready(10 ** 9) is None
+    assert stage.needs_hash(bad) and not stage.was_compared(bad)
+    assert all(stage.is_verified(g, 10 ** 9) and not stage.needs_hash(g)
+               for g in range(groups) if g != bad)
+
+
 def test_closure_race_is_handled():
     """A group's last member may complete before the group is sealed."""
     stage = make_stage(fi=10)

@@ -1,13 +1,21 @@
 """Tests for the statistics helpers."""
 
+import json
+import math
+import os
 import random
+import subprocess
+import sys
+from statistics import NormalDist
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.harness.statistics import (
-    Interval, mean_interval, required_trials, wilson_interval,
-)
+from repro.cli import main
+from repro.harness.statistics import wilson_interval, z
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
 def test_wilson_contains_truth_typically():
@@ -44,37 +52,37 @@ def test_wilson_bounds_property(successes, trials):
     assert 0.0 <= iv.low <= iv.estimate <= iv.high <= 1.0
 
 
-def test_mean_interval_basic():
-    iv = mean_interval([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert iv.estimate == pytest.approx(3.0)
-    assert iv.low < 3.0 < iv.high
+def test_z_is_the_two_sided_95_percent_quantile():
+    # the stdlib quantile is accurate to a couple of ulp, not bit-exact
+    stdlib = NormalDist().inv_cdf(0.975)
+    assert abs(z - stdlib) <= 2 * math.ulp(stdlib)
 
 
-def test_mean_interval_narrows_with_samples():
-    rng = random.Random(1)
-    small = mean_interval([rng.gauss(0, 1) for _ in range(10)])
-    big = mean_interval([rng.gauss(0, 1) for _ in range(1000)])
-    assert big.width < small.width
+def test_z_equals_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    assert z == float(stats.norm.ppf(0.975))
 
 
-def test_mean_interval_needs_two():
-    with pytest.raises(ValueError):
-        mean_interval([1.0])
+@pytest.mark.parametrize("kind", ["standard", "adversarial"])
+def test_summary_matches_golden(capsys, kind):
+    """Every printed interval is pinned to the last bit: a summary of the
+    golden store must equal the committed one, floats compared with ==."""
+    store = os.path.join(DATA_DIR, f"golden_unsync_reunion_{kind}.jsonl")
+    assert main(["campaign", "summarize", "--store", store, "--json"]) == 0
+    with open(os.path.join(DATA_DIR, f"golden_summary_{kind}.json")) as fh:
+        want = json.load(fh)
+    assert json.loads(capsys.readouterr().out) == want
 
 
-def test_required_trials_rare_event():
-    # CRC-16 aliasing at 2^-16: tens of millions of trials for 10% rel.
-    n = required_trials(2 ** -16, relative_precision=0.10)
-    assert 2e7 < n < 5e7
-
-
-def test_required_trials_monotone():
-    assert required_trials(0.5) < required_trials(0.01)
-    assert required_trials(0.01, 0.5) < required_trials(0.01, 0.1)
-
-
-def test_required_trials_validation():
-    with pytest.raises(ValueError):
-        required_trials(0.0)
-    with pytest.raises(ValueError):
-        required_trials(0.5, -1)
+def test_runtime_imports_no_numpy_or_scipy():
+    """The CLI, the server and the worker load only the standard library."""
+    code = ("import sys\n"
+            "import repro, repro.cli, repro.service.server, "
+            "repro.service.workers\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.strip() == "[]"
