@@ -28,7 +28,7 @@ def test_serializing_policy_ablation(benchmark):
     def sweep():
         out = {}
         for policy in ("drain", "send", "cut"):
-            res = run_scheme("reunion", prog, reunion_params=ReunionParams(
+            res = run_scheme("reunion", prog, params=ReunionParams(
                 serializing_policy=policy))
             out[policy] = res.cycles / base.cycles - 1
         return out
@@ -52,7 +52,7 @@ def test_recovery_mode_ablation(benchmark):
         out = {}
         for mode in ("copy", "invalidate"):
             cfg = UnSyncConfig(recovery=RecoveryCostModel(l1_restore=mode))
-            res = run_scheme("unsync", prog, unsync_config=cfg,
+            res = run_scheme("unsync", prog, unsync=cfg,
                              injector=FaultInjector(1 / 1500, seed=2024))
             recoveries = max(1, res.extra["recoveries"])
             out[mode] = (res.cycles, res.extra["recovery_cycles"] / recoveries)

@@ -46,7 +46,7 @@ def main() -> None:
     print(f"workload: {program.name}, {gold.instructions} instructions\n")
 
     print("=== UnSync under fire ===")
-    res = run_scheme("unsync", program, unsync_config=DEMO_UNSYNC,
+    res = run_scheme("unsync", program, unsync=DEMO_UNSYNC,
                      injector=FaultInjector(DEMO_RATE, seed=2024))
     ok = res.state.regs == gold.state.regs and res.state.mem == gold.state.mem
     print(f"strikes: {len(res.fault_events)}  "

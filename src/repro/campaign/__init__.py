@@ -28,9 +28,7 @@ from repro.campaign.engine import (
     CampaignSummary,
     as_store,
     run_campaign,
-    store_append_order,
     summarize_store,
-    summarize_stores,
 )
 from repro.campaign.executor import ExecutionReport, execute_trials
 from repro.campaign.progress import ProgressTracker, Ticker
@@ -62,8 +60,7 @@ from repro.campaign.trial import (
 
 __all__ = [
     "Aggregator", "CellAggregate",
-    "CampaignSummary", "as_store", "run_campaign", "store_append_order",
-    "summarize_store", "summarize_stores",
+    "CampaignSummary", "as_store", "run_campaign", "summarize_store",
     "ExecutionReport", "execute_trials",
     "ProgressTracker", "Ticker",
     "CampaignError", "CampaignSpec", "PROTECTED_SCHEMES", "TrialSpec",

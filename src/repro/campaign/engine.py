@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
     Set,
     TextIO,
     Tuple,
+    Union,
 )
 
 from repro.campaign.aggregate import Aggregator, CellAggregate
@@ -135,6 +135,39 @@ def _prefix_aggregate(cell: str, batches: Sequence[Sequence[TrialSpec]],
     return agg
 
 
+#: a cell's state at a wave boundary when it has no batch left to run
+FINISHED = "finished"
+EARLY_STOPPED = "early-stopped"
+
+
+def cell_step(spec: CampaignSpec, cell_axes: Tuple[str, str, float],
+              completed: Dict[Tuple[str, int], TrialResult]
+              ) -> Union[List[TrialSpec], str]:
+    """What one cell does next, given the completed trials.
+
+    Returns the missing trials of the cell's earliest incomplete batch,
+    or :data:`FINISHED` once every trial is present, or
+    :data:`EARLY_STOPPED` when the first k batches are complete, batch k
+    is untouched, and that k-batch prefix meets ``spec.ci_halfwidth``.
+    The early-stop test sees only clean batch prefixes: an interrupted
+    partial batch is completed first, so the decision sequence does not
+    depend on when a campaign was interrupted.
+    """
+    batches = spec.batches(*cell_axes)
+    for k, batch in enumerate(batches):
+        missing = [t for t in batch if t.key() not in completed]
+        if not missing:
+            continue
+        if (spec.ci_halfwidth is not None and k > 0
+                and len(missing) == len(batch)
+                and _prefix_aggregate(cell_id(*cell_axes), batches,
+                                      completed, k
+                                      ).ci_met(spec.ci_halfwidth)):
+            return EARLY_STOPPED
+        return missing
+    return FINISHED
+
+
 #: campaign execution modes: ``full`` re-simulates every trial from
 #: cycle 0; ``differential`` fast-forwards each trial from a cached
 #: fault-free prefix snapshot (see :mod:`repro.campaign.snapshot`)
@@ -145,82 +178,12 @@ def as_store(store_or_path) -> ResultStore:
     """Coerce a path into a :class:`ResultStore`; pass store objects
     through.
 
-    Anything exposing ``append_trial`` (e.g. the service layer's
-    :class:`~repro.service.shards.ShardedStore`) is treated as a store;
-    everything else as a filesystem path. This is the engine's
-    single-process -> multi-tenant seam: orchestration code above can
-    swap the durability layer without the wave loop noticing.
+    The service scheduler hands in a :class:`ResultStore` built with an
+    ``on_append`` observer (its live rollups); a path gets a plain one.
     """
     if hasattr(store_or_path, "append_trial"):
         return store_or_path
     return ResultStore(store_or_path)
-
-
-def store_append_order(spec: CampaignSpec,
-                       records: Dict[Tuple[str, int], Dict]
-                       ) -> List[Tuple[str, int]]:
-    """The (cell, seed) order a fresh single-store run appends trials in.
-
-    Mirrors the wave loop of :func:`run_campaign` exactly — waves take
-    each active cell's earliest incomplete batch in canonical cell
-    order, and early stopping is re-evaluated at clean batch prefixes
-    from the *recorded* results — so replaying a complete trial set
-    through it reconstructs the byte order of the equivalent
-    uninterrupted single-store campaign. This is what makes a sharded
-    store's merge verifiable: ``merge == single-store run`` byte for
-    byte (the CI gate).
-
-    Keys absent from ``records`` (an interrupted campaign) end the wave
-    that first needs them; any unreachable leftovers are appended in
-    sorted order so the merge is still total and deterministic.
-    """
-    completed: Dict[Tuple[str, int], TrialResult] = {}
-    order: List[Tuple[str, int]] = []
-    finished: Set[str] = set()
-    cells = spec.cells()
-    while True:
-        wave: List[TrialSpec] = []
-        for cell_axes in cells:
-            cid = cell_id(*cell_axes)
-            if cid in finished:
-                continue
-            batches = spec.batches(*cell_axes)
-            pending_batch = None
-            full_prefix = 0
-            for i, batch in enumerate(batches):
-                missing = [t for t in batch if t.key() not in completed]
-                if missing:
-                    pending_batch = missing
-                    break
-                full_prefix = i + 1
-            if pending_batch is None:
-                finished.add(cid)
-                continue
-            prefix_trials = full_prefix * spec.batch
-            at_boundary = len(pending_batch) == len(batches[full_prefix])
-            if (spec.ci_halfwidth is not None and at_boundary
-                    and prefix_trials > 0):
-                prefix = _prefix_aggregate(cid, batches, completed,
-                                           full_prefix)
-                if prefix.ci_met(spec.ci_halfwidth):
-                    finished.add(cid)
-                    continue
-            wave.extend(pending_batch)
-        if not wave:
-            break
-        progressed = False
-        for trial in wave:
-            record = records.get(trial.key())
-            if record is None:
-                continue  # interrupted before this trial ran
-            order.append(trial.key())
-            completed[trial.key()] = TrialResult.from_record(record)
-            progressed = True
-        if not progressed:
-            break
-    emitted = set(order)
-    order.extend(sorted(k for k in records if k not in emitted))
-    return order
 
 
 def run_campaign(spec: CampaignSpec,
@@ -241,8 +204,8 @@ def run_campaign(spec: CampaignSpec,
     A fresh store is created from ``spec``; an existing one must carry an
     identical spec header, and its completed trials are skipped.
     ``store_path`` may also be an already-constructed store object (see
-    :func:`as_store`) — the service layer passes sharded and observed
-    stores through this seam. The returned summary's statistics depend
+    :func:`as_store`) — the service layer passes its observed store
+    through this seam. The returned summary's statistics depend
     only on the spec — never on worker count, timing, interruptions,
     retry history, or execution mode: ``exec_mode`` (and
     ``snapshot_interval``, differential-only) trade wall-clock for
@@ -323,37 +286,15 @@ def run_campaign(spec: CampaignSpec,
                 cid = cell_id(*cell_axes)
                 if cid in finished:
                     continue
-                batches = spec.batches(*cell_axes)
-                pending_batch = None
-                full_prefix = 0
-                for i, batch in enumerate(batches):
-                    missing = [t for t in batch
-                               if t.key() not in completed]
-                    if missing:
-                        pending_batch = missing
-                        break
-                    full_prefix = i + 1
-                if pending_batch is None:
-                    finished.add(cid)
-                    tracker.finish_cell(cid)
+                step = cell_step(spec, cell_axes, completed)
+                if isinstance(step, list):
+                    wave.extend(step)
                     continue
-                # early-stop checks happen only on clean batch prefixes:
-                # interrupted partial batches are completed first, so the
-                # decision sequence is interruption-independent
-                prefix_trials = full_prefix * spec.batch
-                at_boundary = len(pending_batch) == len(
-                    batches[full_prefix])
-                if (spec.ci_halfwidth is not None and at_boundary
-                        and prefix_trials > 0):
-                    prefix = _prefix_aggregate(cid, batches, completed,
-                                               full_prefix)
-                    if prefix.ci_met(spec.ci_halfwidth):
-                        finished.add(cid)
-                        early_stopped.append(cid)
-                        tracker.early_stop(cid)
-                        tracker.finish_cell(cid)
-                        continue
-                wave.extend(pending_batch)
+                finished.add(cid)
+                if step == EARLY_STOPPED:
+                    early_stopped.append(cid)
+                    tracker.early_stop(cid)
+                tracker.finish_cell(cid)
             if not wave:
                 break
             wave_workers = workers or default_workers(len(wave))
@@ -381,9 +322,11 @@ def run_campaign(spec: CampaignSpec,
 def summarize_store(store_path) -> CampaignSummary:
     """Aggregate whatever a store holds, without running anything.
 
-    A campaign early-stopped cell is reported from its on-disk trials;
-    the summary is byte-identical to what ``run_campaign`` returned for
-    the same store (minus the progress section, which is ``None`` here).
+    Cells are labelled early-stopped by the same :func:`cell_step` rule
+    the engine applies, so for a finished campaign the summary is
+    byte-identical to what ``run_campaign`` returned for the same store
+    (minus the progress section, which is ``None`` here), and an
+    interrupted campaign's partial cells are never mislabelled.
     ``store_path`` may be a path or a store object (see :func:`as_store`).
     """
     store = as_store(store_path)
@@ -393,60 +336,8 @@ def summarize_store(store_path) -> CampaignSummary:
     aggregator = Aggregator()
     completed = _preload(store, aggregator)
     cells = spec.cells()
-    early_stopped = []
-    for cell_axes in cells:
-        done = sum(1 for t in spec.cell_trials(*cell_axes)
-                   if t.key() in completed)
-        if spec.ci_halfwidth is not None and 0 < done < spec.trials:
-            early_stopped.append(cell_id(*cell_axes))
-    stats = aggregator.summary(cell_order=[cell_id(*c) for c in cells])
-    return CampaignSummary(spec=spec.to_dict(), cells=stats["cells"],
-                           totals=stats["totals"], progress=None,
-                           early_stopped=early_stopped,
-                           hwcost=_scheme_hwcost(spec.schemes))
-
-
-def summarize_stores(store_paths: Iterable) -> CampaignSummary:
-    """Aggregate the union of several stores of ONE campaign.
-
-    Every store (a path or store object) must carry an identical spec
-    header; trials are deduplicated on (cell, seed) across stores in the
-    order given, so summarizing a sharded store's shard files — in any
-    order — reports exactly the statistics of the merged store.
-    Aggregation is integer-sum order-independent, which is what makes
-    that equivalence exact rather than approximate.
-    """
-    stores = [as_store(p) for p in store_paths]
-    if not stores:
-        raise CampaignError("no stores given")
-    missing = [s.path for s in stores if not s.exists()]
-    if missing:
-        raise CampaignError(
-            f"no campaign store at {missing[0]!r}")
-    spec = stores[0].load_spec()
-    for store in stores[1:]:
-        other = store.load_spec()
-        if other != spec:
-            raise CampaignError(
-                f"store {store.path!r} holds a different campaign than "
-                f"{stores[0].path!r} (specs differ); summarize them "
-                f"separately")
-    aggregator = Aggregator()
-    completed: Set[Tuple[str, int]] = set()
-    for store in stores:
-        for record in store.iter_trials():
-            result = TrialResult.from_record(record)
-            if result.key() in completed:
-                continue
-            completed.add(result.key())
-            aggregator.add(result)
-    cells = spec.cells()
-    early_stopped = []
-    for cell_axes in cells:
-        done = sum(1 for t in spec.cell_trials(*cell_axes)
-                   if t.key() in completed)
-        if spec.ci_halfwidth is not None and 0 < done < spec.trials:
-            early_stopped.append(cell_id(*cell_axes))
+    early_stopped = [cell_id(*c) for c in cells
+                     if cell_step(spec, c, completed) == EARLY_STOPPED]
     stats = aggregator.summary(cell_order=[cell_id(*c) for c in cells])
     return CampaignSummary(spec=spec.to_dict(), cells=stats["cells"],
                            totals=stats["totals"], progress=None,

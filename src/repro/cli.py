@@ -9,7 +9,7 @@ Everything the library does, runnable from a shell::
     python -m repro table1|table2|table3         # the paper's tables
     python -m repro fig4|fig5|fig6               # the paper's figures
     python -m repro ser|roec|breakeven           # Sec VI-C / VI-D
-    python -m repro campaign run|resume|summarize|merge  # Monte Carlo FI
+    python -m repro campaign run|resume|summarize  # Monte Carlo FI
     python -m repro serve                        # campaign-as-a-service
     python -m repro worker --connect host:port   # distributed trial worker
     python -m repro lint                         # simlint determinism gate
@@ -493,17 +493,6 @@ def _sigterm_to_interrupt(signum, frame):
     raise KeyboardInterrupt
 
 
-def _campaign_store(path: str, shards: Optional[int] = None):
-    """Resolve --store: a JSONL path, or a sharded store directory."""
-    if shards is not None and shards > 1:
-        from repro.service.shards import ShardedStore
-        return ShardedStore(path, n_shards=shards)
-    if os.path.isdir(path):
-        from repro.service.shards import ShardedStore
-        return ShardedStore(path)
-    return path
-
-
 def _campaign_interrupted(store_arg: str) -> int:
     # every completed trial was flushed line-by-line before this point,
     # so the store is durable — tell the user how to pick it back up
@@ -541,11 +530,10 @@ def _cmd_campaign_run(args) -> int:
                             batch=args.batch,
                             fault_model=args.fault_model,
                             watchdog_cycles=args.watchdog_cycles)
-        store = _campaign_store(args.store, args.shards)
         old_term = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
         try:
             summary = run_campaign(
-                spec, store, workers=args.workers, timeout=args.timeout,
+                spec, args.store, workers=args.workers, timeout=args.timeout,
                 ticker_enabled=True if args.progress else None,
                 exec_mode=args.exec_mode,
                 snapshot_interval=args.snapshot_interval)
@@ -562,7 +550,7 @@ def _cmd_campaign_resume(args) -> int:
     import signal
     from repro.campaign import CampaignError, as_store, run_campaign
     try:
-        store = as_store(_campaign_store(args.store))
+        store = as_store(args.store)
         if not store.exists():
             raise CampaignError(f"no campaign store at {args.store!r}")
         spec = store.load_spec()
@@ -583,50 +571,18 @@ def _cmd_campaign_resume(args) -> int:
 
 
 def _cmd_campaign_summarize(args) -> int:
-    import glob
-    from repro.campaign import (
-        CampaignError, summarize_store, summarize_stores,
-    )
-    from repro.service.shards import shard_paths
-    paths: List[str] = []
-    for pattern in args.store:
-        if os.path.isdir(pattern):
-            paths.extend(shard_paths(pattern))
-        elif glob.has_magic(pattern):
-            paths.extend(sorted(glob.glob(pattern)))
-        else:
-            paths.append(pattern)
-    if not paths:
-        raise SystemExit(
-            f"error: no store files match {' '.join(args.store)!r} — "
-            f"check the path or glob, or start a campaign with "
-            f"`python -m repro campaign run --store ...`")
+    from repro.campaign import CampaignError, summarize_store
     try:
-        if len(paths) == 1:
-            summary = summarize_store(paths[0])
-        else:
-            summary = summarize_stores(paths)
+        summary = summarize_store(args.store)
     except CampaignError as exc:
         raise SystemExit(f"error: {exc}")
     if not summary.totals.get("trials"):
         raise SystemExit(
-            f"error: {', '.join(paths)}: the store holds a spec but no "
+            f"error: {args.store}: the store holds a spec but no "
             f"trials — the campaign stopped before its first batch; "
             f"continue it with `python -m repro campaign resume "
-            f"--store {args.store[0]}`")
+            f"--store {args.store}`")
     return _emit_campaign_summary(summary, args.json)
-
-
-def _cmd_campaign_merge(args) -> int:
-    from repro.campaign import CampaignError
-    from repro.service.shards import merge_shards
-    source = args.shards if len(args.shards) > 1 else args.shards[0]
-    try:
-        count = merge_shards(source, args.out)
-    except CampaignError as exc:
-        raise SystemExit(f"error: {exc}")
-    print(f"merged {count} trials into {args.out}")
-    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -636,7 +592,6 @@ def _cmd_serve(args) -> int:
         return serve(host=args.host, port=args.port,
                      data_dir=args.data_dir,
                      max_concurrent=args.max_concurrent,
-                     tenant_quota=args.tenant_quota, shards=args.shards,
                      workers=args.workers, exec_mode=args.exec_mode,
                      journal_path=args.journal,
                      stream_interval=args.stream_interval,
@@ -787,8 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _campaign_common(cp):
         cp.add_argument("--store", required=True, metavar="FILE.jsonl",
-                        help="append-only JSONL result store (a "
-                             "directory of shard files with --shards)")
+                        help="append-only JSONL result store")
         cp.add_argument("--json", action="store_true",
                         help="machine-readable summary instead of tables")
 
@@ -851,11 +805,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--watchdog-cycles", type=int, default=None, metavar="N",
                     help="per-trial cycle budget; a tripped watchdog "
                          "records the trial as a HANG outcome")
-    cp.add_argument("--shards", type=int, default=None, metavar="N",
-                    help="split the store into N shard files under the "
-                         "--store directory, routed by cell hash; "
-                         "recombine with `campaign merge` "
-                         "(byte-identical to a single-store run)")
     cp.set_defaults(fn=_cmd_campaign_run)
 
     cp = csub.add_parser("resume", help="continue an interrupted campaign "
@@ -864,23 +813,10 @@ def build_parser() -> argparse.ArgumentParser:
     _campaign_exec(cp)
     cp.set_defaults(fn=_cmd_campaign_resume)
 
-    cp = csub.add_parser("summarize", help="aggregate store(s) without "
+    cp = csub.add_parser("summarize", help="aggregate a store without "
                                            "running anything")
-    cp.add_argument("--store", required=True, nargs="+", metavar="PATH",
-                    help="store JSONL file(s), a sharded store "
-                         "directory, or a shard glob")
-    cp.add_argument("--json", action="store_true",
-                    help="machine-readable summary instead of tables")
+    _campaign_common(cp)
     cp.set_defaults(fn=_cmd_campaign_summarize)
-
-    cp = csub.add_parser("merge", help="merge shard files into one "
-                                       "single-store JSONL (byte-identical "
-                                       "to an unsharded run)")
-    cp.add_argument("shards", nargs="+", metavar="SOURCE",
-                    help="sharded store directory, glob, or shard files")
-    cp.add_argument("--out", required=True, metavar="FILE.jsonl",
-                    help="merged store to write (must not exist)")
-    cp.set_defaults(fn=_cmd_campaign_merge)
 
     p = sub.add_parser(
         "serve",
@@ -891,13 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default="campaign-service", metavar="DIR",
                    help="job stores and the job journal live here "
                         "(default: ./campaign-service)")
-    p.add_argument("--max-concurrent", type=int, default=2, metavar="N",
-                   help="campaign jobs running at once (default 2)")
-    p.add_argument("--tenant-quota", type=int, default=1, metavar="N",
-                   help="running jobs allowed per tenant (default 1)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="default shard count for job stores "
-                        "(0 or 1 = single JSONL file)")
+    p.add_argument("--max-concurrent", type=int, default=1, metavar="N",
+                   help="campaign jobs running at once; queued jobs start "
+                        "oldest first (default 1)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size per job (default: CPUs)")
     from repro.campaign.engine import EXEC_MODES

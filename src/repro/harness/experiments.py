@@ -124,7 +124,7 @@ def fig6_cb_size(benchmarks: Sequence[str] = FIG6_DEFAULT,
         for kb in sizes_kb:
             entries = max(1, int(kb * 1024 // ENTRY_BYTES))
             cfg = UnSyncConfig(cb_entries=entries)
-            res = run_scheme("unsync", program, unsync_config=cfg)
+            res = run_scheme("unsync", program, unsync=cfg)
             points.append(Fig6Point(
                 benchmark=name,
                 cb_kb=kb,

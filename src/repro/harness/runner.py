@@ -25,8 +25,6 @@ MAX_CYCLES = 4_000_000
 
 def run_scheme(scheme: str, program: Program,
                config: Optional[SystemConfig] = None,
-               reunion_params: Optional[ReunionParams] = None,
-               unsync_config: Optional[UnSyncConfig] = None,
                max_cycles: Optional[int] = None,
                **kwargs) -> RunResult:
     """Run one scheme on one program.
@@ -34,18 +32,13 @@ def run_scheme(scheme: str, program: Program,
     ``scheme`` is any :func:`repro.schemes.available` name (an unknown
     one raises :class:`~repro.schemes.UnknownSchemeError`, a
     ``ValueError``). Extra kwargs are forwarded to the system constructor
-    (injector, detectors, csb_entries, ...); ``reunion_params`` /
-    ``unsync_config`` are kept as explicit legacy spellings of the
-    respective schemes' ``params`` / ``unsync`` kwargs. ``max_cycles``
+    (``unsync=`` for UnSync, ``params=`` for Reunion, injector,
+    detectors, csb_entries, ...). ``max_cycles``
     tightens the cycle-budget watchdog (the campaign trial runner uses it
     to classify wedged simulations as ``HANG`` instead of waiting out the
     generous default).
     """
     budget = max_cycles if max_cycles is not None else MAX_CYCLES
-    if scheme == "unsync" and unsync_config is not None:
-        kwargs.setdefault("unsync", unsync_config)
-    if scheme == "reunion" and reunion_params is not None:
-        kwargs.setdefault("params", reunion_params)
     system = get_scheme(scheme).build_system(program, config=config, **kwargs)
     return system.run(budget)
 
@@ -103,7 +96,7 @@ def compare_schemes(program: Program,
         name=program.name,
         baseline=baseline_run(program, config),
         reunion=run_scheme("reunion", program, config=config,
-                           reunion_params=reunion_params),
+                           params=reunion_params),
         unsync=run_scheme("unsync", program, config=config,
-                          unsync_config=unsync_config),
+                          unsync=unsync_config),
     )

@@ -1,17 +1,14 @@
-"""Campaign-as-a-service: the multi-tenant face of the campaign engine.
+"""Campaign-as-a-service: the HTTP face of the campaign engine.
 
-One process owning one JSONL store serves a single sweep; production
-scale (paper Sec VI: SER grids spanning 1e-7..1e-17, 4-way scheme
-comparisons) means many concurrent grids from many clients. This package
-adds the service seam *around* the campaign engine — never a fork of it:
+One process owning one JSONL store serves a single sweep; the service
+lets clients submit grids over HTTP, watch them, and farm their trials
+out to worker processes. It adds that seam *around* the campaign
+engine — never a fork of it:
 
-* :class:`~repro.service.shards.ShardedStore` — the JSONL store sharded
-  by cell hash, with a deterministic merge that is byte-identical to the
-  equivalent single-store run (CI-gated);
 * :class:`~repro.service.scheduler.JobScheduler` — an asyncio scheduler
-  multiplexing submitted grids across the existing process-pool
-  executor, with priorities, per-tenant quotas, cancellation, and
-  graceful drain-on-shutdown;
+  that runs submitted grids oldest first, at most ``max_concurrent`` at
+  a time, each through the existing campaign engine into one ordinary
+  JSONL store, with cancellation and graceful drain-on-shutdown;
 * :class:`~repro.service.journal.JobJournal` — append-only job-state
   journal so a restarted server re-adopts in-flight campaigns with no
   trial lost or repeated (the store's (cell, seed) keying does the
@@ -43,7 +40,6 @@ from repro.service.journal import JobJournal, JournalLocked
 from repro.service.retry import (HTTP_RETRY, TRIAL_RETRY, RetryError,
                                  RetryPolicy, call_with_retry)
 from repro.service.scheduler import Job, JobScheduler
-from repro.service.shards import ShardedStore, merge_shards, shard_index
 from repro.service.workers import (LeaseBroker, WaveDispatcher,
                                    WorkerClient, run_worker)
 
@@ -53,6 +49,5 @@ __all__ = [
     "Job", "JobJournal", "JobScheduler", "JournalLocked",
     "LeaseBroker", "RetryError", "RetryPolicy",
     "ServiceClient", "ServiceError",
-    "ShardedStore", "WaveDispatcher", "WorkerClient",
-    "call_with_retry", "merge_shards", "run_worker", "shard_index",
+    "WaveDispatcher", "WorkerClient", "call_with_retry", "run_worker",
 ]

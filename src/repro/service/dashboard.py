@@ -117,8 +117,8 @@ Wilson 95% CIs, throughput, and the job queue</div>
 <section>
   <h2>Jobs</h2>
   <table>
-    <thead><tr><th>job</th><th>tenant</th><th>prio</th><th>state</th>
-      <th>progress</th><th>store</th></tr></thead>
+    <thead><tr><th>job</th><th>state</th><th>progress</th>
+      <th>store</th></tr></thead>
     <tbody id="jobs"></tbody>
   </table>
 </section>
@@ -159,9 +159,8 @@ Wilson 95% CIs, throughput, and the job queue</div>
     for (const j of r.jobs) {
       const tr = document.createElement("tr");
       tr.innerHTML =
-        "<td>" + j.job_id + "</td><td>" + j.tenant + "</td><td>" +
-        j.priority + '</td><td><span class="chip ' + j.state + '">' +
-        j.state + "</span></td><td>" + j.trials_done + " / " +
+        "<td>" + j.job_id + '</td><td><span class="chip ' + j.state +
+        '">' + j.state + "</span></td><td>" + j.trials_done + " / " +
         j.total_trials + "</td><td>" + j.store + "</td>";
       jobs.appendChild(tr);
     }

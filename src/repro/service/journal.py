@@ -47,10 +47,7 @@ class JournalEntry:
 
     job_id: str
     spec: Dict = field(default_factory=dict)
-    tenant: str = "default"
-    priority: int = 0
     store: str = ""
-    shards: int = 0
     workers: Optional[int] = None
     exec_mode: str = "differential"
     fingerprint: str = ""
@@ -192,12 +189,10 @@ class JobJournal:
             fh.write(line)
             fh.flush()
 
-    def submitted(self, job_id: str, *, spec: Dict, tenant: str,
-                  priority: int, store: str, shards: int,
+    def submitted(self, job_id: str, *, spec: Dict, store: str,
                   workers: Optional[int], exec_mode: str,
                   fingerprint: str) -> None:
-        self.record("submitted", job_id, spec=spec, tenant=tenant,
-                    priority=priority, store=store, shards=shards,
+        self.record("submitted", job_id, spec=spec, store=store,
                     workers=workers, exec_mode=exec_mode,
                     fingerprint=fingerprint)
 
@@ -219,7 +214,8 @@ class JobJournal:
 
         A torn final line (server killed mid-append) is dropped;
         non-final garbage raises, mirroring the campaign store's
-        corruption contract.
+        corruption contract. Keys a record carries beyond the ones read
+        here are ignored, so journals from older versions still replay.
         """
         if not os.path.exists(self.path):
             return []
@@ -244,10 +240,7 @@ class JobJournal:
                 jobs[job_id] = JournalEntry(
                     job_id=job_id,
                     spec=record.get("spec", {}),
-                    tenant=record.get("tenant", "default"),
-                    priority=int(record.get("priority", 0)),
                     store=record.get("store", ""),
-                    shards=int(record.get("shards", 0)),
                     workers=record.get("workers"),
                     exec_mode=record.get("exec_mode", "differential"),
                     fingerprint=record.get("fingerprint", ""))

@@ -5,11 +5,11 @@ existing campaign engine — each running job executes
 :func:`repro.campaign.engine.run_campaign` in a worker thread, which in
 turn fans trials across the process pool exactly as the CLI does
 (differential-mode submission order included). The scheduler therefore
-*wraps* the executor rather than forking it: multiplexing decides only
-which grid runs next, with
+*wraps* the executor rather than forking it: it decides only which grid
+runs next, with
 
-* **priorities** — higher wins, FIFO within a priority;
-* **per-tenant quotas** — one noisy tenant cannot occupy every slot;
+* **FIFO admission** — the oldest queued job starts whenever fewer than
+  ``max_concurrent`` jobs are running;
 * **cancellation** — polled by the engine at wave boundaries, so a
   cancelled job's store holds only whole, durable trial records;
 * **graceful drain** — shutdown stops admissions, lets in-flight waves
@@ -42,7 +42,6 @@ from repro.campaign.store import ResultStore
 from repro.campaign.trial import TrialResult
 from repro.harness.statistics import wilson_interval
 from repro.service.journal import JobJournal
-from repro.service.shards import ShardedStore
 from repro.service.workers import LeaseBroker, WaveDispatcher
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -65,10 +64,7 @@ class Job:
 
     job_id: str
     spec: CampaignSpec
-    tenant: str
-    priority: int
     store_path: str
-    shards: int
     workers: Optional[int]
     exec_mode: str
     seq: int
@@ -87,13 +83,10 @@ class Job:
         """JSON-ready status for the HTTP API."""
         return {
             "job_id": self.job_id,
-            "tenant": self.tenant,
-            "priority": self.priority,
             "state": self.state,
             "trials_done": self.trials_done,
             "total_trials": self.spec.total_trials,
             "store": self.store_path,
-            "shards": self.shards,
             "exec_mode": self.exec_mode,
             "error": self.error,
         }
@@ -108,7 +101,7 @@ def _rate_dict(successes: int, trials: int) -> Dict[str, float]:
 
 
 class JobScheduler:
-    """Priority/quota multiplexer for campaign jobs on one event loop.
+    """FIFO multiplexer for campaign jobs on one event loop.
 
     ``submit``/``cancel``/``status`` are called from the event-loop
     thread (HTTP handlers); trial execution happens in worker threads
@@ -117,12 +110,10 @@ class JobScheduler:
     """
 
     def __init__(self, data_dir, *,
-                 max_concurrent: int = 2,
-                 tenant_quota: int = 1,
+                 max_concurrent: int = 1,
                  journal: Optional[JobJournal] = None,
                  runner: Optional[Callable] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 default_shards: int = 0,
                  default_workers: Optional[int] = None,
                  exec_mode: str = "differential",
                  broker: Optional[LeaseBroker] = None,
@@ -130,15 +121,11 @@ class JobScheduler:
                  worker_wait: float = 10.0) -> None:
         if max_concurrent <= 0:
             raise CampaignError("max_concurrent must be positive")
-        if tenant_quota <= 0:
-            raise CampaignError("tenant_quota must be positive")
         self.data_dir = os.fspath(data_dir)
         self.max_concurrent = max_concurrent
-        self.tenant_quota = tenant_quota
         self.journal = journal
         self.runner = runner
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.default_shards = default_shards
         self.default_workers = default_workers
         self.exec_mode = exec_mode
         self.broker = broker
@@ -156,16 +143,8 @@ class JobScheduler:
         self._completions: Deque[float] = deque()
 
     # -- submission ---------------------------------------------------------
-    def _job_store_path(self, job_id: str, shards: int) -> str:
-        base = os.path.join(self.data_dir, job_id)
-        return os.path.join(base, "shards") if shards > 1 \
-            else os.path.join(base, "store.jsonl")
-
     def submit(self, spec: CampaignSpec, *,
-               tenant: str = "default",
-               priority: int = 0,
                workers: Optional[int] = None,
-               shards: Optional[int] = None,
                exec_mode: Optional[str] = None,
                job_id: Optional[str] = None,
                store_path: Optional[str] = None,
@@ -181,14 +160,11 @@ class JobScheduler:
             job_id = f"job-{next(self._numbers):06d}"
         if job_id in self._jobs:
             raise CampaignError(f"job {job_id!r} already exists")
-        n_shards = self.default_shards if shards is None else shards
         if store_path is None:
-            store_path = self._job_store_path(job_id, n_shards)
-        job = Job(job_id=job_id, spec=spec, tenant=tenant,
-                  priority=priority,
+            store_path = os.path.join(self.data_dir, job_id, "store.jsonl")
+        job = Job(job_id=job_id, spec=spec,
                   workers=workers if workers is not None
                   else self.default_workers,
-                  shards=n_shards,
                   exec_mode=exec_mode or self.exec_mode,
                   store_path=store_path, seq=next(self._seq))
         with self._lock:
@@ -196,8 +172,7 @@ class JobScheduler:
         self.metrics.counter("service.jobs.submitted").inc()
         if self.journal is not None and journal_event:
             self.journal.submitted(
-                job_id, spec=spec.to_dict(), tenant=tenant,
-                priority=priority, store=store_path, shards=n_shards,
+                job_id, spec=spec.to_dict(), store=store_path,
                 workers=workers, exec_mode=job.exec_mode,
                 fingerprint=spec.fingerprint())
         self._set_wake()
@@ -224,10 +199,9 @@ class JobScheduler:
                     "journal fingerprint mismatch — store not re-adopted")
                 continue
             adopted.append(self.submit(
-                spec, tenant=entry.tenant, priority=entry.priority,
-                workers=entry.workers, shards=entry.shards,
-                exec_mode=entry.exec_mode, job_id=entry.job_id,
-                store_path=entry.store, journal_event=False))
+                spec, workers=entry.workers, exec_mode=entry.exec_mode,
+                job_id=entry.job_id, store_path=entry.store,
+                journal_event=False))
         return adopted
 
     # -- queries ------------------------------------------------------------
@@ -318,31 +292,19 @@ class JobScheduler:
             self._wake.set()
 
     def _runnable(self) -> Optional[Job]:
-        running_total = 0
-        running_by_tenant: Dict[str, int] = {}
-        for job in self._jobs.values():
-            if job.state == RUNNING:
-                running_total += 1
-                running_by_tenant[job.tenant] = \
-                    running_by_tenant.get(job.tenant, 0) + 1
-        if running_total >= self.max_concurrent:
+        """The oldest queued job, if a slot is free."""
+        jobs = self._jobs.values()
+        if sum(1 for j in jobs if j.state == RUNNING) \
+                >= self.max_concurrent:
             return None
-        queued = [j for j in self._jobs.values() if j.state == QUEUED]
-        # higher priority first; FIFO (submission seq) within a priority
-        for job in sorted(queued, key=lambda j: (-j.priority, j.seq)):
-            if running_by_tenant.get(job.tenant, 0) < self.tenant_quota:
-                return job
-        return None
+        return min((j for j in jobs if j.state == QUEUED),
+                   key=lambda j: j.seq, default=None)
 
-    def _make_store(self, job: Job):
-        on_append = partial(self._on_trial, job)
-        if job.shards > 1:
-            os.makedirs(job.store_path, exist_ok=True)
-            return ShardedStore(job.store_path, n_shards=job.shards,
-                                on_append=on_append)
+    def _make_store(self, job: Job) -> ResultStore:
         parent = os.path.dirname(os.path.abspath(job.store_path))
         os.makedirs(parent, exist_ok=True)
-        return ResultStore(job.store_path, on_append=on_append)
+        return ResultStore(job.store_path,
+                           on_append=partial(self._on_trial, job))
 
     def _execute(self, job: Job):
         """Worker-thread body: the unmodified campaign engine."""

@@ -40,20 +40,18 @@ import json
 import signal
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.engine import summarize_store, summarize_stores
+from repro.campaign.engine import summarize_store
 from repro.campaign.spec import CampaignError, CampaignSpec
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.journal import JobJournal
 from repro.service.scheduler import DONE, JobScheduler
-from repro.service.shards import shard_paths
 
 #: request-line / header limits (we only ever serve small JSON bodies)
 MAX_HEADER_LINES = 64
 MAX_BODY_BYTES = 1 << 20
 
 #: fields a submission body may carry besides the CampaignSpec ones
-_SUBMIT_FIELDS = frozenset({"tenant", "priority", "workers", "shards",
-                            "exec_mode"})
+_SUBMIT_FIELDS = frozenset({"workers", "exec_mode"})
 _SPEC_FIELDS = frozenset({"schemes", "workloads", "sers", "trials",
                           "seed_base", "ci_halfwidth", "batch",
                           "fault_model", "watchdog_cycles"})
@@ -312,11 +310,7 @@ class CampaignService:
             data = json.loads(body.decode() or "{}")
             spec = spec_from_request(data)
             job = self.scheduler.submit(
-                spec,
-                tenant=str(data.get("tenant", "default")),
-                priority=int(data.get("priority", 0)),
-                workers=data.get("workers"),
-                shards=data.get("shards"),
+                spec, workers=data.get("workers"),
                 exec_mode=data.get("exec_mode"))
         except (CampaignError, ValueError) as exc:
             return 400, self._json_bytes({"error": str(exc)}), \
@@ -348,10 +342,7 @@ class CampaignService:
             stats = job.summary
         else:
             try:
-                if job.shards > 1:
-                    summary = summarize_stores(shard_paths(job.store_path))
-                else:
-                    summary = summarize_store(job.store_path)
+                summary = summarize_store(job.store_path)
             except CampaignError as exc:
                 return 409, self._json_bytes(
                     {"error": f"no results yet: {exc}"}), "application/json"
@@ -393,8 +384,7 @@ async def _serve_async(service: CampaignService) -> None:
 
 
 def serve(*, host: str, port: int, data_dir: str,
-          max_concurrent: int, tenant_quota: int,
-          shards: int, workers: Optional[int], exec_mode: str,
+          max_concurrent: int, workers: Optional[int], exec_mode: str,
           journal_path: Optional[str] = None,
           stream_interval: float = 1.0,
           lease_ttl: float = 10.0,
@@ -414,11 +404,10 @@ def serve(*, host: str, port: int, data_dir: str,
     metrics = MetricsRegistry()
     broker = LeaseBroker(lease_ttl=lease_ttl, metrics=metrics)
     scheduler = JobScheduler(
-        data_dir, max_concurrent=max_concurrent,
-        tenant_quota=tenant_quota, journal=journal,
-        default_shards=shards, default_workers=workers,
-        exec_mode=exec_mode, metrics=metrics, broker=broker,
-        expect_workers=expect_workers, worker_wait=worker_wait)
+        data_dir, max_concurrent=max_concurrent, journal=journal,
+        default_workers=workers, exec_mode=exec_mode, metrics=metrics,
+        broker=broker, expect_workers=expect_workers,
+        worker_wait=worker_wait)
     service = CampaignService(scheduler, host=host, port=port,
                               stream_interval=stream_interval,
                               chaos=chaos_ctl)

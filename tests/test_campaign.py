@@ -342,6 +342,20 @@ def test_summarize_missing_store(tmp_path):
         summarize_store(tmp_path / "absent.jsonl")
 
 
+def test_summarize_does_not_label_interrupted_cell_early_stopped(tmp_path):
+    """A campaign stopped after its first wave holds one of two batches,
+    and 4 trials cannot meet a 0.01 CI: the cell is unfinished, not
+    early-stopped, and summarize must say what the engine says."""
+    spec = small_spec(trials=8, batch=4, ci_halfwidth=0.01)
+    path = tmp_path / "c.jsonl"
+    polls = iter([False])  # run one wave, then stop at the boundary
+    ran = run_campaign(spec, path, workers=1,
+                       should_stop=lambda: next(polls, True))
+    assert ran.totals["trials"] == 4
+    assert ran.early_stopped == []
+    assert summarize_store(path).early_stopped == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

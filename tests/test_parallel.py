@@ -40,7 +40,7 @@ def test_parallel_matches_serial(trials, serial):
 
 def test_parameterized_jobs():
     sha = load_benchmark("sha")
-    slow = run_scheme("reunion", sha, reunion_params=ReunionParams(
+    slow = run_scheme("reunion", sha, params=ReunionParams(
         fingerprint_interval=30, comparison_latency=40))
     fast = run_scheme("reunion", sha)
     assert slow.cycles > fast.cycles  # FI=30/lat=40 is the Fig 5 cliff
@@ -49,7 +49,7 @@ def test_parameterized_jobs():
 def test_cb_entries_job():
     bzip2 = load_benchmark("bzip2")
     tiny, big = (run_scheme("unsync", bzip2,
-                            unsync_config=UnSyncConfig(cb_entries=n))
+                            unsync=UnSyncConfig(cb_entries=n))
                  for n in (4, 256))
     assert tiny.metrics["unsync.cb.full_stalls"] > \
         big.metrics["unsync.cb.full_stalls"]

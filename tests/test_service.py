@@ -1,5 +1,5 @@
-"""Campaign service tests: job journal, asyncio scheduler (priorities,
-quotas, cancellation, drain), the HTTP API round-trip, and restart
+"""Campaign service tests: job journal, asyncio scheduler (FIFO
+admission, cancellation, drain), the HTTP API round-trip, and restart
 re-adoption with no lost or duplicated trials."""
 
 import asyncio
@@ -20,7 +20,6 @@ from repro.service.scheduler import (
     CANCELLED, DONE, QUEUED, RUNNING, SUSPENDED, JobScheduler,
 )
 from repro.service.server import CampaignService, spec_from_request
-from repro.service.shards import ShardedStore
 
 
 def small_spec(**overrides):
@@ -66,13 +65,12 @@ def run_until_settled(sched, timeout=30.0):
 # ---------------------------------------------------------------------------
 def test_journal_replay_keeps_last_state(tmp_path):
     journal = JobJournal(tmp_path / "j.jsonl")
-    journal.submitted("job-000001", spec={"trials": 4}, tenant="t",
-                      priority=2, store="s.jsonl", shards=0, workers=1,
-                      exec_mode="full", fingerprint="abc")
+    journal.submitted("job-000001", spec={"trials": 4}, store="s.jsonl",
+                      workers=1, exec_mode="full", fingerprint="abc")
     journal.started("job-000001")
-    journal.submitted("job-000002", spec={}, tenant="u", priority=0,
-                      store="s2.jsonl", shards=2, workers=None,
-                      exec_mode="differential", fingerprint="def")
+    journal.submitted("job-000002", spec={}, store="s2.jsonl",
+                      workers=None, exec_mode="differential",
+                      fingerprint="def")
     journal.finished("job-000001")
     entries = {e.job_id: e for e in journal.replay()}
     assert entries["job-000001"].terminal
@@ -84,8 +82,7 @@ def test_journal_replay_keeps_last_state(tmp_path):
 
 def test_journal_tolerates_torn_final_line(tmp_path):
     journal = JobJournal(tmp_path / "j.jsonl")
-    journal.submitted("job-000001", spec={}, tenant="t", priority=0,
-                      store="s", shards=0, workers=None,
+    journal.submitted("job-000001", spec={}, store="s", workers=None,
                       exec_mode="full", fingerprint="")
     with open(journal.path, "a") as fh:
         fh.write('{"event": "fini')  # killed mid-append
@@ -167,30 +164,15 @@ def test_scheduler_runs_job_to_done(tmp_path):
     assert sched.metrics.counter("service.trials.completed").value == 4
 
 
-def test_scheduler_priorities_and_fifo(tmp_path):
-    sched = make_scheduler(tmp_path, max_concurrent=1, tenant_quota=1)
-    low = sched.submit(small_spec(), priority=0)
-    mid_a = sched.submit(small_spec(seed_base=1), priority=5)
-    mid_b = sched.submit(small_spec(seed_base=2), priority=5)
-    assert sched._runnable() is mid_a  # higher wins, FIFO within
-    mid_a.state = RUNNING
-    assert sched._runnable() is None  # max_concurrent reached
-    mid_a.state = DONE
-    assert sched._runnable() is mid_b
-    mid_b.state = DONE
-    assert sched._runnable() is low
-
-
-def test_scheduler_tenant_quota(tmp_path):
-    sched = make_scheduler(tmp_path, max_concurrent=4, tenant_quota=1)
-    noisy_a = sched.submit(small_spec(), tenant="noisy")
-    noisy_b = sched.submit(small_spec(seed_base=1), tenant="noisy")
-    quiet = sched.submit(small_spec(seed_base=2), tenant="quiet",
-                         priority=-1)
-    noisy_a.state = RUNNING
-    # noisy's second job must wait even though slots are free
-    assert sched._runnable() is quiet
-    assert noisy_b.state == QUEUED
+def test_scheduler_admits_fifo(tmp_path):
+    sched = make_scheduler(tmp_path)  # default: one running job at a time
+    jobs = [sched.submit(small_spec(seed_base=i)) for i in range(3)]
+    for job in jobs:
+        assert sched._runnable() is job  # oldest queued job first
+        job.state = RUNNING
+        assert sched._runnable() is None  # max_concurrent reached
+        job.state = DONE
+    assert sched._runnable() is None  # nothing left to admit
 
 
 def test_cancel_queued_job_never_runs(tmp_path):
@@ -250,8 +232,7 @@ def test_adopt_orphans_resumes_without_duplicates(tmp_path):
 def test_adopt_orphans_rejects_fingerprint_mismatch(tmp_path):
     journal = JobJournal(tmp_path / "journal.jsonl")
     journal.submitted("job-000001", spec=small_spec().to_dict(),
-                      tenant="t", priority=0, store="s.jsonl", shards=0,
-                      workers=1, exec_mode="full",
+                      store="s.jsonl", workers=1, exec_mode="full",
                       fingerprint="not-the-real-fingerprint")
     sched = make_scheduler(tmp_path, journal=journal)
     assert sched.adopt_orphans() == []
@@ -297,10 +278,8 @@ def test_drain_under_cancellation_storm(tmp_path):
         return fast_runner(trial)
 
     threads_before = set(threading.enumerate())
-    sched = make_scheduler(tmp_path, runner=slow_runner, max_concurrent=3,
-                           tenant_quota=3)
-    jobs = [sched.submit(small_spec(trials=6, batch=2, seed_base=10 * i),
-                         priority=i % 2)
+    sched = make_scheduler(tmp_path, runner=slow_runner, max_concurrent=3)
+    jobs = [sched.submit(small_spec(trials=6, batch=2, seed_base=10 * i))
             for i in range(8)]
 
     async def drive():
@@ -337,30 +316,46 @@ def test_drain_under_cancellation_storm(tmp_path):
     assert leaked == []
 
 
-def test_sharded_job_store(tmp_path):
-    sched = make_scheduler(tmp_path, default_shards=2)
-    job = sched.submit(small_spec())
+def test_older_journal_submission_still_readopts(tmp_path):
+    """A ``submitted`` line written before the scheduler went FIFO
+    carries ``tenant``, ``priority`` and ``shards``; replay ignores those
+    keys and the job still re-adopts to completion."""
+    spec = small_spec()
+    store = tmp_path / "job-000001" / "store.jsonl"
+    line = {"event": "submitted", "job_id": "job-000001",
+            "spec": spec.to_dict(), "tenant": "default", "priority": 0,
+            "store": str(store), "shards": 0, "workers": 1,
+            "exec_mode": "full", "fingerprint": spec.fingerprint()}
+    (tmp_path / "journal.jsonl").write_text(
+        json.dumps(line, sort_keys=True) + "\n")
+    sched = make_scheduler(tmp_path)
+    adopted = sched.adopt_orphans()
+    assert [j.job_id for j in adopted] == ["job-000001"]
+    assert adopted[0].store_path == str(store)
     run_until_settled(sched)
-    assert job.state == DONE
-    assert len(ShardedStore(job.store_path).trial_records()) == 4
+    assert adopted[0].state == DONE
+    assert adopted[0].trials_done == 4
+    assert sched.journal.orphans() == []
 
 
 # ---------------------------------------------------------------------------
 # submission validation
 # ---------------------------------------------------------------------------
 def test_spec_from_request_validates():
-    spec = spec_from_request({"schemes": ["unsync"],
-                              "workloads": ["fibonacci"],
-                              "sers": [0.01], "trials": 4,
-                              "tenant": "t", "priority": 3})
-    assert spec.trials == 4
+    good = {"schemes": ["unsync"], "workloads": ["fibonacci"],
+            "sers": [0.01], "trials": 4, "workers": 1,
+            "exec_mode": "full"}
+    assert spec_from_request(good).trials == 4
     for bad in ({"schemes": ["unsync"], "workloads": ["fibonacci"]},
                 {"schemes": ["unsync"], "workloads": ["nope"],
                  "sers": [0.01]},
-                {"schemes": ["unsync"], "workloads": ["fibonacci"],
-                 "sers": [0.01], "bogus_field": 1},
+                dict(good, bogus_field=1),
                 []):
         with pytest.raises(CampaignError):
+            spec_from_request(bad)
+    for bad in (dict(good, tenant="t"), dict(good, priority=3),
+                dict(good, shards=2)):
+        with pytest.raises(CampaignError, match="unknown submission"):
             spec_from_request(bad)
 
 
@@ -369,7 +364,7 @@ def test_spec_from_request_validates():
 # ---------------------------------------------------------------------------
 @pytest.fixture()
 def service(tmp_path):
-    sched = make_scheduler(tmp_path, max_concurrent=2, tenant_quota=2)
+    sched = make_scheduler(tmp_path, max_concurrent=2)
     svc = CampaignService(sched, port=0, stream_interval=0.05)
     loop = asyncio.new_event_loop()
 

@@ -383,8 +383,7 @@ def test_chaos_journal_tear_every_nth():
 def test_journal_chaos_tear_is_repaired_on_next_append(tmp_path):
     chaos = ChaosController(ChaosConfig(tear_journal_every=2))
     journal = JobJournal(tmp_path / "j.jsonl", chaos=chaos)
-    journal.submitted("job-000001", spec={}, tenant="t", priority=0,
-                      store="s", shards=0, workers=None,
+    journal.submitted("job-000001", spec={}, store="s", workers=None,
                       exec_mode="full", fingerprint="")
     journal.finished("job-000001")  # torn mid-line by chaos
     raw = (tmp_path / "j.jsonl").read_bytes()
