@@ -54,8 +54,9 @@ def test_recovery_mode_ablation(benchmark):
             cfg = UnSyncConfig(recovery=RecoveryCostModel(l1_restore=mode))
             res = run_scheme("unsync", prog, unsync=cfg,
                              injector=FaultInjector(1 / 1500, seed=2024))
-            recoveries = max(1, res.extra["recoveries"])
-            out[mode] = (res.cycles, res.extra["recovery_cycles"] / recoveries)
+            recoveries = max(1, res.metrics["unsync.eih.recoveries"])
+            out[mode] = (res.cycles,
+                         res.metrics["unsync.recovery.cycles"] / recoveries)
         return out
 
     results = benchmark(sweep)

@@ -100,7 +100,7 @@ def test_redundancy_spectrum(benchmark):
         [(c.scheme, c.n_cores, f"{c.total_area_um2:.0f}",
           f"{c.total_power_w:.2f}", c.self_correcting) for c in costs],
         title="Redundancy spectrum: cost per protected thread"))
-    print(f"TMR under strikes: {tmr_faulty.extra['corrections']:.0f} "
+    print(f"TMR under strikes: {tmr_faulty.metrics['tmr.corrections']:.0f} "
           f"corrections, slowdown "
           f"{pct(tmr_faulty.cycles / tmr_clean.cycles - 1)} "
           f"(majority keeps running)")

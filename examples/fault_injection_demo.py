@@ -50,8 +50,8 @@ def main() -> None:
                      injector=FaultInjector(DEMO_RATE, seed=2024))
     ok = res.state.regs == gold.state.regs and res.state.mem == gold.state.mem
     print(f"strikes: {len(res.fault_events)}  "
-          f"recoveries: {res.extra['recoveries']:.0f}  "
-          f"recovery cycles: {res.extra['recovery_cycles']:.0f}")
+          f"recoveries: {res.metrics['unsync.eih.recoveries']:.0f}  "
+          f"recovery cycles: {res.metrics['unsync.recovery.cycles']:.0f}")
     print(f"outcomes: {outcome_histogram(res.fault_events)}")
     print(f"cycles: {res.cycles} (IPC {res.ipc:.2f})  "
           f"output correct: {ok}\n")
@@ -70,9 +70,10 @@ def main() -> None:
                                             inventory=pipeline_blocks))
     ok = res.state.regs == gold.state.regs and res.state.mem == gold.state.mem
     print(f"strikes: {len(res.fault_events)}  "
-          f"fingerprint mismatches: {res.extra['mismatches']:.0f}  "
-          f"rollbacks: {res.extra['rollbacks']:.0f}  "
-          f"CRC aliases: {res.extra['aliased_corruptions']:.0f}")
+          f"fingerprint mismatches: "
+          f"{res.metrics['reunion.fingerprint.mismatches']:.0f}  "
+          f"rollbacks: {res.metrics['reunion.rollback.count']:.0f}  "
+          f"CRC aliases: {res.metrics['reunion.fingerprint.aliased']:.0f}")
     print(f"outcomes: {outcome_histogram(res.fault_events)}")
     print(f"cycles: {res.cycles} (IPC {res.ipc:.2f})  "
           f"output correct: {ok}")

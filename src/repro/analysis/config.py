@@ -54,11 +54,6 @@ ASYNC_PACKAGES: Tuple[str, ...] = (
     "src/repro/service/",
 )
 
-#: the scheme descriptor package (SIM701 protocol conformance)
-SCHEME_PACKAGES: Tuple[str, ...] = (
-    "src/repro/schemes/",
-)
-
 DEFAULT_RULE_PATHS: Dict[str, Tuple[str, ...]] = {
     "SIM201": HOT_PACKAGES,
     "SIM106": COPY_PACKAGES,
@@ -68,7 +63,6 @@ DEFAULT_RULE_PATHS: Dict[str, Tuple[str, ...]] = {
     # async/thread/signal mix; elsewhere multi-domain writes are a
     # design smell the per-file rules already police differently
     "SIM601": ASYNC_PACKAGES,
-    "SIM701": SCHEME_PACKAGES,
 }
 
 

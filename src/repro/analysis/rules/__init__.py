@@ -19,8 +19,6 @@ Families:
 * **SIM6xx shared-state races** (whole-program) — service-tier
   instance attributes written from more than one concurrency domain
   (event loop / worker thread / signal handler) without a common lock.
-* **SIM7xx protocol conformance** (whole-program) — ResilienceScheme
-  descriptor declarations (name, telemetry tracks, metric prefix).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from repro.analysis.rules.procpool import (
     NonModuleLevelWorker,
 )
 from repro.analysis.rules.races import SharedStateRace
-from repro.analysis.rules.scheme_protocol import SchemeProtocol
 
 #: every rule, instantiated once, in code order
 ALL_RULES: Tuple[Rule, ...] = (
@@ -76,7 +73,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     AllocIdTaint(),
     EnvTaint(),
     SharedStateRace(),
-    SchemeProtocol(),
 )
 
 

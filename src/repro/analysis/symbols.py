@@ -1,10 +1,10 @@
 """Project symbol table: modules, classes, functions, import aliases.
 
 The per-file rules resolve dotted names with one file's import map;
-whole-program rules (taint tracking, the service race lint, scheme
-protocol conformance) need the same resolution *across* files — a call
-to ``helper()`` must land on the ``def helper`` in another module even
-when it arrived through a re-export or an ``as`` alias. The symbol
+whole-program rules (taint tracking, the service race lint) need the
+same resolution *across* files — a call to ``helper()`` must land on
+the ``def helper`` in another module even when it arrived through a
+re-export or an ``as`` alias. The symbol
 table indexes every top-level function, class, and method of a parsed
 file set under canonical dotted symbols (``repro.campaign.trial
 .run_trial``, ``repro.unsync.eih.ErrorInterruptHandler.poll``) and
@@ -207,63 +207,3 @@ class SymbolTable:
                 return ci.methods[attr]
             stack.extend(self.canonicalize(base) for base in ci.bases)
         return None
-
-    def subclasses_of(self, base_symbol: str) -> List[ClassInfo]:
-        """Project classes transitively deriving from ``base_symbol``."""
-        out: List[ClassInfo] = []
-        for symbol in sorted(self.classes):
-            if symbol == base_symbol:
-                continue
-            if self._derives(symbol, base_symbol, set()):
-                out.append(self.classes[symbol])
-        return out
-
-    def _derives(self, symbol: str, base_symbol: str,
-                 seen: Set[str]) -> bool:
-        if symbol in seen:
-            return False
-        seen.add(symbol)
-        ci = self.classes.get(symbol)
-        if ci is None:
-            return False
-        for base in ci.bases:
-            canon = self.canonicalize(base)
-            if canon == base_symbol:
-                return True
-            if self._derives(canon, base_symbol, seen):
-                return True
-        return False
-
-    def class_const(self, class_symbol: str,
-                    attr: str) -> Tuple[bool, object]:
-        """Class-body constant ``attr``, searching project ancestors.
-
-        Returns ``(declared, value)``; ``value`` is the literal
-        (``ast.literal_eval``) or ``None`` when the assignment is not a
-        literal expression.
-        """
-        seen: Set[str] = set()
-        stack: List[str] = [class_symbol]
-        while stack:
-            symbol = stack.pop(0)
-            if symbol in seen:
-                continue
-            seen.add(symbol)
-            ci = self.classes.get(symbol)
-            if ci is None:
-                continue
-            for stmt in ci.node.body:
-                target: Optional[ast.expr] = None
-                value: Optional[ast.expr] = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target, value = stmt.targets[0], stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    target, value = stmt.target, stmt.value
-                if (isinstance(target, ast.Name) and target.id == attr
-                        and value is not None):
-                    try:
-                        return True, ast.literal_eval(value)
-                    except (ValueError, TypeError, SyntaxError):
-                        return True, None
-            stack.extend(self.canonicalize(base) for base in ci.bases)
-        return False, None

@@ -39,17 +39,6 @@ from repro.campaign.spec import (
     cell_id,
 )
 from repro.campaign.store import ResultStore, StoreCorruption
-
-
-def __getattr__(name: str) -> "tuple[str, ...]":
-    # PEP 562: keep ``from repro.campaign import PROTECTED_SCHEMES``
-    # working while delegating to the live registry-derived view in
-    # ``repro.campaign.spec`` (an eager import here would snapshot the
-    # scheme registry at import time and hide later plugin registrations).
-    if name == "PROTECTED_SCHEMES":
-        from repro.campaign import spec
-        return spec.PROTECTED_SCHEMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from repro.campaign.trial import (
     TrialResult,
     classify_trial,
@@ -63,7 +52,7 @@ __all__ = [
     "CampaignSummary", "as_store", "run_campaign", "summarize_store",
     "ExecutionReport", "execute_trials",
     "ProgressTracker", "Ticker",
-    "CampaignError", "CampaignSpec", "PROTECTED_SCHEMES", "TrialSpec",
+    "CampaignError", "CampaignSpec", "TrialSpec",
     "cell_id",
     "ResultStore", "StoreCorruption",
     "TrialResult", "classify_trial", "crash_result", "hang_result",

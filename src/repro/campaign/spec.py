@@ -20,22 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-
-def _protected_schemes() -> Tuple[str, ...]:
-    """Schemes a campaign may inject into — live registry view (the
-    unprotected baseline declares ``protected = False``, so it is never
-    a valid fault-injection target; a scheme registered by a plugin is
-    immediately campaignable)."""
-    from repro.schemes import protected_schemes
-    return protected_schemes()
-
-
-def __getattr__(name: str) -> Tuple[str, ...]:
-    # PEP 562: PROTECTED_SCHEMES stays importable as a module attribute
-    # but is derived from the scheme registry instead of a literal tuple.
-    if name == "PROTECTED_SCHEMES":
-        return _protected_schemes()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.schemes import protected_schemes
 
 
 class CampaignError(ValueError):
@@ -100,7 +85,9 @@ class CampaignSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "sers", tuple(float(s) for s in self.sers))
-        protected = _protected_schemes()
+        # a live registry view: the unprotected baseline is never a
+        # target, and a scheme registered later is campaignable at once
+        protected = protected_schemes()
         for scheme in self.schemes:
             if scheme not in protected:
                 raise CampaignError(

@@ -275,10 +275,10 @@ def finish_trial(trial: TrialSpec, res) -> TrialResult:
 
     outcomes = Counter(e.outcome.value for e in res.fault_events
                        if e.outcome is not None)
-    # Each scheme declares which `extra` keys charge recovery/rollback
-    # cycles (UnSync charges recovery_cycles, Reunion rollback_cycles);
-    # the default covers both, byte-identically to the old hard-coded sum.
-    recovery = get_scheme(trial.scheme).recovery_cycles(res.extra)
+    # each scheme names the counter that charges its recovery/rollback
+    # cycles; a misspelt name raises KeyError instead of charging 0
+    recovery_metric = get_scheme(trial.scheme).recovery_metric
+    recovery = int(res.metrics[recovery_metric]) if recovery_metric else 0
     return TrialResult(scheme=trial.scheme, workload=trial.workload,
                        ser=trial.ser, seed=trial.seed,
                        cycles=res.cycles, instructions=res.instructions,

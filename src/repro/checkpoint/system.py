@@ -258,17 +258,18 @@ class CheckpointSystem(DualCoreSystem):
             self._arm_next_strike(now)
 
     # -- results ----------------------------------------------------------------
-    def extra_stats(self) -> dict:
+    def scheme_metrics(self) -> Dict[str, float]:
         mean_latency = (sum(self.detection_latencies)
                         / len(self.detection_latencies)
                         if self.detection_latencies else 0.0)
         return {
-            "checkpoints": float(self.store.captures),
-            "checkpoint_bytes": float(self.store.bytes_captured),
-            "capture_stall_cycles": float(self.captures_stalled_cycles),
-            "rollbacks": float(self.rollbacks),
-            "mean_detection_latency": mean_latency,
-            "checkpoint_full_stalls": float(self.store.full_stalls),
+            "checkpoint.captures": float(self.store.captures),
+            "checkpoint.bytes": float(self.store.bytes_captured),
+            "checkpoint.capture.stall_cycles": float(
+                self.captures_stalled_cycles),
+            "checkpoint.rollback.count": float(self.rollbacks),
+            "checkpoint.detection_latency.mean": mean_latency,
+            "checkpoint.store.full_stalls": float(self.store.full_stalls),
         }
 
     def result(self):

@@ -77,7 +77,8 @@ def _cmd_run(args) -> int:
     rows = [("scheme", res.scheme), ("workload", res.name),
             ("cycles", res.cycles), ("instructions", res.instructions),
             ("IPC", f"{res.ipc:.3f}")]
-    rows += [(k, f"{v:g}") for k, v in sorted(res.extra.items()) if v]
+    rows += [(k, f"{v:g}") for k, v in sorted(res.metrics.items())
+             if v and not k.startswith("core")]
     if res.fault_events:
         rows.append(("fault events", len(res.fault_events)))
     print(format_table(["metric", "value"], rows))

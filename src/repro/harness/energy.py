@@ -3,40 +3,27 @@
 The paper reports *power* (Table II) and *performance* (Figs 4-6)
 separately; a system designer ultimately pays for their product. This
 module closes the loop: take a simulation's cycle count, the scheme's
-synthesized per-core power, and produce energy and energy-delay-product
-figures per workload.
+per-protected-thread silicon power, and produce energy and
+energy-delay-product figures per workload.
 
 Model: the synthesis corner is 300 MHz (Sec V), so one simulated cycle is
-1/300 MHz of wall time; each live core burns its Table II total power for
-the run's duration, plus the event-based extras that scale with activity
-rather than time (CB/CSB traffic, fingerprint transfers, recoveries).
-Event energies are derived from the component library's per-access
-numbers.
+1/300 MHz of wall time; the scheme's whole replica group
+(:meth:`~repro.schemes.base.ResilienceScheme.system_cost`) burns its
+total power for the run's duration, plus the event-based extras that
+scale with activity rather than time (CB/CSB traffic, fingerprint
+transfers, recoveries). Each scheme descriptor prices its own events
+(:meth:`~repro.schemes.base.ResilienceScheme.event_energy`) from the
+component library's per-access numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.hwcost.components import cb_array, crc_generator
-from repro.hwcost.synthesis import synthesize
 from repro.hwcost.tech import TECH_65NM, TechNode
 from repro.redundancy.stats import RunResult
-
-#: cores a scheme keeps busy per protected thread (MEEK's in-order
-#: checker is a fraction of a core — see CHECKER_CORE_FRACTION — so its
-#: effective core count is below 2)
-CORES_PER_SCHEME = {"baseline": 1, "unsync": 2, "reunion": 2,
-                    "checkpoint": 2, "tmr": 3, "reptfd": 2,
-                    "meek": 1.3}
-
-#: which synthesized column prices a scheme's core (RepTFD and MEEK run
-#: plain MIPS cores — their detection silicon is queues and comparators,
-#: charged as event energy)
-_COSTING_SCHEME = {"baseline": "mips", "unsync": "unsync",
-                   "reunion": "reunion", "checkpoint": "mips",
-                   "tmr": "mips", "reptfd": "mips", "meek": "mips"}
+from repro.schemes import get as get_scheme
 
 
 @dataclass
@@ -68,55 +55,22 @@ class EnergyReport:
         return self.total_energy_j / instructions * 1e9
 
 
-def _event_energy(result: RunResult, tech: TechNode) -> Dict[str, float]:
-    """Per-event extras by scheme, from the component library."""
-    cycle_s = 1.0 / tech.frequency_hz
-    out: Dict[str, float] = {}
-    extra = result.extra
-    if result.scheme == "unsync":
-        cb = cb_array(10)
-        per_access = cb.power_w * cycle_s  # one access ~ one cycle of CB power
-        out["cb_traffic"] = per_access * (extra.get("cb_pushes", 0)
-                                          + extra.get("cb_drains", 0))
-        # recovery: the pair burns its normal power while frozen — the
-        # *extra* energy is the copy traffic, charged like CB accesses
-        out["recovery_copies"] = per_access * extra.get("recovery_cycles", 0)
-    elif result.scheme == "reunion":
-        crc = crc_generator(tech)
-        per_fp = crc.power_w * cycle_s * 2  # generate on both cores
-        out["fingerprints"] = per_fp * extra.get("fingerprints_compared", 0)
-    elif result.scheme == "checkpoint":
-        # checkpoint bytes move through the memory system
-        bytes_captured = extra.get("checkpoint_bytes", 0)
-        out["checkpoint_traffic"] = bytes_captured * 10e-12  # ~10 pJ/byte
-    elif result.scheme == "reptfd":
-        from repro.hwcost.redundancy_cost import REPLAY_ENTRY_BITS
-        queue = cb_array(96, entry_bits=REPLAY_ENTRY_BITS)
-        per_access = queue.power_w * cycle_s
-        # every compared record was pushed once and popped once
-        out["replay_queue"] = per_access * 2 * extra.get("replay_compares", 0)
-        out["rollback_refill"] = per_access * extra.get("rollback_cycles", 0)
-    elif result.scheme == "meek":
-        from repro.hwcost.redundancy_cost import CHECK_ENTRY_BITS
-        queue = cb_array(64, entry_bits=CHECK_ENTRY_BITS)
-        per_access = queue.power_w * cycle_s
-        out["check_queue"] = per_access * 2 * extra.get("checks", 0)
-    return out
-
-
 def energy_estimate(result: RunResult,
                     tech: TechNode = TECH_65NM) -> EnergyReport:
-    """Estimate the energy of one finished run."""
-    scheme = result.scheme
-    if scheme not in CORES_PER_SCHEME:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    costs = synthesize(_COSTING_SCHEME[scheme], tech)
-    n_cores = CORES_PER_SCHEME[scheme]
+    """Estimate the energy of one finished run.
+
+    Raises ``ValueError`` for a scheme that is not registered or that has
+    no cost model.
+    """
+    desc = get_scheme(result.scheme)
+    cost = desc.system_cost(tech)
+    if cost is None:
+        raise ValueError(f"scheme {result.scheme!r} has no cost model")
     time_s = result.cycles / tech.frequency_hz
-    core_energy = costs.total_power_w * n_cores * time_s
-    events = _event_energy(result, tech)
+    core_energy = cost.total_power_w * time_s
+    events = desc.event_energy(result.metrics, tech)
     return EnergyReport(
-        scheme=scheme,
+        scheme=result.scheme,
         workload=result.name,
         cycles=result.cycles,
         time_s=time_s,

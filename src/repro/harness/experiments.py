@@ -130,7 +130,7 @@ def fig6_cb_size(benchmarks: Sequence[str] = FIG6_DEFAULT,
                 cb_kb=kb,
                 cb_entries=entries,
                 ipc_normalized=base.cycles / res.cycles,
-                cb_full_stalls=int(res.extra["cb_full_stalls"]),
+                cb_full_stalls=int(res.metrics["unsync.cb.full_stalls"]),
             ))
     return points
 

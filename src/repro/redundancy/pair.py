@@ -111,21 +111,6 @@ class DualCoreSystem:
                 return False
         return True
 
-    def extra_stats(self) -> dict:
-        """Scheme-specific counters merged into the result.
-
-        Since the telemetry subsystem this is a derived view: the default
-        maps :attr:`LEGACY_EXTRA` (legacy key -> metric name) over
-        :meth:`scheme_metrics`, so the historical keys keep their exact
-        values while the named counters are the single source of truth.
-        """
-        metrics = self.scheme_metrics()
-        return {legacy: float(metrics[name])
-                for legacy, name in self.LEGACY_EXTRA.items()}
-
-    #: legacy ``extra`` key -> telemetry counter name (per scheme)
-    LEGACY_EXTRA: Dict[str, str] = {}
-
     def scheme_metrics(self) -> Dict[str, float]:
         """Scheme-level named telemetry counters (override per scheme)."""
         return {}
@@ -180,7 +165,6 @@ class DualCoreSystem:
             instructions=instructions,
             state=self.pipelines[0].committed_state,
             core_stats=[p.stats for p in self.pipelines],
-            extra=self.extra_stats(),
             metrics=metrics,
         )
 
@@ -291,6 +275,5 @@ class BaselineSystem:
             instructions=self.pipeline.stats.committed,
             state=self.pipeline.committed_state,
             core_stats=[self.pipeline.stats],
-            extra={"wbuf_full_stalls": metrics["baseline.wbuf.full_stalls"]},
             metrics=metrics,
         )

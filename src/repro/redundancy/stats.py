@@ -22,13 +22,8 @@ class RunResult:
     state: ArchState
     core_stats: List[PipelineStats] = field(default_factory=list)
     fault_events: List[FaultEvent] = field(default_factory=list)
-    #: legacy scheme-specific counters. Since the telemetry subsystem this
-    #: is a *derived view* over :attr:`metrics` (each system maps its
-    #: historical keys onto the named counters), kept for backward
-    #: compatibility with every figure driver and test that reads it.
-    extra: Dict[str, float] = field(default_factory=dict)
     #: flat hierarchical telemetry counters (``core0.l1d.misses``,
-    #: ``unsync.cb.full_stalls``, ...) — the canonical counter namespace.
+    #: ``unsync.cb.full_stalls``, ...) — the run's one counter namespace.
     metrics: Dict[str, float] = field(default_factory=dict)
 
     @property

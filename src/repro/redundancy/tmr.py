@@ -203,11 +203,11 @@ class TMRSystem:
             instructions=self.pipelines[0].stats.committed,
             state=self.pipelines[0].committed_state,
             core_stats=[p.stats for p in self.pipelines],
-            extra={
-                "votes": float(self.votes),
-                "corrections": float(self.corrections),
-                "cb_full_stalls": float(sum(cb.full_stalls
-                                            for cb in self.cbs)),
+            metrics={
+                "tmr.votes": float(self.votes),
+                "tmr.corrections": float(self.corrections),
+                "tmr.cb.full_stalls": float(sum(cb.full_stalls
+                                                for cb in self.cbs)),
             },
         )
         res.fault_events = list(self.fault_events)

@@ -381,20 +381,6 @@ class ReunionSystem(DualCoreSystem):
         self.rollback_cycles_total += penalty
 
     # -- results ---------------------------------------------------------------
-    #: legacy `extra` keys, derived from the named telemetry counters
-    LEGACY_EXTRA = {
-        "fingerprints_compared": "reunion.fingerprint.compared",
-        "mismatches": "reunion.fingerprint.mismatches",
-        "aliased_corruptions": "reunion.fingerprint.aliased",
-        "rollbacks": "reunion.rollback.count",
-        "rollback_cycles": "reunion.rollback.cycles",
-        "csb_full_stalls": "reunion.csb.full_stalls",
-        "serializing_drains": "reunion.serializing.drain_stalls",
-        "incoherence_events": "reunion.incoherence.events",
-        "incoherence_syncs": "reunion.incoherence.syncs",
-        "incoherence_cycles": "reunion.incoherence.cycles",
-    }
-
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "reunion.fingerprint.compared": float(

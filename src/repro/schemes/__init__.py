@@ -10,14 +10,16 @@ Public surface::
 Registration order fixes the canonical scheme ordering everywhere a
 list of schemes is presented (CLI choices, hwcost tables, CI smoke):
 the two ported schemes first — ``protected_schemes()`` therefore starts
-``("unsync", "reunion")``, preserving the historical
-``PROTECTED_SCHEMES`` tuple as a prefix — then the two new backends,
-then the unprotected baseline.
+``("unsync", "reunion")`` — then the two new backends, then the
+unprotected baseline.
 
 To add a scheme: subclass :class:`ResilienceScheme`, implement
-``build_system`` (and whichever of ``detectors`` / ``uncore_blocks`` /
-``system_cost`` apply), and :func:`register` an instance. See
-README.md's "Resilience schemes" section for a worked example.
+``build_system`` (and whichever of ``uncore_blocks`` / ``system_cost`` /
+``event_energy`` apply), name the counter that holds its recovery cycles
+in ``recovery_metric``, and :func:`register` an instance. The scheme's
+system reports its counters in ``RunResult.metrics`` under
+``<name>.``-prefixed names. See README.md's "Resilience schemes" section
+for a worked example.
 """
 
 from repro.schemes.base import (

@@ -2,13 +2,13 @@
 
 A :class:`ResilienceScheme` bundles everything the rest of the repo needs
 to know about one protection scheme — how to build its system over the
-shared core+mem model, which detectors guard its blocks, which uncore
-structures the adversarial fault model may strike, what its silicon
-costs, and how a campaign trial charges its recovery time. The campaign
-grid, the CLI, the fault models and the hwcost reports all resolve
-schemes through :func:`get`/:func:`available` instead of hard-coded
-``{"unsync": ..., "reunion": ...}`` dicts, so adding a scheme means
-registering one descriptor — nothing else changes.
+shared core+mem model, which uncore structures the adversarial fault
+model may strike, what its silicon costs, what energy its events burn,
+and which counter a campaign trial charges as recovery time. The
+campaign grid, the CLI, the fault models, the energy model and the
+hwcost reports all resolve schemes through :func:`get`/:func:`available`
+instead of hard-coded ``{"unsync": ..., "reunion": ...}`` dicts, so
+adding a scheme means registering one descriptor — nothing else changes.
 
 Descriptors are deliberately *light*: the heavy system classes are
 imported lazily inside :meth:`ResilienceScheme.build_system` (and the
@@ -18,7 +18,7 @@ at validation time — never drags in the simulators.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class UnknownSchemeError(ValueError):
@@ -51,22 +51,9 @@ class ResilienceScheme:
     #: may a fault-injection campaign target this scheme? (the
     #: unprotected baseline has no detectors to fire)
     protected: bool = True
-    #: cores a scheme keeps busy per protected thread
-    n_cores: int = 2
-    #: one-line description for ``--help`` and the README table
-    description: str = ""
-    #: telemetry event tracks the scheme's system emits on (informational;
-    #: the Chrome exporter derives actual rows from the event log)
-    telemetry_tracks: Tuple[str, ...] = ()
-    #: dotted prefix of the scheme's named metric counters
-    metric_prefix: str = ""
-    #: ``RunResult.extra`` keys summed into a trial's recovery-cycle
-    #: charge. The default covers both historical conventions (UnSync
-    #: charges ``recovery_cycles``, Reunion ``rollback_cycles``) with the
-    #: exact arithmetic the trial runner always used, so fixed-seed
-    #: campaign stores stay byte-identical across the port.
-    recovery_extra_keys: Tuple[str, ...] = ("recovery_cycles",
-                                            "rollback_cycles")
+    #: ``RunResult.metrics`` counter a campaign trial charges as its
+    #: recovery cycles ("" = the scheme never recovers)
+    recovery_metric: str = ""
 
     # -- construction -------------------------------------------------------
     def build_system(self, program, config=None, **kwargs):
@@ -79,11 +66,6 @@ class ResilienceScheme:
         raise NotImplementedError
 
     # -- fault model --------------------------------------------------------
-    def detectors(self) -> Dict:
-        """Block-name -> :class:`~repro.faults.detection.Detector` map the
-        scheme's system installs by default (empty = no detectors)."""
-        return {}
-
     def uncore_blocks(self) -> Tuple:
         """Scheme-private uncore structures the adversarial fault model
         may strike (:class:`~repro.faults.injector.Block` tuple)."""
@@ -136,15 +118,17 @@ class ResilienceScheme:
         system._arm_next_strike(0)
 
     # -- accounting ---------------------------------------------------------
-    def recovery_cycles(self, extra: Dict[str, float]) -> int:
-        """Cycles a finished run spent recovering, from its ``extra``."""
-        return int(sum(extra.get(key, 0) for key in self.recovery_extra_keys))
-
     def system_cost(self, tech=None):
         """Per-protected-thread silicon cost
         (:class:`~repro.hwcost.redundancy_cost.SchemeSystemCost`), or
         ``None`` when the scheme has no cost model."""
         return None
+
+    def event_energy(self, metrics: Dict[str, float],
+                     tech) -> Dict[str, float]:
+        """Activity-proportional energy (J) by component, from a finished
+        run's ``metrics`` at ``tech``'s frequency (empty = none)."""
+        return {}
 
 
 # -- registry ---------------------------------------------------------------

@@ -9,7 +9,7 @@ resolve it at validation time).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.schemes.base import ResilienceScheme
 
@@ -19,11 +19,6 @@ class BaselineScheme(ResilienceScheme):
 
     name = "baseline"
     protected = False
-    n_cores = 1
-    description = "unprotected single core + write buffer (no detection)"
-    telemetry_tracks = ("core0.mem", "watchdog")
-    metric_prefix = "baseline."
-    recovery_extra_keys: Tuple[str, ...] = ()
 
     def build_system(self, program, config=None, **kwargs):
         from repro.redundancy.pair import BaselineSystem
@@ -45,19 +40,11 @@ class UnSyncScheme(ResilienceScheme):
 
     name = "unsync"
     protected = True
-    n_cores = 2
-    description = ("un-synchronized redundant pair: parity/DMR detectors, "
-                   "CB store dedup, EIH always-forward recovery")
-    telemetry_tracks = ("core0", "core1", "cb", "eih", "watchdog")
-    metric_prefix = "unsync."
+    recovery_metric = "unsync.recovery.cycles"
 
     def build_system(self, program, config=None, **kwargs):
         from repro.unsync.system import UnSyncSystem
         return UnSyncSystem(program, config=config, **kwargs)
-
-    def detectors(self) -> Dict:
-        from repro.faults.injector import UNSYNC_DETECTORS
-        return dict(UNSYNC_DETECTORS)
 
     def uncore_blocks(self) -> Tuple:
         from repro.faults.adversarial import UNSYNC_UNCORE_BLOCKS
@@ -68,25 +55,29 @@ class UnSyncScheme(ResilienceScheme):
         from repro.hwcost.tech import TECH_65NM
         return unsync_pair_cost(tech or TECH_65NM)
 
+    def event_energy(self, metrics, tech):
+        from repro.hwcost.components import cb_array
+        # one CB access ~ one cycle of CB power
+        per_access = cb_array(10).power_w * (1.0 / tech.frequency_hz)
+        return {
+            "cb_traffic": per_access * (metrics["unsync.cb.pushes"]
+                                        + metrics["unsync.cb.drains"]),
+            # the pair burns its normal power while frozen — the *extra*
+            # energy is the copy traffic, charged like CB accesses
+            "recovery_copies": per_access * metrics["unsync.recovery.cycles"],
+        }
+
 
 class ReunionScheme(ResilienceScheme):
     """The comparison baseline: fingerprint-compared vocal/mute pair."""
 
     name = "reunion"
     protected = True
-    n_cores = 2
-    description = ("fingerprint-compared vocal/mute pair: CRC-16 CHECK "
-                   "stage, SECDED L1s, rollback recovery")
-    telemetry_tracks = ("core0", "core1", "check", "watchdog")
-    metric_prefix = "reunion."
+    recovery_metric = "reunion.rollback.cycles"
 
     def build_system(self, program, config=None, **kwargs):
         from repro.reunion.system import ReunionSystem
         return ReunionSystem(program, config=config, **kwargs)
-
-    def detectors(self) -> Dict:
-        from repro.faults.injector import REUNION_DETECTORS
-        return dict(REUNION_DETECTORS)
 
     def uncore_blocks(self) -> Tuple:
         from repro.faults.adversarial import REUNION_UNCORE_BLOCKS
@@ -97,18 +88,20 @@ class ReunionScheme(ResilienceScheme):
         from repro.hwcost.tech import TECH_65NM
         return reunion_pair_cost(tech or TECH_65NM)
 
+    def event_energy(self, metrics, tech):
+        from repro.hwcost.components import crc_generator
+        # each fingerprint is generated on both cores
+        per_fp = crc_generator(tech).power_w * (1.0 / tech.frequency_hz) * 2
+        return {"fingerprints":
+                per_fp * metrics["reunion.fingerprint.compared"]}
+
 
 class RepTFDScheme(ResilienceScheme):
     """Delayed-replay comparison against the leading core."""
 
     name = "reptfd"
     protected = True
-    n_cores = 2
-    description = ("delayed-replay pair: leader commit records compared "
-                   "by a lagging trailer, full-value check, rollback "
-                   "recovery")
-    telemetry_tracks = ("core0", "core1", "replay", "watchdog")
-    metric_prefix = "reptfd."
+    recovery_metric = "reptfd.rollback.cycles"
 
     def build_system(self, program, config=None, **kwargs):
         from repro.schemes.reptfd import RepTFDSystem
@@ -123,18 +116,25 @@ class RepTFDScheme(ResilienceScheme):
         from repro.hwcost.tech import TECH_65NM
         return reptfd_pair_cost(tech or TECH_65NM)
 
+    def event_energy(self, metrics, tech):
+        from repro.hwcost.components import cb_array
+        from repro.hwcost.redundancy_cost import REPLAY_ENTRY_BITS
+        queue = cb_array(96, entry_bits=REPLAY_ENTRY_BITS)
+        per_access = queue.power_w * (1.0 / tech.frequency_hz)
+        # every compared record was pushed once and popped once
+        compares = metrics["reptfd.replay.compares"]
+        return {
+            "replay_queue": per_access * 2 * compares,
+            "rollback_refill": per_access * metrics["reptfd.rollback.cycles"],
+        }
+
 
 class MEEKScheme(ResilienceScheme):
     """Cheap in-order trailing checker core paired with the OoO leader."""
 
     name = "meek"
     protected = True
-    n_cores = 2
-    description = ("OoO leader + small in-order checker: bounded check "
-                   "queue with stall-on-full backpressure, forwarded "
-                   "loads (L1/TLB uncovered)")
-    telemetry_tracks = ("core0", "checkq", "watchdog")
-    metric_prefix = "meek."
+    recovery_metric = "meek.recovery.cycles"
 
     def build_system(self, program, config=None, **kwargs):
         from repro.schemes.meek import MEEKSystem
@@ -148,3 +148,11 @@ class MEEKScheme(ResilienceScheme):
         from repro.hwcost.redundancy_cost import meek_pair_cost
         from repro.hwcost.tech import TECH_65NM
         return meek_pair_cost(tech or TECH_65NM)
+
+    def event_energy(self, metrics, tech):
+        from repro.hwcost.components import cb_array
+        from repro.hwcost.redundancy_cost import CHECK_ENTRY_BITS
+        queue = cb_array(64, entry_bits=CHECK_ENTRY_BITS)
+        per_access = queue.power_w * (1.0 / tech.frequency_hz)
+        # every checked record was pushed once and popped once
+        return {"check_queue": per_access * 2 * metrics["meek.check.count"]}

@@ -381,14 +381,6 @@ class MEEKSystem:
         return self.result()
 
     # -- results ------------------------------------------------------------
-    #: legacy `extra` keys, derived from the named telemetry counters
-    LEGACY_EXTRA = {
-        "checkq_full_stalls": "meek.checkq.full_stalls",
-        "checks": "meek.check.count",
-        "rechecks": "meek.recheck.count",
-        "recovery_cycles": "meek.recovery.cycles",
-    }
-
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "meek.check.count": float(self.checks),
@@ -403,11 +395,6 @@ class MEEKSystem:
             "meek.store_buffer.full_stalls": float(
                 self.store_buffer.full_stalls),
         }
-
-    def extra_stats(self) -> dict:
-        metrics = self.scheme_metrics()
-        return {legacy: float(metrics[name])
-                for legacy, name in self.LEGACY_EXTRA.items()}
 
     def result(self) -> RunResult:
         if self._ev is not None:
@@ -424,7 +411,6 @@ class MEEKSystem:
             instructions=self.pipeline.stats.committed,
             state=self.pipeline.committed_state,
             core_stats=[self.pipeline.stats],
-            extra=self.extra_stats(),
             metrics=metrics,
         )
         res.fault_events = list(self.fault_events)

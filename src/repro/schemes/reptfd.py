@@ -368,14 +368,6 @@ class RepTFDSystem(DualCoreSystem):
         self.rollback_cycles_total += penalty
 
     # -- results ------------------------------------------------------------
-    #: legacy `extra` keys, derived from the named telemetry counters
-    LEGACY_EXTRA = {
-        "replay_compares": "reptfd.replay.compares",
-        "replay_queue_full_stalls": "reptfd.queue.full_stalls",
-        "rollbacks": "reptfd.rollback.count",
-        "rollback_cycles": "reptfd.rollback.cycles",
-    }
-
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "reptfd.replay.compares": float(self.compares),

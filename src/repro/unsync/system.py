@@ -394,15 +394,6 @@ class UnSyncSystem(DualCoreSystem):
             self.fault_events[-1].recovery_cycles = plan.total_cycles
 
     # -- results ------------------------------------------------------------
-    #: legacy `extra` keys, derived from the named telemetry counters
-    LEGACY_EXTRA = {
-        "cb_full_stalls": "unsync.cb.full_stalls",
-        "cb_pushes": "unsync.cb.pushes",
-        "cb_drains": "unsync.cb.drains",
-        "recoveries": "unsync.eih.recoveries",
-        "recovery_cycles": "unsync.recovery.cycles",
-    }
-
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "unsync.cb.pushes": float(self.cbs[0].pushes),

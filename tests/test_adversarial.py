@@ -215,7 +215,7 @@ def test_even_bit_flip_defeats_parity_into_sdc(loop):
         [Strike(cycle=100, block="regfile", bit=4, flipped_bits=2, core=0)]))
     res = system.run()
     assert [e.outcome for e in res.fault_events] == [Outcome.SDC]
-    assert res.extra["recoveries"] == 0
+    assert res.metrics["unsync.eih.recoveries"] == 0
 
 
 def test_odd_bit_cluster_still_detected(loop):
@@ -223,7 +223,7 @@ def test_odd_bit_cluster_still_detected(loop):
         [Strike(cycle=100, block="regfile", bit=4, flipped_bits=3, core=0)]))
     res = system.run()
     assert [e.outcome for e in res.fault_events] == [Outcome.DETECTED_RECOVERED]
-    assert res.extra["recoveries"] == 1
+    assert res.metrics["unsync.eih.recoveries"] == 1
 
 
 def test_paired_strikes_within_window_are_due(loop):
@@ -247,7 +247,7 @@ def test_isolated_strikes_outside_window_both_recover(loop):
     assert system.due_count == 0
     assert all(e.outcome is Outcome.DETECTED_RECOVERED
                for e in res.fault_events)
-    assert res.extra["recoveries"] == 2
+    assert res.metrics["unsync.eih.recoveries"] == 2
 
 
 def test_eih_queue_strike_loses_the_pending_interrupt(loop):
@@ -259,7 +259,8 @@ def test_eih_queue_strike_loses_the_pending_interrupt(loop):
     assert outcomes == [Outcome.DETECTED_UNRECOVERABLE, Outcome.MASKED]
     assert system.due_count == 1
     assert res.metrics["unsync.eih.dropped_interrupts"] == 1
-    assert res.extra["recoveries"] == 0  # the signal never arrived
+    # the signal never arrived
+    assert res.metrics["unsync.eih.recoveries"] == 0
 
 
 def test_recovery_copy_strike_outside_recovery_is_masked(loop):

@@ -74,7 +74,7 @@ def test_checkpoint_matches_golden(sum_loop):
     assert res.instructions == gold.instructions
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
-    assert res.extra["rollbacks"] == 0
+    assert res.metrics["checkpoint.rollback.count"] == 0
 
 
 def test_checkpoint_count_tracks_interval():
@@ -84,14 +84,15 @@ def test_checkpoint_count_tracks_interval():
     res = CheckpointSystem(prog, params=params).run()
     expected = gold.instructions // 500
     # +1 for the initial base checkpoint
-    assert expected <= res.extra["checkpoints"] <= expected + 2
+    assert expected <= res.metrics["checkpoint.captures"] <= expected + 2
 
 
 def test_shorter_intervals_cost_more():
     prog = load_kernel("checksum")
     fast = CheckpointSystem(prog, params=CheckpointParams(interval=800)).run()
     slow = CheckpointSystem(prog, params=CheckpointParams(interval=100)).run()
-    assert slow.extra["checkpoints"] > fast.extra["checkpoints"]
+    assert slow.metrics["checkpoint.captures"] \
+        > fast.metrics["checkpoint.captures"]
     assert slow.cycles > fast.cycles
 
 
@@ -118,7 +119,7 @@ def test_rollback_recovers_correctness():
     res = CheckpointSystem(
         prog, injector=FaultInjector(1 / 1500, seed=5,
                                      inventory=PIPELINE_ONLY)).run()
-    assert res.extra["rollbacks"] > 0
+    assert res.metrics["checkpoint.rollback.count"] > 0
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
 
@@ -131,10 +132,10 @@ def test_detection_latency_longer_than_reunion():
         injector=FaultInjector(1 / 1500, seed=5,
                                inventory=PIPELINE_ONLY))
     res = cp.run()
-    assert res.extra["rollbacks"] > 0
+    assert res.metrics["checkpoint.rollback.count"] > 0
     # Reunion verifies every ~10 instructions (a few cycles); checkpoint
     # detection waits for the interval boundary — tens to hundreds
-    assert res.extra["mean_detection_latency"] > 30
+    assert res.metrics["checkpoint.detection_latency.mean"] > 30
 
 
 def test_rollback_loses_interval_work():

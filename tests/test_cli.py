@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.schemes import available
 
 
 def run_cli(capsys, *argv):
@@ -18,15 +19,19 @@ def test_list(capsys):
 
 
 def test_run_kernel(capsys):
-    rc, out = run_cli(capsys, "run", "fibonacci", "--scheme", "unsync")
-    assert rc == 0
-    assert "unsync" in out and "IPC" in out
+    for scheme in available():
+        rc, out = run_cli(capsys, "run", "fibonacci", "--scheme", scheme)
+        assert rc == 0
+        assert "IPC" in out
+        # the scheme's own non-zero counters are rows of the table
+        rows = out.splitlines()
+        assert any(row.startswith(scheme + ".") for row in rows), scheme
 
 
 def test_run_benchmark_reunion(capsys):
     rc, out = run_cli(capsys, "run", "sha", "--scheme", "reunion")
     assert rc == 0
-    assert "fingerprints_compared" in out
+    assert "reunion.fingerprint.compared" in out
 
 
 def test_run_with_injection(capsys):

@@ -1,13 +1,11 @@
 """Targeted tests for corners the mainline suites exercise only
 incidentally: fetch redirects, BTB misses, MSHR exhaustion, write-back
-eviction traffic, pair-system bookkeeping, and energy for the extension
-schemes."""
+eviction traffic and pair-system bookkeeping."""
 
 import pytest
 
 from repro.core import Core
 from repro.core.config import CoreConfig, SystemConfig
-from repro.harness.energy import energy_estimate
 from repro.isa import assemble, golden
 from repro.mem.bus import Bus
 from repro.mem.cache import CacheConfig, WritePolicy
@@ -159,24 +157,6 @@ def test_write_buffer_mechanics():
 def test_write_buffer_validation():
     with pytest.raises(ValueError):
         WriteBuffer(capacity=0)
-
-
-# ---------------------------------------------------------------------------
-# energy for extension schemes
-# ---------------------------------------------------------------------------
-def test_checkpoint_energy_estimable(sum_loop):
-    from repro.checkpoint import CheckpointSystem
-    res = CheckpointSystem(sum_loop).run()
-    rep = energy_estimate(res)
-    assert rep.total_energy_j > 0
-    assert "checkpoint_traffic" in rep.breakdown
-
-
-def test_tmr_energy_estimable(sum_loop):
-    from repro.redundancy.tmr import TMRSystem
-    res = TMRSystem(sum_loop).run()
-    rep = energy_estimate(res)
-    assert rep.total_energy_j > 0
 
 
 # ---------------------------------------------------------------------------

@@ -81,5 +81,5 @@ def test_some_seed_actually_triggered_recovery(program):
     for seed in SEEDS:
         res = UnSyncSystem(program, unsync=FAST_RECOVERY,
                            injector=FaultInjector(1 / 700, seed=seed)).run()
-        total += res.extra["recoveries"]
+        total += res.metrics["unsync.eih.recoveries"]
     assert total > 5

@@ -10,7 +10,7 @@ from repro.workloads import load_kernel
 
 def test_default_has_no_incoherence(sum_loop):
     res = ReunionSystem(sum_loop).run()
-    assert res.extra["incoherence_events"] == 0
+    assert res.metrics["reunion.incoherence.events"] == 0
 
 
 def test_incoherence_costs_cycles():
@@ -18,9 +18,9 @@ def test_incoherence_costs_cycles():
     quiet = ReunionSystem(prog).run()
     noisy = ReunionSystem(prog, params=ReunionParams(
         input_incoherence_rate=0.01)).run()
-    assert noisy.extra["incoherence_events"] > 0
+    assert noisy.metrics["reunion.incoherence.events"] > 0
     assert noisy.cycles > quiet.cycles
-    assert noisy.extra["incoherence_cycles"] > 0
+    assert noisy.metrics["reunion.incoherence.cycles"] > 0
 
 
 def test_incoherence_preserves_correctness(sum_loop):
@@ -37,7 +37,8 @@ def test_higher_rate_more_events():
         input_incoherence_rate=0.005)).run()
     hi = ReunionSystem(prog, params=ReunionParams(
         input_incoherence_rate=0.05)).run()
-    assert hi.extra["incoherence_events"] > lo.extra["incoherence_events"]
+    assert hi.metrics["reunion.incoherence.events"] \
+        > lo.metrics["reunion.incoherence.events"]
 
 
 def test_escalation_fraction_tracks_probability():
@@ -45,8 +46,8 @@ def test_escalation_fraction_tracks_probability():
     res = ReunionSystem(prog, params=ReunionParams(
         input_incoherence_rate=0.2,
         incoherence_escalation_prob=0.5)).run()
-    events = res.extra["incoherence_events"]
-    syncs = res.extra["incoherence_syncs"]
+    events = res.metrics["reunion.incoherence.events"]
+    syncs = res.metrics["reunion.incoherence.syncs"]
     assert events > 20
     assert 0.2 <= syncs / events <= 0.8  # around the configured 0.5
 
@@ -59,8 +60,8 @@ def test_escalation_costs_more():
     dear = ReunionSystem(prog, params=ReunionParams(
         input_incoherence_rate=0.05,
         incoherence_escalation_prob=1.0)).run()
-    per_cheap = cheap.extra["incoherence_cycles"] / max(
-        1, cheap.extra["incoherence_events"])
-    per_dear = dear.extra["incoherence_cycles"] / max(
-        1, dear.extra["incoherence_events"])
+    per_cheap = cheap.metrics["reunion.incoherence.cycles"] / max(
+        1, cheap.metrics["reunion.incoherence.events"])
+    per_dear = dear.metrics["reunion.incoherence.cycles"] / max(
+        1, dear.metrics["reunion.incoherence.events"])
     assert per_dear > per_cheap

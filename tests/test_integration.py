@@ -69,7 +69,7 @@ def test_unsync_recovery_mid_atomic_kernel():
     system = UnSyncSystem(prog, unsync=cfg,
                           injector=FaultInjector(1 / 150, seed=9))
     res = system.run()
-    assert res.extra["recoveries"] > 0
+    assert res.metrics["unsync.eih.recoveries"] > 0
     assert res.state.mem == gold.state.mem
 
 
@@ -83,7 +83,7 @@ def test_reunion_rollback_mid_atomic_kernel():
                            injector=FaultInjector(1 / 120, seed=4,
                                                   inventory=inv))
     res = system.run()
-    assert res.extra["rollbacks"] > 0
+    assert res.metrics["reunion.rollback.count"] > 0
     assert res.state.mem == gold.state.mem
 
 
@@ -130,7 +130,7 @@ def test_cb_and_store_release_observe_same_stream(sum_loop):
     gold = golden.run(sum_loop, collect_stores=True)
     uns = UnSyncSystem(sum_loop)
     uns_res = uns.run()
-    assert uns_res.extra["cb_pushes"] == len(gold.store_log)
+    assert uns_res.metrics["unsync.cb.pushes"] == len(gold.store_log)
     reu = ReunionSystem(sum_loop)
     reu.run()
     assert reu.store_queue.pushes <= len(gold.store_log)

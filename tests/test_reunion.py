@@ -318,7 +318,7 @@ def test_reunion_matches_golden(sum_loop):
     assert res.instructions == gold.instructions
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
-    assert res.extra["mismatches"] == 0
+    assert res.metrics["reunion.fingerprint.mismatches"] == 0
 
 
 def test_reunion_with_traps_matches_golden(trap_loop):
@@ -359,7 +359,7 @@ def test_reunion_rollback_recovers_correctness(sum_loop):
     res = ReunionSystem(sum_loop,
                         injector=FaultInjector(1 / 300, seed=3,
                                                inventory=inv)).run()
-    assert res.extra["rollbacks"] > 0
+    assert res.metrics["reunion.rollback.count"] > 0
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
     detected = [e for e in res.fault_events
@@ -384,7 +384,7 @@ def test_reunion_l1_strike_corrected_by_secded(sum_loop):
     assert res.fault_events
     assert all(e.outcome is Outcome.DETECTED_RECOVERED
                for e in res.fault_events)
-    assert res.extra["rollbacks"] == 0  # no rollback needed
+    assert res.metrics["reunion.rollback.count"] == 0  # no rollback needed
 
 
 def test_reunion_fingerprint_count_tracks_groups(sum_loop):
@@ -393,4 +393,5 @@ def test_reunion_fingerprint_count_tracks_groups(sum_loop):
     res = ReunionSystem(sum_loop, params=params).run()
     # ~1 comparison per 10 instructions (plus halt-group)
     expected = gold.instructions / 10
-    assert expected * 0.8 <= res.extra["fingerprints_compared"] <= expected * 1.4
+    compared = res.metrics["reunion.fingerprint.compared"]
+    assert expected * 0.8 <= compared <= expected * 1.4

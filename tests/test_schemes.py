@@ -5,7 +5,8 @@ in-order checker core).
 The load-bearing guarantee of the registry port is that it changed
 *nothing* for the existing schemes: the golden-fixture tests pin the
 fixed-seed campaign JSONL of UnSync/Reunion byte-for-byte against stores
-captured before `repro.schemes` existed.
+captured before `repro.schemes` existed, and that of RepTFD/MEEK against
+stores captured before trials charged recovery from metric names.
 """
 
 import hashlib
@@ -27,6 +28,7 @@ from repro.schemes import (
 )
 from repro.schemes.meek import MEEKParams, MEEKSystem
 from repro.schemes.reptfd import RepTFDParams, RepTFDSystem
+from repro.workloads import load_workload
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -73,8 +75,8 @@ class ScriptedInjector(FaultInjector):
 # ---------------------------------------------------------------------------
 def test_available_order_and_protection():
     # registration order is the canonical presentation order: the two
-    # ported schemes first (the historical PROTECTED_SCHEMES prefix),
-    # then the new backends, then the unprotected baseline
+    # ported schemes first, then the new backends, then the unprotected
+    # baseline
     assert available() == ("unsync", "reunion", "reptfd", "meek", "baseline")
     assert protected_schemes() == ("unsync", "reunion", "reptfd", "meek")
     assert not get("baseline").protected
@@ -94,7 +96,6 @@ def test_register_roundtrip_and_live_protected_view():
     class Dummy(ResilienceScheme):
         name = "dummy"
         protected = True
-        description = "test-only"
 
         def build_system(self, program, config=None, **kwargs):
             raise NotImplementedError
@@ -103,12 +104,8 @@ def test_register_roundtrip_and_live_protected_view():
         register(Dummy())
         assert "dummy" in available()
         assert isinstance(get("dummy"), Dummy)
-        # the campaign layer sees new registrations immediately — both
-        # module attributes are PEP 562 live views, not snapshots
-        from repro.campaign import spec as spec_mod
-        assert "dummy" in spec_mod.PROTECTED_SCHEMES
-        import repro.campaign as campaign_mod
-        assert "dummy" in campaign_mod.PROTECTED_SCHEMES
+        # the campaign layer sees new registrations immediately
+        assert "dummy" in protected_schemes()
         CampaignSpec(schemes=("dummy",), workloads=("fibonacci",),
                      sers=(0.001,), trials=1)
     finally:
@@ -124,7 +121,6 @@ def test_reregistering_a_name_wins_and_keeps_position():
 
     class Impostor(ResilienceScheme):
         name = "unsync"
-        description = "test-only override"
 
         def build_system(self, program, config=None, **kwargs):
             raise NotImplementedError
@@ -138,13 +134,18 @@ def test_reregistering_a_name_wins_and_keeps_position():
     assert get("unsync") is original
 
 
-def test_recovery_cycles_default_matches_legacy_sum():
-    # the exact arithmetic run_trial used before the port — byte-identity
-    # of old stores depends on it
-    scheme = get("unsync")
-    assert scheme.recovery_cycles(
-        {"recovery_cycles": 5, "rollback_cycles": 7, "other": 99}) == 12
-    assert scheme.recovery_cycles({}) == 0
+@pytest.mark.parametrize("name", available())
+def test_scheme_counters_and_recovery_metric(name):
+    res = run_scheme(name, load_workload("fibonacci"))
+    counters = [k for k in res.metrics if not k.startswith("core")]
+    assert counters, "the scheme reports no counters of its own"
+    assert all(k.startswith(name + ".") for k in counters), counters
+    scheme = get(name)
+    if scheme.protected:
+        # a trial charges this counter as its recovery cycles
+        assert scheme.recovery_metric in counters
+    else:
+        assert scheme.recovery_metric == ""
 
 
 def test_campaign_spec_accepts_all_protected_schemes():
@@ -176,11 +177,21 @@ GOLDEN = [
      dict(schemes=("unsync", "reunion"), workloads=("fibonacci", "checksum"),
           sers=(0.003,), trials=6, batch=3, fault_model="adversarial",
           watchdog_cycles=2_000_000)),
+    # captured before the recovery charge moved onto metric names
+    ("golden_reptfd_meek_standard.jsonl",
+     dict(schemes=("reptfd", "meek"), workloads=("fibonacci", "checksum"),
+          sers=(0.002,), trials=6, batch=3)),
+    ("golden_reptfd_meek_adversarial.jsonl",
+     dict(schemes=("reptfd", "meek"), workloads=("fibonacci", "checksum"),
+          sers=(0.003,), trials=6, batch=3, fault_model="adversarial",
+          watchdog_cycles=2_000_000)),
 ]
 
 
-@pytest.mark.parametrize("fixture,spec_kwargs",
-                         GOLDEN, ids=["standard", "adversarial"])
+@pytest.mark.parametrize("fixture,spec_kwargs", GOLDEN,
+                         ids=["standard", "adversarial",
+                              "reptfd-meek-standard",
+                              "reptfd-meek-adversarial"])
 def test_fixed_seed_store_matches_pre_refactor_fixture(tmp_path, fixture,
                                                        spec_kwargs):
     spec = CampaignSpec(**spec_kwargs)
@@ -242,7 +253,7 @@ def test_reptfd_detects_with_latency_at_least_replay_lag(loop):
     # leader's record has aged the full replay lag
     assert event.detection_latency >= params.replay_lag
     assert system.rollbacks == 1
-    assert res.extra["rollback_cycles"] >= params.rollback_penalty
+    assert res.metrics["reptfd.rollback.cycles"] >= params.rollback_penalty
 
 
 def test_reptfd_detection_latency_scales_with_replay_lag(loop):
@@ -272,7 +283,7 @@ def test_reptfd_queue_backpressure_stalls_leader(loop):
     system = RepTFDSystem(loop, params=params)
     res = system.run()
     assert system.queue_full_stalls > 0
-    assert res.extra["replay_queue_full_stalls"] > 0
+    assert res.metrics["reptfd.queue.full_stalls"] > 0
     assert system.queue_max_occupancy <= params.queue_entries
     # backpressure costs cycles but not correctness
     roomy = RepTFDSystem(loop, params=RepTFDParams(replay_lag=48)).run()
@@ -285,7 +296,7 @@ def test_reptfd_fault_free_matches_baseline_architecturally(loop):
     base = run_scheme("baseline", loop)
     assert res.instructions == base.instructions
     # every retirement (including the halt) flows through the compare
-    assert res.extra["replay_compares"] >= base.instructions
+    assert res.metrics["reptfd.replay.compares"] >= base.instructions
     assert res.metrics["reptfd.replay.divergences"] == 0
 
 
@@ -315,7 +326,7 @@ def test_meek_check_queue_backpressure(loop):
     system = MEEKSystem(loop, params=params)
     res = system.run()
     assert system.checkq_full_stalls > 0
-    assert res.extra["checkq_full_stalls"] > 0
+    assert res.metrics["meek.checkq.full_stalls"] > 0
     assert system.checkq_max_occupancy <= params.queue_entries
     roomy = MEEKSystem(loop).run()
     assert res.instructions == roomy.instructions
@@ -327,7 +338,7 @@ def test_meek_fault_free_overhead_is_small(loop):
     res = run_scheme("meek", loop)
     assert res.instructions == base.instructions
     # every retirement (including the halt) flows through the checker
-    assert res.extra["checks"] >= base.instructions
+    assert res.metrics["meek.check.count"] >= base.instructions
     # the sized-to-width checker keeps steady-state slowdown modest
     assert res.cycles <= base.cycles * 1.25
 

@@ -1,13 +1,12 @@
-"""Whole-program simlint v2: symbols, call graph, taint, races, SIM701.
+"""Whole-program simlint v2: symbols, call graph, taint, races.
 
 Covers the project-analysis layer end to end: golden call-graph edges
 over a synthetic package (cycle, re-export, aliased import), the
 inter-procedural taint engine (every kind, sanitizers, param flow,
 chain rendering), the committed historical-bug fixtures under
 ``tests/data/taint_fixtures``, the service-tier race lint's domain
-inference, scheme-protocol conformance, statement-span pragma
-anchoring, the ``--write-baseline`` prune notice, byte-stable SARIF,
-and diff-aware ``--changed`` mode.
+inference, statement-span pragma anchoring, the ``--write-baseline``
+prune notice, byte-stable SARIF, and diff-aware ``--changed`` mode.
 """
 
 import json
@@ -26,7 +25,7 @@ from repro.analysis import (
 )
 from repro.analysis.callgraph import build_project, postorder
 from repro.analysis.findings import Finding
-from repro.analysis.framework import parse_context, run_project_rules
+from repro.analysis.framework import parse_context
 from repro.analysis.runner import (
     EXIT_CLEAN,
     EXIT_FINDINGS,
@@ -57,10 +56,6 @@ def project_of(files):
 def codes(source, path="src/repro/core/mod.py"):
     findings = check_source(textwrap.dedent(source), path, ALL_RULES)
     return sorted({f.code for f in findings})
-
-
-def project_findings(files):
-    return sorted(run_project_rules(contexts_of(files), ALL_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -113,24 +108,6 @@ class TestSymbols:
         assert fi is not None and fi.symbol == "pkg.base.Base.step"
         assert ("pkg.sub.Sub.run", "pkg.base.Base.step") in \
             project.graph.edges()
-
-    def test_subclasses_and_class_consts(self):
-        project = project_of({
-            "src/pkg/m.py": """
-                class A:
-                    name = "a"
-                class B(A):
-                    pass
-                class C(B):
-                    name = "c"
-            """,
-        })
-        table = project.table
-        subs = [c.symbol for c in table.subclasses_of("pkg.m.A")]
-        assert subs == ["pkg.m.B", "pkg.m.C"]
-        assert table.class_const("pkg.m.B", "name") == (True, "a")
-        assert table.class_const("pkg.m.C", "name") == (True, "c")
-        assert table.class_const("pkg.m.C", "nope") == (False, None)
 
 
 # ---------------------------------------------------------------------------
@@ -519,83 +496,6 @@ class TestSharedStateRace:
         report = lint_tree(config, baseline=Baseline.empty())
         races = [f for f in report.findings if f.code == "SIM601"]
         assert races == [], "\n".join(f.render() for f in races)
-
-
-# ---------------------------------------------------------------------------
-# SIM701: scheme descriptor protocol
-# ---------------------------------------------------------------------------
-
-SCHEME_BASE = """
-    class ResilienceScheme:
-        name = ""
-        description = ""
-        telemetry_tracks = ()
-        metric_prefix = ""
-        recovery_extra_keys = ("recovery_cycles",)
-"""
-
-
-def scheme_codes(subclass_src):
-    files = {
-        "src/repro/schemes/base.py": SCHEME_BASE,
-        "src/repro/schemes/custom.py": (
-            "from repro.schemes.base import ResilienceScheme\n"
-            + textwrap.dedent(subclass_src)),
-    }
-    return sorted({f.code for f in project_findings(files)})
-
-
-class TestSchemeProtocol:
-    def test_conforming_scheme_is_clean(self):
-        assert scheme_codes("""
-            class Good(ResilienceScheme):
-                name = "good"
-                description = "a scheme"
-                telemetry_tracks = ("sphere",)
-                metric_prefix = "good."
-        """) == []
-
-    def test_mismatched_metric_prefix_flagged(self):
-        assert scheme_codes("""
-            class Bad(ResilienceScheme):
-                name = "bad"
-                description = "a scheme"
-                telemetry_tracks = ("sphere",)
-                metric_prefix = "other."
-        """) == ["SIM701"]
-
-    def test_empty_telemetry_tracks_flagged(self):
-        # inherits the base's empty tuple — still a violation
-        assert scheme_codes("""
-            class Bad(ResilienceScheme):
-                name = "bad"
-                description = "a scheme"
-                metric_prefix = "bad."
-        """) == ["SIM701"]
-
-    def test_missing_name_flagged(self):
-        assert scheme_codes("""
-            class Bad(ResilienceScheme):
-                description = "a scheme"
-                telemetry_tracks = ("sphere",)
-                metric_prefix = "bad."
-        """) == ["SIM701"]
-
-    def test_bad_recovery_extra_keys_flagged(self):
-        assert scheme_codes("""
-            class Bad(ResilienceScheme):
-                name = "bad"
-                description = "a scheme"
-                telemetry_tracks = ("sphere",)
-                metric_prefix = "bad."
-                recovery_extra_keys = "recovery_cycles"
-        """) == ["SIM701"]
-
-    def test_builtin_schemes_conform(self):
-        config = LintConfig(root=REPO_ROOT)
-        report = lint_tree(config, baseline=Baseline.empty())
-        hits = [f for f in report.findings if f.code == "SIM701"]
-        assert hits == [], "\n".join(f.render() for f in hits)
 
 
 # ---------------------------------------------------------------------------

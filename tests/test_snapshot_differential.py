@@ -54,7 +54,7 @@ SCHEMES = protected_schemes()
 
 def _final_state(res):
     return (res.cycles, res.instructions, res.state.regs,
-            sorted(res.state.mem.items()), res.extra, res.metrics)
+            sorted(res.state.mem.items()), res.metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def unsync_traced(checksum):
 
 def test_unsync_injected_run_emits_detection_chain(unsync_traced):
     tel, res = unsync_traced
-    assert res.extra["recoveries"] > 0
+    assert res.metrics["unsync.eih.recoveries"] > 0
     injected = tel.events.by_name(FAULT_INJECTED)
     detected = tel.events.by_name(FAULT_DETECTED)
     interrupts = tel.events.by_name(EIH_INTERRUPT)
@@ -181,17 +181,6 @@ def test_unsync_trace_export_is_valid(unsync_traced, tmp_path):
     doc = write_chrome(tel.events, str(path))
     assert validate_chrome(doc) == []
     assert validate_chrome(str(path)) == []
-
-
-def test_extra_is_derived_view_of_metrics(unsync_traced):
-    tel, res = unsync_traced
-    assert res.extra == {
-        "cb_full_stalls": res.metrics["unsync.cb.full_stalls"],
-        "cb_pushes": res.metrics["unsync.cb.pushes"],
-        "cb_drains": res.metrics["unsync.cb.drains"],
-        "recoveries": res.metrics["unsync.eih.recoveries"],
-        "recovery_cycles": res.metrics["unsync.recovery.cycles"],
-    }
 
 
 def test_run_metrics_cover_all_layers(unsync_traced):
@@ -216,9 +205,8 @@ def test_telemetry_does_not_perturb_timing(checksum):
                     injector=FaultInjector(0.002, seed=3))
     assert on.cycles == off.cycles
     assert on.instructions == off.instructions
-    assert on.extra == off.extra
-    # disabled runs still report the metric rollup
-    assert off.metrics["unsync.cb.pushes"] == on.metrics["unsync.cb.pushes"]
+    # disabled runs still report the full metric rollup
+    assert on.metrics == off.metrics
 
 
 # ---------------------------------------------------------------------------
@@ -229,22 +217,12 @@ def test_reunion_run_emits_fingerprint_compares(checksum, tmp_path):
     res = run_scheme("reunion", checksum, telemetry=tel)
     compares = tel.events.by_name(FP_COMPARE)
     assert compares
-    assert len(compares) == res.extra["fingerprints_compared"]
     assert res.metrics["reunion.fingerprint.compared"] == len(compares)
     # verdict lands later than the compare decision, never before
     assert all(e.args["verified_at"] >= e.ts for e in compares)
     path = tmp_path / "reunion.json"
     write_chrome(tel.events, str(path))
     assert validate_chrome(str(path)) == []
-
-
-def test_reunion_extra_matches_legacy_keys(checksum):
-    res = run_scheme("reunion", checksum)
-    for key in ("fingerprints_compared", "mismatches", "rollbacks",
-                "rollback_cycles", "csb_full_stalls"):
-        assert key in res.extra
-    assert res.extra["fingerprints_compared"] == \
-        res.metrics["reunion.fingerprint.compared"]
 
 
 # ---------------------------------------------------------------------------

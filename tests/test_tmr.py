@@ -30,8 +30,8 @@ def test_tmr_votes_once_per_store(sum_loop):
     system = TMRSystem(sum_loop)
     res = system.run()
     # every store is voted at most once; the tail may still sit in CBs
-    assert res.extra["votes"] <= len(gold.store_log)
-    assert res.extra["votes"] >= len(gold.store_log) - 3
+    assert res.metrics["tmr.votes"] <= len(gold.store_log)
+    assert res.metrics["tmr.votes"] >= len(gold.store_log) - 3
 
 
 def test_tmr_all_three_cores_commit(sum_loop):
@@ -56,7 +56,7 @@ def test_tmr_corrects_and_stays_correct():
     gold = golden.run(prog)
     system = TMRSystem(prog, injector=FaultInjector(1 / 400, seed=8))
     res = system.run()
-    assert res.extra["corrections"] > 0
+    assert res.metrics["tmr.corrections"] > 0
     assert res.state.mem == gold.state.mem
     assert all(e.outcome is Outcome.DETECTED_RECOVERED
                for e in res.fault_events)

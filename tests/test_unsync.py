@@ -182,15 +182,16 @@ def test_unsync_cb_drains_all_stores(sum_loop):
     res = system.run()
     # every retired store entered the CB; at halt, at most the final few
     # are still waiting for the bus
-    assert res.extra["cb_pushes"] == res.core_stats[0].stores_committed
-    assert res.extra["cb_drains"] >= res.extra["cb_pushes"] - 2
+    pushes = res.metrics["unsync.cb.pushes"]
+    assert pushes == res.core_stats[0].stores_committed
+    assert res.metrics["unsync.cb.drains"] >= pushes - 2
 
 
 def test_small_cb_stalls_store_bursts(store_burst):
     small = UnSyncSystem(store_burst, unsync=UnSyncConfig(cb_entries=2)).run()
     big = UnSyncSystem(store_burst, unsync=UnSyncConfig(cb_entries=256)).run()
-    assert small.extra["cb_full_stalls"] > 0
-    assert big.extra["cb_full_stalls"] == 0
+    assert small.metrics["unsync.cb.full_stalls"] > 0
+    assert big.metrics["unsync.cb.full_stalls"] == 0
     assert small.cycles >= big.cycles
 
 
@@ -249,7 +250,7 @@ def test_unsync_recovers_and_stays_correct(long_loop):
     system = UnSyncSystem(long_loop, unsync=fast_recovery(),
                           injector=FaultInjector(1 / 400, seed=11))
     res = system.run()
-    assert res.extra["recoveries"] > 0
+    assert res.metrics["unsync.eih.recoveries"] > 0
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
     assert all(e.outcome is Outcome.DETECTED_RECOVERED
@@ -261,7 +262,7 @@ def test_unsync_recovery_costs_cycles(long_loop):
     faulty = UnSyncSystem(long_loop, unsync=fast_recovery(),
                           injector=FaultInjector(1 / 400, seed=11)).run()
     assert faulty.cycles > clean.cycles
-    assert faulty.extra["recovery_cycles"] > 0
+    assert faulty.metrics["unsync.recovery.cycles"] > 0
 
 
 def test_unsync_zero_rate_injector_is_noop(sum_loop):
@@ -271,8 +272,9 @@ def test_unsync_zero_rate_injector_is_noop(sum_loop):
     assert with_inj.fault_events == []
 
 
-def test_unsync_extra_stats_keys(sum_loop):
+def test_unsync_metric_keys(sum_loop):
     res = UnSyncSystem(sum_loop).run()
-    for key in ("cb_full_stalls", "cb_pushes", "cb_drains", "recoveries",
-                "recovery_cycles"):
-        assert key in res.extra
+    for key in ("unsync.cb.full_stalls", "unsync.cb.pushes",
+                "unsync.cb.drains", "unsync.eih.recoveries",
+                "unsync.recovery.cycles"):
+        assert key in res.metrics
