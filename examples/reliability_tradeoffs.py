@@ -1,49 +1,18 @@
 #!/usr/bin/env python3
-"""Reliability trade-off studies built on the reproduction's extensions.
+"""AVF accounting: which structures hold ACE state, and what that does
+to the effective FIT rate.
 
-Three analyses a reliability architect would run with this library:
-
-1. **The write-back trap (Figure 2, quantified).** How likely is a
-   detected error to become *unrecoverable* if UnSync were built with
-   write-back L1s, as a function of the EIH signalling window?
-2. **AVF accounting.** Which structures actually hold
-   architecturally-correct-execution state, and what does that do to the
-   effective FIT rate?
-3. **Hardening menu (Sec VIII).** What do the future-work detector
-   upgrades (DECTED caches, TMR latches, ECC register file) buy against
-   multi-bit upsets — parity's known blind spot?
+Runs gzip on the Table I core, reports the architectural vulnerability
+factor of each pipeline and memory structure, and derates the paper's
+130 nm raw FIT anchor by it.
 
 Run:  python examples/reliability_tradeoffs.py
 """
 
 from repro.core import Core
 from repro.faults.avf import effective_fit, pipeline_avf_report
-from repro.faults.hardened import (
-    hardened_unsync_detectors, multi_bit_coverage,
-)
-from repro.faults.injector import BlockInventory, UNSYNC_DETECTORS
 from repro.harness.report import format_table
-from repro.mem.cache import WritePolicy
-from repro.unsync.eih import EIHConfig
-from repro.unsync.writeback_hazard import HazardModel
 from repro.workloads import load_benchmark
-
-
-def figure2_quantified() -> None:
-    rows = []
-    for window in (5, 10, 20, 40, 80):
-        eih = EIHConfig(signal_latency=window // 2,
-                        stall_latency=window - window // 2)
-        m = HazardModel(strike_rate_per_cycle=1e-4,
-                        dirty_fraction_of_bits=0.4, eih=eih)
-        rows.append([window,
-                     f"{m.p_unrecoverable_given_detection(WritePolicy.WRITE_BACK):.2e}",
-                     f"{m.p_unrecoverable_given_detection(WritePolicy.WRITE_THROUGH):.0e}"])
-    print(format_table(
-        ["EIH window (cycles)", "P[unrecoverable] write-back",
-         "write-through"], rows,
-        title="1. Figure 2 quantified: why UnSync mandates write-through"))
-    print()
 
 
 def avf_accounting() -> None:
@@ -55,37 +24,11 @@ def avf_accounting() -> None:
         ["structure", "bits", "AVF", "ACE bits"],
         [(r.name, r.bits, f"{r.avf:.3f}", f"{r.ace_bits:.0f}")
          for r in sorted(report, key=lambda r: -r.avf)],
-        title="2. AVF per structure (gzip on the Table I core)"))
+        title="AVF per structure (gzip on the Table I core)"))
     raw_fit = 100_000.0  # the paper's 130 nm anchor
     print(f"   effective FIT after AVF derating: "
-          f"{effective_fit(raw_fit, report):.0f} of {raw_fit:.0f} raw\n")
-
-
-def hardening_menu() -> None:
-    inv = BlockInventory()
-    rows = []
-    for bits in (1, 2, 3):
-        base = inv.coverage(UNSYNC_DETECTORS, flipped_bits=bits)
-        hard = inv.coverage(hardened_unsync_detectors(), flipped_bits=bits)
-        rows.append([f"{bits}-bit upset", f"{100 * base:.1f}%",
-                     f"{100 * hard:.1f}%"])
-    print(format_table(
-        ["upset class", "baseline UnSync detectors",
-         "Sec VIII hardened detectors"], rows,
-        title="3. Coverage of sequential-state bits, by upset weight"))
-    table = multi_bit_coverage(hardened_unsync_detectors(), flipped_bits=2)
-    survivors = sorted(name for name, ok in table.items() if not ok)
-    print(f"   blocks still blind to 2-bit upsets after hardening: "
-          f"{', '.join(survivors) or 'none'}")
-    print("   (parity's even-weight blind spot persists exactly where no "
-          "upgrade was applied)")
-
-
-def main() -> None:
-    figure2_quantified()
-    avf_accounting()
-    hardening_menu()
+          f"{effective_fit(raw_fit, report):.0f} of {raw_fit:.0f} raw")
 
 
 if __name__ == "__main__":
-    main()
+    avf_accounting()

@@ -1,27 +1,16 @@
-"""Checkpoint-based fingerprinting (Smolens et al., IEEE Micro 2004).
+"""Whole-system snapshots and the differential-replay prefix ring.
 
-The third point on the paper's related-work spectrum (Sec II):
-"Fingerprinting is a checkpointing scheme designed to minimize hardware
-changes ... Mismatches trigger a rollback to a known good checkpoint ...
-such techniques can be implemented cheaply, however they rely on
-heavy-weight checkpointing mechanisms that capture all of system state
-(including memory) and increase error detection latency."
+A campaign trial that is struck late need not re-simulate its fault-free
+prefix: the prefix is run once, captured at coarse cycle epochs, and each
+trial resumes from the newest epoch before its first strike.
 
-This package implements that scheme over the same substrate so the
-trade-off the paper cites becomes measurable: long checkpoint intervals
-amortise the (expensive, memory-inclusive) checkpoint cost but stretch
-the detection latency and the rollback loss; short intervals invert it.
-
-* :class:`~repro.checkpoint.store.CheckpointStore` — bounded set of
-  architectural+memory snapshots with cost accounting;
-* :class:`~repro.checkpoint.system.CheckpointSystem` — the redundant
-  pair: CRC-16 fingerprints accumulated over whole checkpoint intervals,
-  compared at checkpoint creation; mismatch rolls both cores back to the
-  last good checkpoint.
+* :mod:`repro.checkpoint.snapshot` — typed, page-interned capture and
+  restore of a built system
+  (:class:`~repro.checkpoint.snapshot.SystemSnapshot`);
+* :class:`~repro.checkpoint.store.CheckpointStore` — the bounded ring
+  those snapshots live in, with cost accounting and a cycle lookup.
 """
 
 from repro.checkpoint.store import Checkpoint, CheckpointStore
-from repro.checkpoint.system import CheckpointParams, CheckpointSystem
 
-__all__ = ["Checkpoint", "CheckpointStore",
-           "CheckpointParams", "CheckpointSystem"]
+__all__ = ["Checkpoint", "CheckpointStore"]

@@ -1,10 +1,10 @@
-"""Checkpoint storage with cost accounting.
+"""The bounded snapshot ring behind differential replay.
 
-A checkpoint captures the *full* architectural state — registers, PC,
-and the memory image — which is exactly the "heavy-weight" property the
-UnSync paper holds against the scheme. The capture cost model charges
-for the registers plus every memory byte that changed since the previous
-checkpoint (incremental checkpointing, the charitable implementation).
+:class:`CheckpointStore` holds the whole-system snapshots a campaign
+captures along one fault-free prefix, charges each the bytes it added,
+and answers "newest snapshot at or before cycle N" for a trial's first
+strike. When the ring fills, the prefix cache thins it instead of
+stalling.
 """
 
 from __future__ import annotations
@@ -12,19 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, List, Optional
 
-from repro.isa.golden import ArchState
-
 
 @dataclass
 class Checkpoint:
-    """One captured machine state.
-
-    ``state`` is an :class:`ArchState` for the architectural checkpoints
-    the comparator scheme rolls back to, or any opaque snapshot payload
-    captured through :meth:`CheckpointStore.capture_payload` (the
-    campaign's differential-replay prefix cache stores whole-system
-    snapshots here).
-    """
+    """One captured snapshot payload (a
+    :class:`~repro.checkpoint.snapshot.SystemSnapshot` in the campaign's
+    prefix ring)."""
 
     seq: int                  # committed-instruction watermark
     cycle: int                # capture time
@@ -34,14 +27,7 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """Bounded LIFO of checkpoints (old ones retire as new ones verify).
-
-    ``capacity`` bounds how many unverified checkpoints may exist; the
-    scheme must stall when full (checkpoint pressure — the analogue of
-    UnSync's CB back-pressure).
-    """
-
-    REG_BYTES = 32 * 4 + 4    # ARF + PC
+    """Bounded ring of checkpoints, oldest first, in capture order."""
 
     def __init__(self, capacity: int = 2) -> None:
         if capacity < 1:
@@ -50,7 +36,6 @@ class CheckpointStore:
         self._stack: List[Checkpoint] = []
         self.captures = 0
         self.bytes_captured = 0
-        self.full_stalls = 0
 
     def __len__(self) -> int:
         return len(self._stack)
@@ -62,36 +47,9 @@ class CheckpointStore:
     def full(self) -> bool:
         return len(self._stack) >= self.capacity
 
-    def can_capture(self) -> bool:
-        if self.full:
-            self.full_stalls += 1
-            return False
-        return True
-
-    def capture(self, seq: int, cycle: int, state: ArchState) -> Checkpoint:
-        """Snapshot ``state``; cost = registers + memory delta.
-
-        The delta counts every memory byte whose *value* differs from the
-        previous checkpoint (content diff over the normalised nonzero
-        view — rewriting a byte with its existing value is free).
-        """
-        if self.full:
-            raise RuntimeError("capture into full checkpoint store")
-        prev_mem = self._stack[-1].state.mem if self._stack else {}
-        delta = sum(1 for addr, val in state.mem.items()
-                    if prev_mem.get(addr) != val)
-        delta += sum(1 for addr in prev_mem if addr not in state.mem)
-        cp = Checkpoint(seq=seq, cycle=cycle, state=state.clone(),
-                        delta_bytes=self.REG_BYTES + delta)
-        self._stack.append(cp)
-        self.captures += 1
-        self.bytes_captured += cp.delta_bytes
-        return cp
-
     def capture_payload(self, seq: int, cycle: int, payload: Any,
                         delta_bytes: int) -> Checkpoint:
-        """Store an opaque snapshot payload under the same capacity and
-        cost accounting as :meth:`capture`.
+        """Store an opaque snapshot payload and charge its cost.
 
         The caller supplies ``delta_bytes`` because only it knows the
         payload's incremental footprint (the differential-replay cache
@@ -105,18 +63,6 @@ class CheckpointStore:
         self.captures += 1
         self.bytes_captured += delta_bytes
         return cp
-
-    def newest(self) -> Optional[Checkpoint]:
-        return self._stack[-1] if self._stack else None
-
-    def retire_oldest(self) -> Optional[Checkpoint]:
-        """Free the oldest checkpoint once everything up to the next one
-        has been verified."""
-        return self._stack.pop(0) if self._stack else None
-
-    def rollback_target(self) -> Optional[Checkpoint]:
-        """The newest *verified* checkpoint is always the stack base."""
-        return self._stack[0] if self._stack else None
 
     def at_or_before(self, cycle: int) -> Optional[Checkpoint]:
         """The newest checkpoint captured at or before ``cycle``.

@@ -681,17 +681,6 @@ class Pipeline:
         self._next_seq = other.stats.committed
         self.done = other.done
 
-    def restore_to(self, state: ArchState, committed: int) -> None:
-        """Rewind the *committed* point itself to an earlier snapshot
-        (checkpoint rollback — unlike :meth:`adopt_state`, this may move
-        backwards past work this core already retired)."""
-        self.flush_pipeline()
-        self.committed_state = state.clone()
-        self.oracle = state.clone()
-        self.stats.committed = committed
-        self._next_seq = committed
-        self.done = False
-
     @property
     def arch_state(self) -> ArchState:
         """The committed architectural state (recovery source/target)."""

@@ -172,25 +172,6 @@ class FaultInjector:
             return math.inf
         return self._rng.expovariate(self.rate)
 
-    def schedule(self, horizon_cycles: int) -> List[Strike]:
-        """All strikes strictly before ``horizon_cycles``.
-
-        A zero rate (or empty horizon) yields an empty schedule without
-        touching the RNG or doing float-infinity arithmetic, and no
-        returned strike ever lands at or beyond the horizon.
-        """
-        strikes: List[Strike] = []
-        if self.rate == 0 or horizon_cycles <= 0:
-            return strikes
-        t = 0.0
-        while True:
-            t += self.next_interval()
-            cycle = int(t)
-            if cycle >= horizon_cycles:
-                break
-            strikes.append(self.strike_at(cycle))
-        return strikes
-
     def strike_at(self, cycle: int) -> Strike:
         """A strike at ``cycle`` in a bit chosen by area weighting."""
         name = self._rng.choices(self._names, weights=self._weights, k=1)[0]

@@ -1,13 +1,13 @@
 """System-level cost of redundancy schemes, per protected thread.
 
 Table II compares *single cores*; a designer choosing a scheme pays for
-the whole replica group. This extension rolls Table II up to the
-per-protected-thread level and adds the TMR comparator the paper cites
-(detection + correction by majority vote at ~200% overhead):
+the whole replica group. This module rolls Table II up to the
+per-protected-thread level for every registered scheme (each
+descriptor's ``system_cost`` returns one of these):
 
+* unprotected   = 1 x plain MIPS core
 * UnSync pair   = 2 x (UnSync core + parity L1) + 2 CBs
 * Reunion pair  = 2 x (Reunion core + SECDED L1)
-* TMR triple    = 3 x (plain MIPS core + L1) + 3 CBs + voter
 * RepTFD pair   = 2 x (plain MIPS core) + replay queue + comparator
 * MEEK pair     = OoO leader + small in-order checker + check queue
 """
@@ -15,17 +15,11 @@ per-protected-thread level and adds the TMR comparator the paper cites
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
 from repro.hwcost.components import (
     MIPS_CORE_AREA_UM2, MIPS_CORE_POWER_W, cb_array,
 )
 from repro.hwcost.synthesis import CoreCosts, synthesize
 from repro.hwcost.tech import TECH_65NM, TechNode
-
-#: majority voter: ~3 gates per voted bit over a 66-bit store entry,
-#: plus control — small change compared to a core.
-VOTER_GATES = 3 * 66 + 40
 
 #: RepTFD replay-queue entry: pc + result + address + value + tags.
 REPLAY_ENTRY_BITS = 130
@@ -82,17 +76,6 @@ def reunion_pair_cost(tech: TechNode = TECH_65NM,
                             2 * c.total_power_w, self_correcting=False)
 
 
-def tmr_triple_cost(tech: TechNode = TECH_65NM,
-                    cb_entries: int = 10) -> SchemeSystemCost:
-    base = synthesize("mips", tech)
-    cb = cb_array(cb_entries)
-    voter_area = VOTER_GATES * tech.gate_area_um2
-    voter_power = MIPS_CORE_POWER_W * (voter_area / MIPS_CORE_AREA_UM2)
-    area = 3 * (base.total_area_um2 + cb.area_um2) + voter_area
-    power = 3 * (base.total_power_w + cb.power_w) + voter_power
-    return SchemeSystemCost("tmr", 3, area, power, self_correcting=True)
-
-
 def reptfd_pair_cost(tech: TechNode = TECH_65NM,
                      queue_entries: int = 96) -> SchemeSystemCost:
     """Two *plain* MIPS cores (no detectors, no CHECK stage) plus the
@@ -119,10 +102,3 @@ def meek_pair_cost(tech: TechNode = TECH_65NM,
     area = base.total_area_um2 + checker_area + queue.area_um2
     power = base.total_power_w + checker_power + queue.power_w
     return SchemeSystemCost("meek", 2, area, power, self_correcting=False)
-
-
-def redundancy_comparison(tech: TechNode = TECH_65NM) -> List[SchemeSystemCost]:
-    """Every costed option, per protected thread."""
-    return [unprotected_cost(tech), unsync_pair_cost(tech),
-            reunion_pair_cost(tech), tmr_triple_cost(tech),
-            reptfd_pair_cost(tech), meek_pair_cost(tech)]

@@ -1,7 +1,8 @@
 """Per-core memory port and full hierarchy wiring.
 
 A :class:`MemPort` gives one core its split I/D L1s, I/D TLBs and L1 MSHR
-files, all funnelling into the shared bus + :class:`SharedL2`. The
+files, all funnelling into the bus + :class:`SharedL2` its system shares
+between its cores. The
 hierarchy computes end-to-end latencies; what happens to *store data*
 downstream of the L1 (Communication Buffer, write buffer, direct L2 write)
 is the redundancy layer's business and is deliberately not decided here.
@@ -41,15 +42,9 @@ class MemPort:
                  itlb_cfg: Optional[TLBConfig] = None,
                  dtlb_cfg: Optional[TLBConfig] = None,
                  l1_mshrs: int = 10,
-                 name: str = "core0",
-                 addr_offset: int = 0) -> None:
+                 name: str = "core0") -> None:
         self.bus = bus
         self.l2 = l2
-        #: offset applied to L2-side addresses only. In a multi-pair CMP
-        #: each pair runs its own program in the same virtual layout; the
-        #: offset keeps their footprints distinct in the shared physical
-        #: L2, as distinct page mappings would.
-        self.addr_offset = addr_offset
         self.icache = Cache(icache_cfg or CacheConfig(), name=f"{name}.L1I")
         self.dcache = Cache(dcache_cfg or CacheConfig(), name=f"{name}.L1D")
         self.itlb = TLB(itlb_cfg or TLBConfig(entries=48), name=f"{name}.ITLB")
@@ -145,8 +140,7 @@ class MemPort:
         xfer = self.bus.transfer_cycles(cache.config.line_bytes)
         done = self.bus.request(now, xfer)
         bus_part = done - now
-        l2_latency = self.l2.access(addr + self.addr_offset, is_write,
-                                    now + bus_part)
+        l2_latency = self.l2.access(addr, is_write, now + bus_part)
         total = bus_part + l2_latency
         if not self.mshrs.allocate(line, now + total):
             # L1 MSHR file full: stall until the earliest fill returns.

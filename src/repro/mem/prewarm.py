@@ -14,13 +14,11 @@ from repro.isa.program import Program
 from repro.mem.l2 import SharedL2
 
 
-def prewarm_l2(l2: SharedL2, program: Program, addr_offset: int = 0) -> int:
+def prewarm_l2(l2: SharedL2, program: Program) -> int:
     """Install ``program``'s footprint in the L2; returns lines warmed.
 
     The footprint is the code region plus the full data-segment extent
     (``Program.data_end`` includes ``.space`` reservations).
-    ``addr_offset`` matches the owning pair's L2 address offset in
-    multi-pair systems.
     """
     line = l2.config.line_bytes
     lines = set()
@@ -33,6 +31,6 @@ def prewarm_l2(l2: SharedL2, program: Program, addr_offset: int = 0) -> int:
         for a in range(start, program.data_end + line, line):
             lines.add(a)
     for a in sorted(lines):
-        l2.cache.access(a + addr_offset, is_write=False)
+        l2.cache.access(a, is_write=False)
     l2.reset_stats()
     return len(lines)

@@ -1,7 +1,8 @@
 """Dual-core system scaffolding and the unprotected baseline.
 
-:class:`DualCoreSystem` is the common chassis: two cores running the same
-program over one shared bus + L2 (the paper's core-pair), stepped in
+:class:`DualCoreSystem` is the common chassis of the pair schemes
+(UnSync, Reunion, RepTFD): two cores running the same program over a bus
++ L2 that the pair builds for itself (the paper's core-pair), stepped in
 lockstep of *wall-clock cycles only* — the cores' pipelines drift apart
 freely, which is the whole point of UnSync. Subclasses install commit
 gates and override :meth:`DualCoreSystem.on_cycle` for their drain /
@@ -55,9 +56,6 @@ class DualCoreSystem:
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
                  name: Optional[str] = None,
-                 bus: Optional[Bus] = None,
-                 l2: Optional[SharedL2] = None,
-                 addr_offset: int = 0,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.program = program
         self.config = config or SystemConfig.table1()
@@ -70,14 +68,9 @@ class DualCoreSystem:
         self._ev = telemetry.events if telemetry is not None else None
         self._met = telemetry.metrics if telemetry is not None \
             else NULL_REGISTRY
-        # bus/l2 may be supplied by a multi-pair chassis so that several
-        # pairs contend for the same uncore (the paper's 4-core CMP)
-        self.bus = bus if bus is not None else Bus(
-            width_bytes=self.config.bus_width_bytes)
-        self.l2 = l2 if l2 is not None else SharedL2(
-            config=self.config.l2, mshrs=self.config.l2_mshrs)
-        self.addr_offset = addr_offset
-        prewarm_l2(self.l2, program, addr_offset)
+        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
+        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
+        prewarm_l2(self.l2, program)
         self.ports: List[MemPort] = []
         self.pipelines: List[Pipeline] = []
         for i in range(2):
@@ -87,8 +80,7 @@ class DualCoreSystem:
                            itlb_cfg=self.config.itlb,
                            dtlb_cfg=self.config.dtlb,
                            l1_mshrs=self.config.l1_mshrs,
-                           name=f"{self.name}.core{i}",
-                           addr_offset=addr_offset)
+                           name=f"{self.name}.core{i}")
             if self._ev is not None:
                 port.attach_events(self._ev, track=f"core{i}.mem")
             self.ports.append(port)

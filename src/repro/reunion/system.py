@@ -114,8 +114,7 @@ class ReunionSystem(DualCoreSystem):
                  injector: Optional[FaultInjector] = None,
                  detectors: Optional[Dict[str, Detector]] = None,
                  name: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 **uncore) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.params = params or ReunionParams()
         self.check = CheckStage(self.params)
         if telemetry is not None:
@@ -153,8 +152,7 @@ class ReunionSystem(DualCoreSystem):
         self._next_strike: Optional[Strike] = None
         #: fault events awaiting group-verdict adjudication
         self._unbound_events: List[FaultEvent] = []
-        super().__init__(program, config, name=name, telemetry=telemetry,
-                         **uncore)
+        super().__init__(program, config, name=name, telemetry=telemetry)
         if self.injector is not None:
             # Injected runs must keep the commit-time image an independent
             # re-execution, never a replay of fetch-time records.
@@ -183,7 +181,7 @@ class ReunionSystem(DualCoreSystem):
             if self.bus.try_request(now, xfer) < 0:
                 break
             self.store_queue.pop()
-            self.l2.access(head[1] + self.addr_offset, is_write=True, now=now)
+            self.l2.access(head[1], is_write=True, now=now)
 
     # -- input incoherence (relaxed input replication) -------------------------
     def _process_incoherence(self, now: int) -> None:

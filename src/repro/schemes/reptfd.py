@@ -178,8 +178,7 @@ class RepTFDSystem(DualCoreSystem):
                  params: Optional[RepTFDParams] = None,
                  injector: Optional[FaultInjector] = None,
                  name: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 **uncore) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.params = params or RepTFDParams()
         self.replay_queue: Deque[_ReplayRecord] = deque()
         self.store_queue = WriteBuffer(
@@ -201,8 +200,7 @@ class RepTFDSystem(DualCoreSystem):
         #: fault events awaiting the trailer's comparison of the struck
         #: instruction: (trailer-commit threshold, event)
         self._pending: List = []
-        super().__init__(program, config, name=name, telemetry=telemetry,
-                         **uncore)
+        super().__init__(program, config, name=name, telemetry=telemetry)
         if self.injector is not None:
             # Injected runs must keep the commit-time image an independent
             # re-execution, never a replay of fetch-time records.
@@ -229,7 +227,7 @@ class RepTFDSystem(DualCoreSystem):
             if self.bus.try_request(now, xfer) < 0:
                 break
             self.store_queue.pop()
-            self.l2.access(head[1] + self.addr_offset, is_write=True, now=now)
+            self.l2.access(head[1], is_write=True, now=now)
 
     # -- faults -------------------------------------------------------------
     def _arm_next_strike(self, now: int) -> None:

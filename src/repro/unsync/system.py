@@ -112,8 +112,7 @@ class UnSyncSystem(DualCoreSystem):
                  injector: Optional[FaultInjector] = None,
                  detectors: Optional[Dict[str, Detector]] = None,
                  name: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 **uncore) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.unsync = unsync or UnSyncConfig()
         self.cbs: List[CommBuffer] = [
             CommBuffer(self.unsync.cb_entries, self.unsync.cb_entry_bytes)
@@ -138,8 +137,7 @@ class UnSyncSystem(DualCoreSystem):
             raise ValueError(
                 "UnSync requires a write-through L1 D-cache (see Figure 2's "
                 "unrecoverable write-back scenario)")
-        super().__init__(program, cfg, name=name, telemetry=telemetry,
-                         **uncore)
+        super().__init__(program, cfg, name=name, telemetry=telemetry)
         if self.injector is not None:
             # Injected runs must keep the commit-time image an independent
             # re-execution, never a replay of fetch-time records.
@@ -187,7 +185,7 @@ class UnSyncSystem(DualCoreSystem):
             cb1.pop()
             drained += 1
             # one copy of the data goes to the ECC L2
-            self.l2.access(h0.addr + self.addr_offset, is_write=True, now=now)
+            self.l2.access(h0.addr, is_write=True, now=now)
         if drained and self._ev is not None:
             self._ev.emit(CB_DRAIN, now, "cb",
                           args={"n": drained, "left": len(f0)})

@@ -153,25 +153,6 @@ def test_reunion_uncore_is_csb_pre_commit():
 
 
 # ---------------------------------------------------------------------------
-# schedule() edge cases (standard injector)
-# ---------------------------------------------------------------------------
-def test_schedule_rate_zero_is_empty():
-    assert FaultInjector(0.0).schedule(10_000) == []
-
-
-def test_schedule_empty_horizon_is_empty():
-    inj = FaultInjector(0.5, seed=4)
-    assert inj.schedule(0) == []
-    assert inj.schedule(-5) == []
-
-
-def test_schedule_never_reaches_horizon():
-    strikes = FaultInjector(0.3, seed=9).schedule(50)
-    assert strikes
-    assert all(s.cycle < 50 for s in strikes)
-
-
-# ---------------------------------------------------------------------------
 # EIH determinism + queue strikes (satellite: deterministic pop order)
 # ---------------------------------------------------------------------------
 def pop_all(eih, now=100):

@@ -11,7 +11,6 @@ independent re-execution.
 
 import pytest
 
-from repro.checkpoint import CheckpointSystem
 from repro.core import Core
 from repro.core.pipeline import Pipeline
 from repro.core.rob import ROBEntry
@@ -19,8 +18,8 @@ from repro.faults.injector import FaultInjector
 from repro.isa import golden
 from repro.isa.golden import StepInfo
 from repro.isa.instructions import Instruction, Opcode
-from repro.redundancy.tmr import TMRSystem
 from repro.reunion.system import ReunionSystem
+from repro.schemes import get, protected_schemes
 from repro.unsync.system import UnSyncSystem
 from repro.workloads import load_workload
 
@@ -77,14 +76,20 @@ def test_reuse_matches_golden_across_workloads():
 # ---------------------------------------------------------------------------
 # injection forces independent re-execution
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("system_cls", [UnSyncSystem, ReunionSystem,
-                                        TMRSystem, CheckpointSystem])
-def test_injected_systems_force_always_replay(system_cls):
+def _pipelines(system):
+    # MEEK has one OoO core; the pair schemes have two
+    return getattr(system, "pipelines", None) or [system.pipeline]
+
+
+@pytest.mark.parametrize("scheme", protected_schemes())
+def test_injected_systems_force_always_replay(scheme):
     program = load_workload("fibonacci")
-    clean = system_cls(program)
-    assert all(p.commit_replay == "reuse" for p in clean.pipelines)
-    injected = system_cls(program, injector=FaultInjector(1 / 1000, seed=3))
-    assert all(p.commit_replay == "always" for p in injected.pipelines)
+    desc = get(scheme)
+    clean = desc.build_system(program)
+    assert all(p.commit_replay == "reuse" for p in _pipelines(clean))
+    injected = desc.build_system(program,
+                                 injector=FaultInjector(1 / 1000, seed=3))
+    assert all(p.commit_replay == "always" for p in _pipelines(injected))
 
 
 def test_injected_run_is_deterministic():

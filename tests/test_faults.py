@@ -179,23 +179,45 @@ def test_unsync_parity_misses_double_bit_in_storage():
     assert 0 < cov2 < 0.2
 
 
+def _strikes(inj, horizon):
+    """Walk the strike stream the way the simulators arm it."""
+    strikes = []
+    strike = inj.next_strike(0)
+    while strike is not None and strike.cycle < horizon:
+        strikes.append(strike)
+        strike = inj.next_strike(strike.cycle)
+    return strikes
+
+
 def test_injector_deterministic_by_seed():
-    a = FaultInjector(0.01, seed=5).schedule(10_000)
-    b = FaultInjector(0.01, seed=5).schedule(10_000)
+    a = _strikes(FaultInjector(0.01, seed=5), 10_000)
+    b = _strikes(FaultInjector(0.01, seed=5), 10_000)
     assert a == b
-    c = FaultInjector(0.01, seed=6).schedule(10_000)
+    c = _strikes(FaultInjector(0.01, seed=6), 10_000)
     assert a != c
 
 
 def test_injector_rate_zero_never_strikes():
     inj = FaultInjector(0.0)
     assert inj.next_interval() == math.inf
-    assert inj.schedule(1_000_000) == []
+    assert inj.next_strike(0) is None
 
 
 def test_injector_strike_count_tracks_rate():
-    strikes = FaultInjector(1 / 100, seed=1).schedule(100_000)
+    strikes = _strikes(FaultInjector(1 / 100, seed=1), 100_000)
     assert 800 <= len(strikes) <= 1200  # ~1000 expected
+
+
+@pytest.mark.parametrize("rate", [1.0, 0.5, 1 / 100])
+def test_next_strike_lands_at_least_one_cycle_after_now(rate):
+    """Sub-cycle interval draws still advance the clock, so a simulator
+    sees at most one strike per cycle however high the rate."""
+    inj = FaultInjector(rate, seed=2)
+    now = 0
+    for _ in range(1000):
+        strike = inj.next_strike(now)
+        assert strike.cycle >= now + 1
+        now = strike.cycle
 
 
 def test_injector_weights_follow_bits():

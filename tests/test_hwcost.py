@@ -12,6 +12,9 @@ from repro.hwcost.components import (
     forwarding_datapath, mips_core, unsync_detection_blocks,
 )
 from repro.hwcost.die import ManyCore, TABLE3_PROCESSORS, project_die, table3
+from repro.hwcost.redundancy_cost import (
+    reunion_pair_cost, unprotected_cost, unsync_pair_cost,
+)
 from repro.hwcost.synthesis import synthesize, table2
 from repro.hwcost.tech import TECH_65NM
 
@@ -160,6 +163,28 @@ def test_larger_fi_costs_more_csb_area():
     small = synthesize("reunion", fingerprint_interval=10)
     big = synthesize("reunion", fingerprint_interval=50)
     assert big.core_area_um2 > small.core_area_um2
+
+
+# ---------------------------------------------------------------------------
+# per-protected-thread roll-up
+# ---------------------------------------------------------------------------
+def test_unsync_pair_cheaper_than_reunion_pair():
+    """The paper's comparison at the replica-group level."""
+    uns = unsync_pair_cost()
+    reu = reunion_pair_cost()
+    assert uns.total_area_um2 < reu.total_area_um2
+    assert uns.total_power_w < reu.total_power_w
+
+
+def test_cost_ordering():
+    assert unprotected_cost().total_area_um2 \
+        < unsync_pair_cost().total_area_um2 \
+        < reunion_pair_cost().total_area_um2
+
+
+def test_core_counts():
+    assert unprotected_cost().n_cores == 1
+    assert unsync_pair_cost().n_cores == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Hypothesis generates random (but always-terminating) programs over the
 full ISA; the out-of-order core must retire bit-identical architectural
 state to the golden interpreter for every one of them, under several
-machine configurations and under all three redundancy schemes.
+machine configurations and under every registered scheme.
 
 This is the strongest single correctness property in the suite: it
 covers operand forwarding, store-to-load bypass, branch handling, eager
@@ -18,9 +18,7 @@ from repro.core import Core
 from repro.core.config import CoreConfig, SystemConfig
 from repro.isa import golden
 from repro.isa.assembler import assemble
-from repro.redundancy.tmr import TMRSystem
-from repro.reunion.system import ReunionSystem
-from repro.unsync.system import UnSyncSystem
+from repro.schemes import available, get
 
 # registers the generator uses freely (r1 is the loop counter, r20 the
 # memory base — those are managed by the template)
@@ -123,7 +121,7 @@ def test_narrow_core_matches_golden(program):
 @given(random_program())
 def test_redundant_schemes_match_golden_on_random_programs(program):
     gold = golden.run(program, max_instructions=100_000)
-    for system_cls in (UnSyncSystem, ReunionSystem, TMRSystem):
-        res = system_cls(program).run(4_000_000)
-        assert res.state.regs == gold.state.regs, system_cls.__name__
-        assert res.state.mem == gold.state.mem, system_cls.__name__
+    for name in available():
+        res = get(name).build_system(program).run(4_000_000)
+        assert res.state.regs == gold.state.regs, name
+        assert res.state.mem == gold.state.mem, name

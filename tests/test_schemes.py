@@ -9,6 +9,7 @@ captured before `repro.schemes` existed, and that of RepTFD/MEEK against
 stores captured before trials charged recovery from metric names.
 """
 
+import functools
 import hashlib
 import os
 
@@ -21,14 +22,14 @@ from repro.campaign import (
 from repro.faults.events import Outcome
 from repro.faults.injector import FaultInjector, Strike
 from repro.harness.runner import run_scheme
-from repro.isa import assemble
+from repro.isa import assemble, golden
 from repro.schemes import (
     ResilienceScheme, UnknownSchemeError, available, get, protected_schemes,
     register, unregister,
 )
 from repro.schemes.meek import MEEKParams, MEEKSystem
 from repro.schemes.reptfd import RepTFDParams, RepTFDSystem
-from repro.workloads import load_workload
+from repro.workloads import KERNELS, load_kernel, load_workload
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -146,6 +147,39 @@ def test_scheme_counters_and_recovery_metric(name):
         assert scheme.recovery_metric in counters
     else:
         assert scheme.recovery_metric == ""
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_and_gold(kernel):
+    program = load_kernel(kernel)
+    return program, golden.run(program, max_instructions=500_000)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("name", available())
+def test_every_scheme_retires_golden_state_on_every_kernel(name, kernel):
+    """The registry is the whole set of systems the program can build,
+    so each one, fault-free, must retire the golden interpreter's state
+    on every kernel."""
+    program, gold = _kernel_and_gold(kernel)
+    res = get(name).build_system(program).run()
+    assert res.instructions == gold.instructions
+    assert res.state.regs == gold.state.regs
+    assert res.state.mem == gold.state.mem
+
+
+@pytest.mark.parametrize("name", available())
+def test_every_scheme_builds_a_private_uncore(name, loop):
+    """Each system builds its own bus and L2; none takes them from its
+    caller, so no two systems can share an uncore."""
+    desc = get(name)
+    a, b = desc.build_system(loop), desc.build_system(loop)
+    assert a.bus is not b.bus
+    assert a.l2 is not b.l2
+    with pytest.raises(TypeError):
+        desc.build_system(loop, bus=a.bus)
+    with pytest.raises(TypeError):
+        desc.build_system(loop, l2=a.l2)
 
 
 def test_campaign_spec_accepts_all_protected_schemes():

@@ -18,6 +18,7 @@ never change a single byte of a campaign store. That decomposes into
 """
 
 import filecmp
+import inspect
 import os
 from dataclasses import replace
 
@@ -166,6 +167,18 @@ def test_capture_payload_accounts_like_capture():
     assert store.full
     with pytest.raises(RuntimeError):
         store.capture_payload(seq=2, cycle=20, payload=b"x", delta_bytes=1)
+
+
+def test_capture_payload_takes_delta_bytes_fifth():
+    """perfbench/tracer.py charges snapshot bytes from positional
+    argument 4 (``self`` is 0) of ``capture_payload``."""
+    params = inspect.signature(CheckpointStore.capture_payload).parameters
+    assert list(params) == ["self", "seq", "cycle", "payload", "delta_bytes"]
+
+
+def test_store_validation():
+    with pytest.raises(ValueError):
+        CheckpointStore(capacity=0)
 
 
 def test_at_or_before_picks_the_newest_covering_checkpoint():

@@ -1,5 +1,7 @@
 """Tests for the UnSync architecture: CB, EIH, recovery, full system."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +9,9 @@ from repro.core.config import SystemConfig
 from repro.faults.events import Outcome
 from repro.faults.injector import FaultInjector
 from repro.isa import assemble, golden
-from repro.mem.cache import CacheConfig, WritePolicy
+from repro.mem.cache import WritePolicy
 from repro.redundancy.pair import BaselineSystem
+from repro.schemes import available, get
 from repro.unsync.comm_buffer import CBEntry, CommBuffer, ENTRY_BYTES, matched_drain
 from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel
@@ -172,9 +175,19 @@ def test_unsync_cores_agree(sum_loop):
 
 
 def test_unsync_requires_write_through():
-    cfg = SystemConfig(dcache=CacheConfig(policy=WritePolicy.WRITE_BACK))
-    with pytest.raises(ValueError, match="write-through"):
-        UnSyncSystem(assemble("halt"), config=cfg)
+    """Figure 2's rule (Sec III-C-1): with a write-back L1D, a second
+    strike on a dirty line of the clean core during recovery corrupts the
+    only up-to-date copy. Write-through keeps a copy in the ECC L2. Only
+    UnSync, which recovers by copying from the clean core, refuses it."""
+    table1 = SystemConfig.table1()
+    cfg = dataclasses.replace(table1, dcache=dataclasses.replace(
+        table1.dcache, policy=WritePolicy.WRITE_BACK))
+    program = assemble("halt")
+    with pytest.raises(ValueError, match="write-through.*Figure 2"):
+        get("unsync").build_system(program, config=cfg)
+    for name in available():
+        if name != "unsync":
+            get(name).build_system(program, config=cfg)
 
 
 def test_unsync_cb_drains_all_stores(sum_loop):
