@@ -39,9 +39,9 @@ from repro.campaign.executor import (
     ExecutionReport,
     default_workers,
     execute_trials,
-    run_trial,
 )
 from repro.campaign.progress import ProgressTracker, Ticker
+from repro.campaign.snapshot import CACHE, run_trial_differential
 from repro.campaign.spec import (
     CampaignError,
     CampaignSpec,
@@ -168,12 +168,6 @@ def cell_step(spec: CampaignSpec, cell_axes: Tuple[str, str, float],
     return FINISHED
 
 
-#: campaign execution modes: ``full`` re-simulates every trial from
-#: cycle 0; ``differential`` fast-forwards each trial from a cached
-#: fault-free prefix snapshot (see :mod:`repro.campaign.snapshot`)
-EXEC_MODES: Tuple[str, ...] = ("full", "differential")
-
-
 def as_store(store_or_path) -> ResultStore:
     """Coerce a path into a :class:`ResultStore`; pass store objects
     through.
@@ -190,11 +184,9 @@ def run_campaign(spec: CampaignSpec,
                  store_path,
                  workers: Optional[int] = None,
                  timeout: Optional[float] = None,
-                 runner=run_trial,
+                 runner=run_trial_differential,
                  progress_stream: Optional[TextIO] = None,
                  ticker_enabled: Optional[bool] = None,
-                 exec_mode: str = "full",
-                 snapshot_interval: Optional[int] = None,
                  should_stop: Optional[Callable[[], bool]] = None,
                  executor: Optional[Callable[..., List[TrialResult]]]
                  = None,
@@ -206,12 +198,16 @@ def run_campaign(spec: CampaignSpec,
     ``store_path`` may also be an already-constructed store object (see
     :func:`as_store`) — the service layer passes its observed store
     through this seam. The returned summary's statistics depend
-    only on the spec — never on worker count, timing, interruptions,
-    retry history, or execution mode: ``exec_mode`` (and
-    ``snapshot_interval``, differential-only) trade wall-clock for
-    nothing else, so it is deliberately *not* part of the spec or the
-    store header, and a store begun in one mode may be resumed in the
-    other.
+    only on the spec — never on worker count, timing, interruptions or
+    retry history.
+
+    ``runner`` runs one trial. The default fast-forwards each trial
+    from a cached fault-free prefix (:mod:`repro.campaign.snapshot`),
+    and before each pooled wave the coordinator builds the prefixes the
+    wave lacks, so forked workers inherit them.
+    :func:`~repro.campaign.trial.run_trial` re-simulates from cycle 0
+    and writes the same bytes; tests pass it as the reference, and a
+    store begun with one runner may be resumed with the other.
 
     ``should_stop`` is polled at wave boundaries only; returning True
     stops cleanly after the in-flight wave — every completed trial is
@@ -226,20 +222,12 @@ def run_campaign(spec: CampaignSpec,
     here without forking the wave loop, so batch boundaries, early
     stopping, and store append order stay identical to a local run.
     """
-    if exec_mode not in EXEC_MODES:
-        raise CampaignError(
-            f"exec_mode {exec_mode!r} unknown (choose from {EXEC_MODES})")
     exec_fn = execute_trials if executor is None else executor
     warm = None
-    if exec_mode == "differential" and runner is run_trial:
-        # a caller-supplied runner wins over the mode switch (tests and
-        # external harnesses replace the trial function wholesale)
-        from repro.campaign.snapshot import CACHE, differential_runner
-        runner = differential_runner(snapshot_interval)
-        if executor is None and multiprocessing.get_start_method() == "fork":
-            # forked trial pools inherit what the coordinator built
-            CACHE.configure(snapshot_interval)
-            warm = CACHE.warm
+    if runner is run_trial_differential and executor is None \
+            and multiprocessing.get_start_method() == "fork":
+        # forked trial pools inherit what the coordinator built
+        warm = CACHE.warm
     store = as_store(store_path)
     store.repair()  # drop any torn final line before we append past it
     if store.exists():

@@ -24,11 +24,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, List, Optional, Sequence
 
+from repro.campaign.snapshot import run_trial_differential
 from repro.campaign.spec import TrialSpec
-from repro.campaign.trial import TrialResult, crash_result, run_trial
+from repro.campaign.trial import TrialResult, crash_result
 
 
 @dataclass
@@ -50,24 +50,13 @@ def default_workers(n_trials: int) -> int:
 def _retry(trial: TrialSpec, runner: Callable[[TrialSpec], TrialResult],
            first_error: BaseException,
            report: ExecutionReport) -> TrialResult:
-    """Complete a pool-failed trial in-process under the shared policy.
-
-    The policy (``TRIAL_RETRY``: one attempt, no backoff — a
-    deterministic simulation gains nothing from sleeping) lives in
-    :mod:`repro.service.retry` so campaign pool jobs and service HTTP
-    calls share one retry implementation.
-    """
-    # deferred import: repro.service re-exports the scheduler, which
-    # imports this module back through the engine — resolving the retry
-    # utility at call time keeps campaign -> service import-cycle free
-    from repro.service.retry import TRIAL_RETRY, RetryError, call_with_retry
-
+    """Complete a pool-failed trial in-process: one attempt, no backoff
+    (a deterministic simulation gains nothing from sleeping)."""
     report.worker_failures += 1
     report.retries += 1
     try:
-        return call_with_retry(partial(runner, trial), policy=TRIAL_RETRY)
-    except RetryError as err:
-        exc = err.cause
+        return runner(trial)
+    except Exception as exc:
         report.worker_failures += 1
         report.crashes += 1
         cause = "".join(traceback.format_exception(
@@ -95,7 +84,8 @@ def _execute_serial(trials: Sequence[TrialSpec],
 def execute_trials(trials: Sequence[TrialSpec],
                    workers: Optional[int] = None,
                    timeout: Optional[float] = None,
-                   runner: Callable[[TrialSpec], TrialResult] = run_trial,
+                   runner: Callable[[TrialSpec], TrialResult]
+                   = run_trial_differential,
                    on_result: Optional[Callable[[TrialResult], None]] = None,
                    report: Optional[ExecutionReport] = None,
                    ) -> List[TrialResult]:

@@ -11,9 +11,10 @@ trial from the newest epoch at or before its first injection cycle.
 Correctness argument, scheme-agnostic:
 
 * the prefix system is built with a **rate-zero injector** — its mere
-  presence makes construction identical to an injected run (pipelines
-  forced to ``commit_replay="always"``), while drawing *nothing* from
-  the RNG (a zero rate short-circuits before the stream is touched);
+  presence makes construction identical to an injected run (the
+  scheme adopts the injector's inventory and arms its first strike),
+  while drawing *nothing* from the RNG (a zero rate short-circuits
+  before the stream is touched);
 * a trial's first strike cycle is peeked with a **throwaway** injector
   clone, and the restored replica is re-armed with a *fresh* injector
   through :meth:`~repro.schemes.base.ResilienceScheme.attach_injector`
@@ -25,12 +26,17 @@ Correctness argument, scheme-agnostic:
   cached fault-free result (or the cached watchdog hang) — the dominant
   fast path of low-SER grids.
 
-:data:`CACHE` is process-wide, like :data:`repro.campaign.trial.CONTEXT`.
-Before each wave of a local pooled campaign the coordinator builds the
-prefixes the wave lacks (:meth:`PrefixSnapshotCache.warm`), and the
-wave's forked trial pool inherits them. Everywhere else a process builds
-a prefix on first use. A prefix is a pure function of its key, so where
-it was built cannot change a byte of any store.
+:func:`run_trial_differential` is the trial runner of every campaign,
+pool worker and ``repro worker``; :func:`~repro.campaign.trial.run_trial`
+(full replay from cycle 0) is the reference tests and CI compare its
+stores against. :data:`CACHE` is process-wide, like
+:data:`repro.campaign.trial.CONTEXT`. Before each wave of a local pooled
+campaign the coordinator builds the prefixes the wave lacks
+(:meth:`PrefixSnapshotCache.warm`), and the wave's forked trial pool
+inherits them. Everywhere else a process builds a prefix on first use
+and keeps it, so a long-running ``repro worker`` builds each prefix once
+across every job it serves. A prefix is a pure function of its key, so
+where it was built cannot change a byte of any store.
 """
 
 from __future__ import annotations
@@ -120,12 +126,6 @@ class PrefixSnapshotCache:
         self._prefixes.clear()
         self._pools.clear()
         self._ins_index.clear()
-
-    def configure(self, interval: Optional[int]) -> None:
-        """Use ``interval`` (``None``: keep); a change drops all prefixes."""
-        if interval is not None and interval != self.interval:
-            self.clear()
-            self.interval = interval
 
     def _lru(self, memo: "OrderedDict[Any, Any]", key: Any,
              build: Callable[[], Any]) -> Any:
@@ -227,7 +227,7 @@ class PrefixSnapshotCache:
             system.step()
         # delegate the verdict to run(): on a finished system it returns
         # the result immediately; at the budget it raises the exact
-        # watchdog hang a full-mode trial would see
+        # watchdog hang a full-replay trial would see
         result = None
         hang = None
         try:
@@ -247,7 +247,7 @@ class PrefixSnapshotCache:
         prefix = self.prefix(trial)
         first = peek_first_strike(trial)
         if first is None or first >= prefix.final_cycle:
-            # the strike stream starts after the last cycle any full-mode
+            # the strike stream starts after the last cycle any full-replay
             # run would step: the trial IS the cached fault-free run
             if prefix.hang is not None:
                 message, cycles, committed = prefix.hang
@@ -285,21 +285,7 @@ def build_prefix(trial: TrialSpec, interval: int,
 CACHE = PrefixSnapshotCache()
 
 
-def run_trial_differential(trial: TrialSpec,
-                           snapshot_interval: Optional[int] = None
-                           ) -> TrialResult:
-    """Worker entry point for ``--exec-mode differential`` (top-level so
-    it pickles; ``snapshot_interval`` is bound with ``functools.partial``
-    by the engine and inherited by forked workers).
-    """
-    CACHE.configure(snapshot_interval)
+def run_trial_differential(trial: TrialSpec) -> TrialResult:
+    """The trial runner: :meth:`PrefixSnapshotCache.run` on :data:`CACHE`
+    (top-level so it pickles into pool workers)."""
     return CACHE.run(trial)
-
-
-def differential_runner(snapshot_interval: Optional[int] = None
-                        ) -> Callable[[TrialSpec], TrialResult]:
-    """The pool-submittable differential runner (picklable partial)."""
-    if snapshot_interval is None:
-        return run_trial_differential
-    return partial(run_trial_differential,
-                   snapshot_interval=snapshot_interval)

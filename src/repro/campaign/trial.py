@@ -1,8 +1,10 @@
 """One Monte Carlo trial: seed in, adjudicated outcomes out.
 
-``run_trial`` is the process-pool worker entry point (top-level so it
-pickles). It deliberately contains *no* simulation logic of its own —
-the injector, detectors and recovery paths are exactly the ones
+``run_trial`` runs one trial in full, from cycle 0. It is the reference
+that the differential runner campaigns use
+(:func:`repro.campaign.snapshot.run_trial_differential`) must equal
+byte for byte. It deliberately contains *no* simulation logic of its
+own — the injector, detectors and recovery paths are exactly the ones
 ``repro run --inject`` exercises, so campaign statistics and single-run
 debugging always agree.
 """
@@ -42,26 +44,26 @@ def classify_trial(outcomes: Dict[str, int]) -> str:
 
 
 class _TrialContext:
-    """Per-worker memo of assembled programs and golden reference runs.
+    """Per-worker memo of assembled programs.
 
     A pool worker receives many trials for the same handful of workloads;
-    assembling a kernel from source on every ``load_workload`` call (and
-    re-interpreting it for any golden-reference consumer) was measurable
-    against trials that simulate only a few thousand instructions. The
-    context lives at module level, so it persists for the lifetime of the
-    worker process, and programs are immutable (``Instruction`` is frozen)
-    so sharing one instance across trials is safe.
+    assembling a kernel from source on every ``load_workload`` call was
+    measurable against trials that simulate only a few thousand
+    instructions. The context lives at module level, so it persists for
+    the lifetime of the worker process, and programs are immutable
+    (``Instruction`` is frozen) so sharing one instance across trials is
+    safe.
 
-    Both memos are LRU-bounded (``cap`` workloads each): a long
-    multi-workload grid recycles the same worker processes for every
-    cell, and unbounded memos grow worker RSS with every workload the
-    grid visits. Recency order is maintained on every hit, so the grid's
-    active workloads stay resident.
+    The memo is LRU-bounded (``cap`` workloads): a long multi-workload
+    grid recycles the same worker processes for every cell, and an
+    unbounded memo grows worker RSS with every workload the grid visits.
+    Recency order is maintained on every hit, so the grid's active
+    workloads stay resident.
     """
 
-    __slots__ = ("programs", "goldens", "cap")
+    __slots__ = ("programs", "cap")
 
-    #: workloads kept per memo unless a context overrides it
+    #: workloads kept unless a context overrides it
     DEFAULT_CAP = 8
 
     def __init__(self, cap: Optional[int] = None) -> None:
@@ -69,39 +71,25 @@ class _TrialContext:
             raise ValueError("memo cap must be at least 1")
         self.cap = cap if cap is not None else self.DEFAULT_CAP
         self.programs: "OrderedDict[str, object]" = OrderedDict()
-        self.goldens: "OrderedDict[str, object]" = OrderedDict()
-
-    def _touch(self, memo: "OrderedDict[str, object]", workload: str,
-               value: object) -> object:
-        memo[workload] = value
-        memo.move_to_end(workload)
-        while len(memo) > self.cap:
-            memo.popitem(last=False)
-        return value
 
     def program(self, workload: str):
         """The assembled :class:`~repro.isa.program.Program` (memoized)."""
-        prog = self.programs.get(workload)
+        programs = self.programs
+        prog = programs.get(workload)
         if prog is None:
             from repro.workloads import load_workload
             prog = load_workload(workload)
-        return self._touch(self.programs, workload, prog)
-
-    def golden(self, workload: str):
-        """The fault-free golden run of ``workload`` (memoized)."""
-        res = self.goldens.get(workload)
-        if res is None:
-            from repro.isa import golden
-            res = golden.run(self.program(workload),
-                             max_instructions=2_000_000)
-        return self._touch(self.goldens, workload, res)
+        programs[workload] = prog
+        programs.move_to_end(workload)
+        while len(programs) > self.cap:
+            programs.popitem(last=False)
+        return prog
 
     def clear(self) -> None:
         self.programs.clear()
-        self.goldens.clear()
 
 
-#: the worker-process-wide context ``run_trial`` pulls programs from
+#: the process-wide context trials and prefix builds pull programs from
 CONTEXT = _TrialContext()
 
 
@@ -268,8 +256,8 @@ def finish_trial(trial: TrialSpec, res) -> TrialResult:
     Pure function of the :class:`~repro.redundancy.stats.RunResult` —
     shared verbatim between the full-replay path below and the
     differential-replay path (:mod:`repro.campaign.snapshot`), which is
-    what makes "both modes produce byte-identical records" a property of
-    the simulation, not of two parallel adjudication implementations.
+    what makes "both runners produce byte-identical records" a property
+    of the simulation, not of two parallel adjudication implementations.
     """
     from repro.schemes import get as get_scheme
 
@@ -289,7 +277,7 @@ def finish_trial(trial: TrialSpec, res) -> TrialResult:
 
 
 def run_trial(trial: TrialSpec) -> TrialResult:
-    """Worker entry point: run one seeded injection trial.
+    """Run one seeded injection trial in full, from cycle 0.
 
     Imports stay inside the function so a forked/spawned worker only
     pays for what it uses.

@@ -535,9 +535,7 @@ def _cmd_campaign_run(args) -> int:
         try:
             summary = run_campaign(
                 spec, args.store, workers=args.workers, timeout=args.timeout,
-                ticker_enabled=True if args.progress else None,
-                exec_mode=args.exec_mode,
-                snapshot_interval=args.snapshot_interval)
+                ticker_enabled=True if args.progress else None)
         except KeyboardInterrupt:
             return _campaign_interrupted(args.store)
         finally:
@@ -559,9 +557,7 @@ def _cmd_campaign_resume(args) -> int:
         try:
             summary = run_campaign(
                 spec, store, workers=args.workers, timeout=args.timeout,
-                ticker_enabled=True if args.progress else None,
-                exec_mode=args.exec_mode,
-                snapshot_interval=args.snapshot_interval)
+                ticker_enabled=True if args.progress else None)
         except KeyboardInterrupt:
             return _campaign_interrupted(args.store)
         finally:
@@ -593,7 +589,7 @@ def _cmd_serve(args) -> int:
         return serve(host=args.host, port=args.port,
                      data_dir=args.data_dir,
                      max_concurrent=args.max_concurrent,
-                     workers=args.workers, exec_mode=args.exec_mode,
+                     workers=args.workers,
                      journal_path=args.journal,
                      stream_interval=args.stream_interval,
                      lease_ttl=args.lease_ttl,
@@ -755,19 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--progress", action="store_true",
                         help="force the live stderr ticker (default: only "
                              "on a TTY)")
-        from repro.campaign.engine import EXEC_MODES
-        cp.add_argument("--exec-mode", default="differential",
-                        choices=list(EXEC_MODES),
-                        help="'differential' fast-forwards each trial from "
-                             "a cached fault-free prefix snapshot; 'full' "
-                             "re-simulates from cycle 0. Byte-identical "
-                             "stores either way — this only trades "
-                             "wall-clock")
-        cp.add_argument("--snapshot-interval", type=int, default=None,
-                        metavar="CYCLES",
-                        help="cycles between prefix snapshots "
-                             "(differential mode; default 1024, doubling "
-                             "under ring pressure)")
 
     cp = csub.add_parser("run", help="start a campaign (resumes if the "
                                      "store already holds the same spec)")
@@ -833,10 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "oldest first (default 1)")
     p.add_argument("--workers", type=int, default=None,
                    help="process-pool size per job (default: CPUs)")
-    from repro.campaign.engine import EXEC_MODES
-    p.add_argument("--exec-mode", default="differential",
-                   choices=list(EXEC_MODES),
-                   help="trial execution mode for submitted jobs")
     p.add_argument("--journal", default=None, metavar="FILE.jsonl",
                    help="job journal path (default: DATA_DIR/"
                         "journal.jsonl); a restarted server re-adopts "

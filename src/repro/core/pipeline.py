@@ -7,10 +7,12 @@ slot freed this cycle is usable next cycle, not this one).
 
 Functional execution is *eager*: an oracle interpreter runs at fetch,
 attaching exact results, addresses and branch outcomes to each fetched
-instruction. A second architectural image advances at commit. In a
-fault-free run both images and the golden executor agree bit-for-bit
-(tests enforce this); fault experiments corrupt one of the images
-deliberately.
+instruction. A second architectural image advances at commit by
+applying that record, re-executing every
+:attr:`Pipeline.crosscheck_interval`-th instruction as a cross-check.
+Strikes never write either image, so both images and the golden
+executor agree bit-for-bit (tests enforce this); the committed image is
+what recovery restores from.
 
 Redundancy schemes attach at three points through a :class:`CommitGate`:
 
@@ -113,26 +115,22 @@ _seq_key = attrgetter("seq")
 class Pipeline:
     """One out-of-order core executing one :class:`Program`."""
 
+    #: commits between re-executions that cross-check the fetch-time
+    #: record (every other commit applies the record as is)
+    crosscheck_interval = 64
+
     def __init__(self,
                  program: Program,
                  config: CoreConfig,
                  memport: MemPort,
                  gate: Optional[CommitGate] = None,
-                 name: str = "core0",
-                 commit_replay: str = "reuse",
-                 crosscheck_interval: int = 64) -> None:
+                 name: str = "core0") -> None:
         self.program = program
         self.config = config
         self.mem = memport
         self.gate = gate or NullGate()
         self.name = name
-        #: "reuse" applies the fetch-time oracle record at commit (with a
-        #: periodic full re-execution cross-check); "always" re-executes
-        #: every instruction at commit — mandatory under fault injection,
-        #: where the two images must stay independent.
-        self.commit_replay = commit_replay
-        self.crosscheck_interval = crosscheck_interval
-        self._crosscheck_countdown = crosscheck_interval
+        self._crosscheck_countdown = self.crosscheck_interval
         # Bind overridden gate hooks once; None means "default no-op" and
         # lets the per-instruction stage loops skip the call entirely
         # (the baseline/UnSync gates override only the commit hooks).
@@ -198,17 +196,6 @@ class Pipeline:
         self.stats = PipelineStats()
         self.done = False
 
-    @property
-    def commit_replay(self) -> str:
-        return "always" if self._replay_always else "reuse"
-
-    @commit_replay.setter
-    def commit_replay(self, mode: str) -> None:
-        if mode not in ("reuse", "always"):
-            raise ValueError(
-                f"commit_replay must be 'reuse' or 'always', got {mode!r}")
-        self._replay_always = mode == "always"
-
     # ------------------------------------------------------------------
     # public stepping
     # ------------------------------------------------------------------
@@ -273,17 +260,14 @@ class Pipeline:
                 self.done = True
                 gate.on_commit(head, now)
                 return
-            if self._replay_always:
-                mem_addr = step_state(self.committed_state, ins).mem_addr
+            self._crosscheck_countdown -= 1
+            if self._crosscheck_countdown <= 0:
+                self._crosscheck_countdown = self.crosscheck_interval
+                info = step_state(self.committed_state, ins)
+                self._crosscheck(head, info)
+                mem_addr = info.mem_addr
             else:
-                self._crosscheck_countdown -= 1
-                if self._crosscheck_countdown <= 0:
-                    self._crosscheck_countdown = self.crosscheck_interval
-                    info = step_state(self.committed_state, ins)
-                    self._crosscheck(head, info)
-                    mem_addr = info.mem_addr
-                else:
-                    mem_addr = self._apply_recorded(head)
+                mem_addr = self._apply_recorded(head)
             is_store = ins.is_store
             is_load = ins.is_load
             if is_store:
@@ -309,9 +293,9 @@ class Pipeline:
         """Advance the architectural image from the oracle record captured
         at fetch, instead of re-executing the instruction.
 
-        Valid only while the two images are known-identical; any system
-        that arms a fault injector forces ``commit_replay="always"`` so
-        the commit-time image stays an independent re-execution.
+        Valid because the two images are identical at every commit:
+        strikes never write either one, and recovery restarts the oracle
+        from the committed image.
         """
         st = self.committed_state
         ins = entry.ins
@@ -326,7 +310,7 @@ class Pipeline:
 
     def _crosscheck(self, entry: ROBEntry, info: StepInfo) -> None:
         """Compare a commit-time re-execution against the fetch-time
-        record (periodic safety net for the ``reuse`` fast path)."""
+        record (the periodic safety net of :meth:`_apply_recorded`)."""
         if (info.result != entry.result
                 or info.mem_addr != entry.mem_addr
                 or info.store_value != entry.store_value
@@ -680,9 +664,3 @@ class Pipeline:
         # streams seq-aligned for CB matching.
         self._next_seq = other.stats.committed
         self.done = other.done
-
-    @property
-    def arch_state(self) -> ArchState:
-        """The committed architectural state (recovery source/target)."""
-        return self.committed_state
-

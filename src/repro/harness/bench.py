@@ -156,7 +156,7 @@ def _sc_campaign_differential(quick: bool) -> Callable[[], Tuple[int, int]]:
     """Differential-replay trial throughput on a late-injection grid.
 
     Paper-scale SERs put the first strike past the kernel's fault-free
-    completion for most seeds, so differential mode serves the cached
+    completion for most seeds, so the differential runner serves the cached
     prefix verdict instead of re-simulating — the gap between this
     scenario and ``campaign-smoke`` (scaled by the trial counts and
     strike profiles) is the differential-replay win the EXPERIMENTS

@@ -51,10 +51,6 @@ class ArchState:
     def read_reg(self, r: int) -> int:
         return 0 if r == 0 else self.regs[r]
 
-    def write_reg(self, r: int, value: int) -> None:
-        if r:
-            self.regs[r] = value & _M
-
     def read_mem(self, addr: int, width: int) -> int:
         return self.mem.read(addr, width)
 

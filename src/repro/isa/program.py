@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Instruction
 
 
 class DataSegment:
@@ -78,17 +78,3 @@ class Program:
     @property
     def entry_pc(self) -> int:
         return self.labels.get("main", 0) << 2 if "main" in self.labels else 0
-
-    def count_class(self) -> Dict[str, int]:
-        """Histogram of instruction classes (static, not dynamic)."""
-        hist: Dict[str, int] = {}
-        for ins in self.instructions:
-            key = ins.iclass.value
-            hist[key] = hist.get(key, 0) + 1
-        return hist
-
-    def ensure_halt(self) -> "Program":
-        """Append a HALT if the program does not already end with one."""
-        if not self.instructions or self.instructions[-1].op is not Opcode.HALT:
-            self.instructions.append(Instruction(Opcode.HALT))
-        return self

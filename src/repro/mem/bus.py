@@ -44,9 +44,6 @@ class Bus:
     def busy(self, now: int) -> bool:
         return now < self._free_at
 
-    def free_at(self) -> int:
-        return self._free_at
-
     def request(self, now: int, duration: int) -> int:
         """Acquire the bus for ``duration`` cycles; returns completion cycle."""
         if duration <= 0:

@@ -134,9 +134,6 @@ class GroupMap:
             self._count = 0
         return group
 
-    def group_of(self, seq: int) -> int:
-        return self._group_of[seq]
-
     def size(self, group: int) -> Optional[int]:
         """Final member count of ``group`` (None while still open)."""
         return self._sizes.get(group)
@@ -150,10 +147,6 @@ class GroupMap:
         for g in range(group):
             first += self._sizes[g]
         return first + size - 1
-
-    @property
-    def groups_started(self) -> int:
-        return self._current + (1 if self._count else 0)
 
     @property
     def groups_closed(self) -> int:

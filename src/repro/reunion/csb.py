@@ -64,10 +64,6 @@ class CheckStageBuffer:
     def full(self) -> bool:
         return len(self._fifo) >= self.capacity
 
-    @property
-    def size_bits(self) -> int:
-        return self.capacity * ENTRY_BITS
-
     def push(self, seq: int, group: int) -> None:
         if self.full:
             raise RuntimeError("push into full CSB")

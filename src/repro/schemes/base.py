@@ -109,8 +109,7 @@ class ResilienceScheme:
         the first strike drawn with ``now=0`` — the same RNG call
         sequence as an injected ``build_system``, which is what keeps a
         fast-forwarded trial's strike stream byte-identical to full
-        replay. (Pipelines already run ``commit_replay="always"`` because
-        the fault-free prefix is built with a rate-zero injector.)
+        replay.
         """
         system.injector = injector
         if hasattr(system, "inventory"):

@@ -200,9 +200,6 @@ class MEEKSystem:
                                  gate=_MEEKGate(self), name="core0")
         self.now = 0
         if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            self.pipeline.commit_replay = "always"
             self._arm_next_strike(0)
 
     # -- per-cycle engine ---------------------------------------------------

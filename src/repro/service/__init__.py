@@ -23,8 +23,8 @@ engine — never a fork of it:
   renew them with heartbeats, and stream results back; expired leases
   requeue (at-least-once) and the dispatcher falls back to local
   execution when no workers are available;
-* :mod:`~repro.service.retry` — the shared backoff policy (exponential
-  + full jitter, budgets) used by pool retries and service HTTP calls;
+* :mod:`~repro.service.retry` — the backoff policy (exponential + full
+  jitter, budgets) of the worker tier's HTTP calls;
 * :mod:`~repro.service.chaos` — seeded fault injection for the service
   stack itself (worker SIGKILLs, dropped heartbeats, torn journal
   lines, injected 500s/stalls).
@@ -37,15 +37,15 @@ what a trial computes or in what order a store's bytes land.
 from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal, JournalLocked
-from repro.service.retry import (HTTP_RETRY, TRIAL_RETRY, RetryError,
-                                 RetryPolicy, call_with_retry)
+from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
+                                 call_with_retry)
 from repro.service.scheduler import Job, JobScheduler
 from repro.service.workers import (LeaseBroker, WaveDispatcher,
                                    WorkerClient, run_worker)
 
 __all__ = [
     "ChaosConfig", "ChaosController", "ChaosError",
-    "HTTP_RETRY", "TRIAL_RETRY",
+    "HTTP_RETRY",
     "Job", "JobJournal", "JobScheduler", "JournalLocked",
     "LeaseBroker", "RetryError", "RetryPolicy",
     "ServiceClient", "ServiceError",

@@ -49,7 +49,6 @@ class JournalEntry:
     spec: Dict = field(default_factory=dict)
     store: str = ""
     workers: Optional[int] = None
-    exec_mode: str = "differential"
     fingerprint: str = ""
     state: str = "submitted"
     error: Optional[str] = None
@@ -190,11 +189,9 @@ class JobJournal:
             fh.flush()
 
     def submitted(self, job_id: str, *, spec: Dict, store: str,
-                  workers: Optional[int], exec_mode: str,
-                  fingerprint: str) -> None:
+                  workers: Optional[int], fingerprint: str) -> None:
         self.record("submitted", job_id, spec=spec, store=store,
-                    workers=workers, exec_mode=exec_mode,
-                    fingerprint=fingerprint)
+                    workers=workers, fingerprint=fingerprint)
 
     def started(self, job_id: str) -> None:
         self.record("started", job_id)
@@ -242,7 +239,6 @@ class JobJournal:
                     spec=record.get("spec", {}),
                     store=record.get("store", ""),
                     workers=record.get("workers"),
-                    exec_mode=record.get("exec_mode", "differential"),
                     fingerprint=record.get("fingerprint", ""))
             elif job_id in jobs:
                 jobs[job_id].state = event or "submitted"

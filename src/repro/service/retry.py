@@ -1,10 +1,9 @@
-"""Shared retry policy: exponential backoff, full jitter, hard budgets.
+"""Retry policy for the worker tier: exponential backoff, full jitter,
+hard budgets.
 
-PR 1's executor hand-rolled its failure policy (one in-process
-completion attempt for a pool-failed trial, then record the trial as
-CRASH); the distributed worker tier adds a second family of fallible
-operations — worker<->coordinator HTTP calls — that needs backoff and
-budgets too. This module is the single policy both use:
+Worker<->coordinator HTTP calls fail transiently (restarts, 500s,
+socket timeouts) and need backoff and budgets. This module is the one
+policy they use:
 
 * :class:`RetryPolicy` — a frozen value object describing attempt
   count, backoff shape, and wall-clock budget.
@@ -77,12 +76,6 @@ class RetryPolicy:
             return 0.0
         return rng.uniform(0.0, cap)
 
-
-#: The executor's historical policy: exactly one in-process completion
-#: attempt for a pool-failed trial, no backoff — a deterministic
-#: simulation retry gains nothing from sleeping.
-TRIAL_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, max_delay=0.0,
-                          budget=None)
 
 #: Worker<->coordinator HTTP default: bounded attempts, jittered
 #: backoff, and a hard wall-clock budget per logical call so a dead

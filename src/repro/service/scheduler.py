@@ -3,10 +3,9 @@
 Submitted grids become :class:`Job` objects multiplexed over the
 existing campaign engine — each running job executes
 :func:`repro.campaign.engine.run_campaign` in a worker thread, which in
-turn fans trials across the process pool exactly as the CLI does
-(differential-mode submission order included). The scheduler therefore
-*wraps* the executor rather than forking it: it decides only which grid
-runs next, with
+turn fans trials across the process pool exactly as the CLI does. The
+scheduler therefore *wraps* the executor rather than forking it: it
+decides only which grid runs next, with
 
 * **FIFO admission** — the oldest queued job starts whenever fewer than
   ``max_concurrent`` jobs are running;
@@ -66,7 +65,6 @@ class Job:
     spec: CampaignSpec
     store_path: str
     workers: Optional[int]
-    exec_mode: str
     seq: int
     state: str = QUEUED
     error: Optional[str] = None
@@ -87,7 +85,6 @@ class Job:
             "trials_done": self.trials_done,
             "total_trials": self.spec.total_trials,
             "store": self.store_path,
-            "exec_mode": self.exec_mode,
             "error": self.error,
         }
 
@@ -115,7 +112,6 @@ class JobScheduler:
                  runner: Optional[Callable] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  default_workers: Optional[int] = None,
-                 exec_mode: str = "differential",
                  broker: Optional[LeaseBroker] = None,
                  expect_workers: int = 0,
                  worker_wait: float = 10.0) -> None:
@@ -127,7 +123,6 @@ class JobScheduler:
         self.runner = runner
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.default_workers = default_workers
-        self.exec_mode = exec_mode
         self.broker = broker
         self.expect_workers = expect_workers
         self.worker_wait = worker_wait
@@ -145,7 +140,6 @@ class JobScheduler:
     # -- submission ---------------------------------------------------------
     def submit(self, spec: CampaignSpec, *,
                workers: Optional[int] = None,
-               exec_mode: Optional[str] = None,
                job_id: Optional[str] = None,
                store_path: Optional[str] = None,
                journal_event: bool = True) -> Job:
@@ -165,7 +159,6 @@ class JobScheduler:
         job = Job(job_id=job_id, spec=spec,
                   workers=workers if workers is not None
                   else self.default_workers,
-                  exec_mode=exec_mode or self.exec_mode,
                   store_path=store_path, seq=next(self._seq))
         with self._lock:
             self._jobs[job_id] = job
@@ -173,8 +166,7 @@ class JobScheduler:
         if self.journal is not None and journal_event:
             self.journal.submitted(
                 job_id, spec=spec.to_dict(), store=store_path,
-                workers=workers, exec_mode=job.exec_mode,
-                fingerprint=spec.fingerprint())
+                workers=workers, fingerprint=spec.fingerprint())
         self._set_wake()
         return job
 
@@ -199,9 +191,8 @@ class JobScheduler:
                     "journal fingerprint mismatch — store not re-adopted")
                 continue
             adopted.append(self.submit(
-                spec, workers=entry.workers, exec_mode=entry.exec_mode,
-                job_id=entry.job_id, store_path=entry.store,
-                journal_event=False))
+                spec, workers=entry.workers, job_id=entry.job_id,
+                store_path=entry.store, journal_event=False))
         return adopted
 
     # -- queries ------------------------------------------------------------
@@ -246,9 +237,9 @@ class JobScheduler:
         """One consistent dashboard snapshot: jobs, rates, throughput.
 
         Outcome proportions carry Wilson 95% CIs (the campaign's own
-        statistics layer). ``cached_verdict_rate`` is the differential
-        mode's snapshot-cache hit proxy: zero-observable-strike trials
-        are exactly the ones served the cached prefix verdict.
+        statistics layer). ``cached_verdict_rate`` is the prefix
+        cache's hit proxy: zero-observable-strike trials are exactly the
+        ones served the cached prefix verdict.
         """
         now = time.monotonic()
         with self._lock:
@@ -318,7 +309,6 @@ class JobScheduler:
                 worker_wait=self.worker_wait, metrics=self.metrics)
         return run_campaign(
             job.spec, self._make_store(job), workers=job.workers,
-            exec_mode=job.exec_mode,
             should_stop=job.stop_event.is_set, **kwargs)
 
     async def _run_job(self, job: Job) -> None:

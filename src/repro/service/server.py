@@ -51,7 +51,7 @@ MAX_HEADER_LINES = 64
 MAX_BODY_BYTES = 1 << 20
 
 #: fields a submission body may carry besides the CampaignSpec ones
-_SUBMIT_FIELDS = frozenset({"workers", "exec_mode"})
+_SUBMIT_FIELDS = frozenset({"workers"})
 _SPEC_FIELDS = frozenset({"schemes", "workloads", "sers", "trials",
                           "seed_base", "ci_halfwidth", "batch",
                           "fault_model", "watchdog_cycles"})
@@ -309,9 +309,7 @@ class CampaignService:
         try:
             data = json.loads(body.decode() or "{}")
             spec = spec_from_request(data)
-            job = self.scheduler.submit(
-                spec, workers=data.get("workers"),
-                exec_mode=data.get("exec_mode"))
+            job = self.scheduler.submit(spec, workers=data.get("workers"))
         except (CampaignError, ValueError) as exc:
             return 400, self._json_bytes({"error": str(exc)}), \
                 "application/json"
@@ -384,7 +382,7 @@ async def _serve_async(service: CampaignService) -> None:
 
 
 def serve(*, host: str, port: int, data_dir: str,
-          max_concurrent: int, workers: Optional[int], exec_mode: str,
+          max_concurrent: int, workers: Optional[int],
           journal_path: Optional[str] = None,
           stream_interval: float = 1.0,
           lease_ttl: float = 10.0,
@@ -405,7 +403,7 @@ def serve(*, host: str, port: int, data_dir: str,
     broker = LeaseBroker(lease_ttl=lease_ttl, metrics=metrics)
     scheduler = JobScheduler(
         data_dir, max_concurrent=max_concurrent, journal=journal,
-        default_workers=workers, exec_mode=exec_mode, metrics=metrics,
+        default_workers=workers, metrics=metrics,
         broker=broker, expect_workers=expect_workers,
         worker_wait=worker_wait)
     service = CampaignService(scheduler, host=host, port=port,

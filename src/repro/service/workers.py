@@ -20,6 +20,12 @@ requeued, and because every trial is a pure function of its spec, the
 first completion per (cell, seed) key wins and the store stays
 byte-identical to a local run.
 
+Workers run trials exactly as a local campaign does, through
+:func:`~repro.campaign.snapshot.run_trial_differential`. A worker
+process keeps its prefix cache for its whole life, so a long-running
+``repro worker`` builds each fault-free prefix once and fast-forwards
+every trial of every job it serves from it.
+
 Graceful degradation, in order of escalation:
 
 * no worker ever registers within ``worker_wait`` -> the dispatcher
@@ -50,8 +56,9 @@ from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     TypeVar)
 
 from repro.campaign.executor import ExecutionReport, execute_trials
+from repro.campaign.snapshot import run_trial_differential
 from repro.campaign.spec import TrialSpec
-from repro.campaign.trial import TrialResult, run_trial
+from repro.campaign.trial import TrialResult
 from repro.service.chaos import ChaosController
 from repro.service.client import ServiceError
 from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
@@ -397,7 +404,8 @@ class WaveDispatcher:
     def __call__(self, trials: Sequence[TrialSpec],
                  workers: Optional[int] = None,
                  timeout: Optional[float] = None,
-                 runner: Callable[[TrialSpec], TrialResult] = run_trial,
+                 runner: Callable[[TrialSpec], TrialResult]
+                 = run_trial_differential,
                  on_result: Optional[Callable[[TrialResult], None]] = None,
                  report: Optional[ExecutionReport] = None,
                  ) -> List[TrialResult]:
@@ -634,7 +642,8 @@ def _heartbeat_loop(client: WorkerClient, state: Dict,
 
 
 def run_worker(host: str, port: int, *, name: Optional[str] = None,
-               runner: Callable[[TrialSpec], TrialResult] = run_trial,
+               runner: Callable[[TrialSpec], TrialResult]
+               = run_trial_differential,
                poll_interval: float = 0.2,
                max_idle: Optional[float] = None,
                chaos: Optional[ChaosController] = None,

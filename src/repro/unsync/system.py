@@ -139,10 +139,6 @@ class UnSyncSystem(DualCoreSystem):
                 "unrecoverable write-back scenario)")
         super().__init__(program, cfg, name=name, telemetry=telemetry)
         if self.injector is not None:
-            # Injected runs must keep the commit-time image an independent
-            # re-execution, never a replay of fetch-time records.
-            for p in self.pipelines:
-                p.commit_replay = "always"
             self._arm_next_strike(0)
 
     # -- construction hooks --------------------------------------------------

@@ -73,10 +73,6 @@ class WorkloadProfile:
             raise ValueError(f"{self.name}: mix fractions leave no room "
                              f"for ALU work ({total:.2f})")
 
-    @property
-    def approx_dynamic_instructions(self) -> int:
-        return self.iterations * self.body_size
-
 
 def _p(name, suite, ser, st, ld, br, ilp, ws, seed, iters=100, body=50):
     return WorkloadProfile(name=name, suite=suite, serializing_pct=ser,

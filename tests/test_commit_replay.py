@@ -1,17 +1,19 @@
-"""Commit-replay modes: oracle-record reuse must equal full re-execution.
+"""Commit replay: the fetch-time record, applied at commit, must equal
+full re-execution.
 
-``commit_replay="reuse"`` advances the architectural image from the
-fetch-time oracle record; ``"always"`` re-executes every instruction at
-commit. In a fault-free run the two must be indistinguishable — same
-cycle count, same committed count, same architectural state — on every
-workload and scheme. Under fault injection the systems must *force*
-always-replay, because the whole point of the second image is to be an
-independent re-execution.
+The architectural image advances at commit by applying the oracle
+record captured at fetch; every 64th commit re-executes the instruction
+instead and raises if the record disagrees (``Pipeline._crosscheck``).
+Strikes never write either image, so the cross-check guards injected
+runs exactly as it guards fault-free ones.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.core import Core
+from repro.core import pipeline as pipeline_mod
 from repro.core.pipeline import Pipeline
 from repro.core.rob import ROBEntry
 from repro.faults.injector import FaultInjector
@@ -27,10 +29,12 @@ from repro.workloads import load_workload
 WORKLOADS = ["fibonacci", "checksum", "sha", "bzip2"]
 
 
-def _force_always(system):
-    for p in system.pipelines:
-        p.commit_replay = "always"
-    return system
+def _force_always(*pipelines):
+    """Cross-check every commit: each instruction re-executes at commit
+    and the image advances from that re-execution, not the record."""
+    for p in pipelines:
+        p.crosscheck_interval = 1
+        p._crosscheck_countdown = 1
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +43,9 @@ def _force_always(system):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_single_core_reuse_equals_always(workload):
     program = load_workload(workload)
-    reuse = Core(program)
-    assert reuse.pipeline.commit_replay == "reuse"  # the default
-    r_reuse = reuse.run()
+    r_reuse = Core(program).run()
     always = Core(program)
-    always.pipeline.commit_replay = "always"
+    _force_always(always.pipeline)
     r_always = always.run()
     assert r_reuse.cycles == r_always.cycles
     assert r_reuse.instructions == r_always.instructions
@@ -56,7 +58,9 @@ def test_single_core_reuse_equals_always(workload):
 def test_pair_schemes_reuse_equals_always(system_cls):
     program = load_workload("checksum")
     r_reuse = system_cls(program).run()
-    r_always = _force_always(system_cls(program)).run()
+    always = system_cls(program)
+    _force_always(*always.pipelines)
+    r_always = always.run()
     assert r_reuse.cycles == r_always.cycles
     assert r_reuse.instructions == r_always.instructions
     assert r_reuse.state.regs == r_always.state.regs
@@ -74,7 +78,7 @@ def test_reuse_matches_golden_across_workloads():
 
 
 # ---------------------------------------------------------------------------
-# injection forces independent re-execution
+# injected runs are cross-checked too
 # ---------------------------------------------------------------------------
 def _pipelines(system):
     # MEEK has one OoO core; the pair schemes have two
@@ -82,14 +86,54 @@ def _pipelines(system):
 
 
 @pytest.mark.parametrize("scheme", protected_schemes())
-def test_injected_systems_force_always_replay(scheme):
-    program = load_workload("fibonacci")
-    desc = get(scheme)
-    clean = desc.build_system(program)
-    assert all(p.commit_replay == "reuse" for p in _pipelines(clean))
-    injected = desc.build_system(program,
-                                 injector=FaultInjector(1 / 1000, seed=3))
-    assert all(p.commit_replay == "always" for p in _pipelines(injected))
+def test_injected_runs_cross_check_every_64_commits(scheme, monkeypatch):
+    checks = Counter()
+    real = Pipeline._crosscheck
+
+    def counting(self, entry, info):
+        checks[self.name] += 1
+        real(self, entry, info)
+
+    monkeypatch.setattr(Pipeline, "_crosscheck", counting)
+    # 1/50 strikes every scheme several times on fibonacci
+    system = get(scheme).build_system(
+        load_workload("fibonacci"), injector=FaultInjector(1 / 50, seed=3))
+    # count retirements independently, through each core's commit gate
+    retired = Counter()
+    for pipe in _pipelines(system):
+        def on_commit(entry, now, name=pipe.name,
+                      inner=pipe.gate.on_commit):
+            retired[name] += 1
+            inner(entry, now)
+        pipe.gate.on_commit = on_commit
+    res = system.run()
+    assert res.fault_events  # the run really was struck
+    for pipe in _pipelines(system):
+        assert retired[pipe.name] > 64, pipe.name
+        # every 64th non-HALT commit re-executes; HALT retires unchecked
+        assert checks[pipe.name] >= (retired[pipe.name] - 1) // 64, \
+            (pipe.name, checks[pipe.name], retired[pipe.name])
+
+
+@pytest.mark.parametrize("scheme", protected_schemes())
+def test_injected_run_raises_on_crosscheck_divergence(scheme, monkeypatch):
+    system = get(scheme).build_system(
+        load_workload("fibonacci"), injector=FaultInjector(1 / 50, seed=3))
+    real = pipeline_mod.step_state
+    tampered = []
+
+    def corrupting(state, ins):
+        info = real(state, ins)
+        if system.fault_events and not tampered:
+            # the first commit-time re-execution after a strike disagrees
+            tampered.append(ins)
+            info.next_pc += 4
+        return info
+
+    monkeypatch.setattr(pipeline_mod, "step_state", corrupting)
+    with pytest.raises(RuntimeError, match="diverged"):
+        system.run()
+    assert tampered
 
 
 def test_injected_run_is_deterministic():
@@ -105,13 +149,6 @@ def test_injected_run_is_deterministic():
 # ---------------------------------------------------------------------------
 # the safety nets themselves
 # ---------------------------------------------------------------------------
-def test_invalid_mode_rejected():
-    program = load_workload("fibonacci")
-    core = Core(program)
-    with pytest.raises(ValueError):
-        core.pipeline.commit_replay = "sometimes"
-
-
 def test_crosscheck_raises_on_divergence():
     program = load_workload("fibonacci")
     pipe = Core(program).pipeline

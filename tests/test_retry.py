@@ -1,11 +1,12 @@
-"""Directed tests for the shared retry policy (repro.service.retry)."""
+"""Directed tests for the retry policy (repro.service.retry) and the
+executor's in-process trial retry."""
 
 import random
 
 import pytest
 
-from repro.service.retry import (HTTP_RETRY, TRIAL_RETRY, RetryError,
-                                 RetryPolicy, call_with_retry)
+from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
+                                 call_with_retry)
 
 
 class Flaky:
@@ -140,18 +141,9 @@ def test_default_rng_schedule_is_reproducible():
     assert clock_a.now == clock_b.now > 0.0
 
 
-def test_trial_retry_policy_is_single_attempt():
-    assert TRIAL_RETRY.max_attempts == 1
-    fn = Flaky(99, exc=RuntimeError)
-    with pytest.raises(RetryError) as info:
-        call_with_retry(fn, policy=TRIAL_RETRY)
-    assert fn.calls == 1
-    assert isinstance(info.value.cause, RuntimeError)
-
-
 def test_executor_crash_semantics_preserved():
-    """The executor's counters and CRASH message shape survive the
-    refactor onto the shared policy."""
+    """The executor's counters and CRASH message shape for a trial that
+    fails its in-process retry too."""
     from repro.campaign.executor import ExecutionReport, _retry
     from repro.campaign.spec import TrialSpec
 
@@ -169,6 +161,25 @@ def test_executor_crash_semantics_preserved():
     assert result.taxonomy == "crash"
     assert "first: ValueError('first failure')" in result.error
     assert "retry failed too" in result.error
+
+
+def test_executor_retry_lets_interrupts_through():
+    """Only an ``Exception`` becomes a CRASH record; an interrupt during
+    the in-process retry stops the campaign."""
+    from repro.campaign.executor import ExecutionReport, _retry
+    from repro.campaign.spec import TrialSpec
+
+    trial = TrialSpec(scheme="unsync", workload="fibonacci",
+                      ser=0.001, seed=3)
+
+    def interrupted(t):
+        raise KeyboardInterrupt
+
+    report = ExecutionReport()
+    with pytest.raises(KeyboardInterrupt):
+        _retry(trial, interrupted, ValueError("pool died"), report)
+    assert report.retries == 1
+    assert report.crashes == 0
 
 
 def test_executor_retry_success_counts_once():

@@ -66,11 +66,10 @@ def run_until_settled(sched, timeout=30.0):
 def test_journal_replay_keeps_last_state(tmp_path):
     journal = JobJournal(tmp_path / "j.jsonl")
     journal.submitted("job-000001", spec={"trials": 4}, store="s.jsonl",
-                      workers=1, exec_mode="full", fingerprint="abc")
+                      workers=1, fingerprint="abc")
     journal.started("job-000001")
     journal.submitted("job-000002", spec={}, store="s2.jsonl",
-                      workers=None, exec_mode="differential",
-                      fingerprint="def")
+                      workers=None, fingerprint="def")
     journal.finished("job-000001")
     entries = {e.job_id: e for e in journal.replay()}
     assert entries["job-000001"].terminal
@@ -83,7 +82,7 @@ def test_journal_replay_keeps_last_state(tmp_path):
 def test_journal_tolerates_torn_final_line(tmp_path):
     journal = JobJournal(tmp_path / "j.jsonl")
     journal.submitted("job-000001", spec={}, store="s", workers=None,
-                      exec_mode="full", fingerprint="")
+                      fingerprint="")
     with open(journal.path, "a") as fh:
         fh.write('{"event": "fini')  # killed mid-append
     assert [e.job_id for e in journal.orphans()] == ["job-000001"]
@@ -232,7 +231,7 @@ def test_adopt_orphans_resumes_without_duplicates(tmp_path):
 def test_adopt_orphans_rejects_fingerprint_mismatch(tmp_path):
     journal = JobJournal(tmp_path / "journal.jsonl")
     journal.submitted("job-000001", spec=small_spec().to_dict(),
-                      store="s.jsonl", workers=1, exec_mode="full",
+                      store="s.jsonl", workers=1,
                       fingerprint="not-the-real-fingerprint")
     sched = make_scheduler(tmp_path, journal=journal)
     assert sched.adopt_orphans() == []
@@ -318,8 +317,9 @@ def test_drain_under_cancellation_storm(tmp_path):
 
 def test_older_journal_submission_still_readopts(tmp_path):
     """A ``submitted`` line written before the scheduler went FIFO
-    carries ``tenant``, ``priority`` and ``shards``; replay ignores those
-    keys and the job still re-adopts to completion."""
+    carries ``tenant``, ``priority``, ``shards`` and the execution mode
+    the service used to record; replay ignores those keys and the job
+    still re-adopts to completion."""
     spec = small_spec()
     store = tmp_path / "job-000001" / "store.jsonl"
     line = {"event": "submitted", "job_id": "job-000001",
@@ -343,8 +343,7 @@ def test_older_journal_submission_still_readopts(tmp_path):
 # ---------------------------------------------------------------------------
 def test_spec_from_request_validates():
     good = {"schemes": ["unsync"], "workloads": ["fibonacci"],
-            "sers": [0.01], "trials": 4, "workers": 1,
-            "exec_mode": "full"}
+            "sers": [0.01], "trials": 4, "workers": 1}
     assert spec_from_request(good).trials == 4
     for bad in ({"schemes": ["unsync"], "workloads": ["fibonacci"]},
                 {"schemes": ["unsync"], "workloads": ["nope"],
@@ -413,6 +412,22 @@ def test_http_errors(service):
     with pytest.raises(ServiceError) as err:
         client._request("PUT", "/api/jobs")
     assert err.value.status == 405
+
+
+def test_http_submit_has_no_execution_mode(service):
+    """Every job fast-forwards from cached prefixes: a submission naming
+    an execution mode is refused, and job status reports none."""
+    svc, client = service
+    body = {"schemes": ["unsync"], "workloads": ["fibonacci"],
+            "sers": [0.01], "trials": 2, "batch": 2}
+    with pytest.raises(ServiceError) as err:
+        client.submit(dict(body, exec_mode="full"))
+    assert err.value.status == 400
+    assert "exec_mode" in err.value.message
+    job = client.submit(body)
+    status = client.wait(job["job_id"], timeout=30.0)
+    assert status["state"] == "done"
+    assert "exec_mode" not in status
 
 
 def test_http_stream_and_dashboard(service):

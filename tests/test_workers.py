@@ -13,6 +13,8 @@ import pytest
 from repro.campaign import CampaignSpec, TrialResult
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import ExecutionReport
+from repro.campaign.snapshot import CACHE
+from repro.campaign.trial import run_trial
 from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal
@@ -384,7 +386,7 @@ def test_journal_chaos_tear_is_repaired_on_next_append(tmp_path):
     chaos = ChaosController(ChaosConfig(tear_journal_every=2))
     journal = JobJournal(tmp_path / "j.jsonl", chaos=chaos)
     journal.submitted("job-000001", spec={}, store="s", workers=None,
-                      exec_mode="full", fingerprint="")
+                      fingerprint="")
     journal.finished("job-000001")  # torn mid-line by chaos
     raw = (tmp_path / "j.jsonl").read_bytes()
     assert not raw.endswith(b"\n")
@@ -465,6 +467,50 @@ def test_worker_over_http_runs_job(tmp_path, worker_service):
     store = svc.scheduler.get(job["job_id"]).store_path
     with open(store, "rb") as fh:
         assert fh.read() == direct.read_bytes()
+
+
+def test_worker_fast_forwards_from_its_prefix_cache(tmp_path,
+                                                   worker_service):
+    """``repro worker``'s default runner fast-forwards from the worker
+    process's prefix cache, and its store equals full replay."""
+    svc, broker = worker_service
+    spec = CampaignSpec(schemes=("unsync", "reunion"),
+                        workloads=("fibonacci",), sers=(0.005, 1e-6),
+                        trials=4, batch=4)
+    CACHE.clear()
+    stats = {}
+    stop = threading.Event()
+    worker = threading.Thread(
+        target=lambda: stats.update(run_worker(
+            "127.0.0.1", svc.port, name="w-diff", poll_interval=0.02,
+            stop=stop)),
+        daemon=True)
+    worker.start()
+    try:
+        client = ServiceClient("127.0.0.1", svc.port, timeout=10.0)
+        job = client.submit({"schemes": list(spec.schemes),
+                             "workloads": list(spec.workloads),
+                             "sers": list(spec.sers),
+                             "trials": spec.trials, "batch": spec.batch})
+        status = client.wait(job["job_id"], timeout=60.0)
+        assert status["state"] == "done"
+        stop.set()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        # one wave of four cells: four leases, all finished by the worker
+        assert stats["leases"] == 4 and stats["trials"] == 16
+        assert broker.counters["completed"] == 4
+        assert svc.scheduler.metrics.counters_dict().get(
+            "service.dispatch.local_takeover", 0) == 0
+        assert set(CACHE._prefixes) == {("unsync", "fibonacci", None),
+                                        ("reunion", "fibonacci", None)}
+    finally:
+        stop.set()
+        CACHE.clear()
+    reference = tmp_path / "reference.jsonl"
+    run_campaign(spec, reference, workers=1, runner=run_trial)
+    with open(status["store"], "rb") as fh:
+        assert fh.read() == reference.read_bytes()
 
 
 def test_worker_client_absorbs_injected_500s(tmp_path, worker_service):
