@@ -351,10 +351,8 @@ def _cmd_trace_diagram(args) -> int:
     program = _load_program(args.workload)
     system = get_scheme(args.scheme).build_system(program)
     tracer = PipelineTracer()
-    # pair schemes expose `pipelines`; single-leader systems (baseline,
-    # MEEK) expose one `pipeline` — the diagram follows core 0 either way
-    pipelines = getattr(system, "pipelines", None) or [system.pipeline]
-    pipelines[0].tracer = tracer
+    # the diagram follows core 0 (a pair's first core, or the only one)
+    system.pipelines[0].tracer = tracer
     system.run()
     print(render_timeline(tracer, first_seq=args.start, count=args.count))
     print(f"\nmean completed-to-retire wait: "

@@ -1,8 +1,10 @@
 """Core facade: a single simulated core with its private memory port.
 
-:class:`Core` is the unit the redundant systems compose in pairs; it also
-runs standalone as the *unprotected baseline* configuration that Figures
-4-6 normalise against.
+:class:`Core` is the bare core — one pipeline over one memory port, with
+no store write buffer and no scheme — that ``repro bench`` and the
+pipeline tests time. Every system the schemes build, the unprotected
+baseline included, is a :class:`~repro.redundancy.pair.DualCoreSystem`
+instead.
 """
 
 from __future__ import annotations

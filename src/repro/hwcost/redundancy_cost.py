@@ -20,12 +20,8 @@ from repro.hwcost.components import (
 )
 from repro.hwcost.synthesis import CoreCosts, synthesize
 from repro.hwcost.tech import TECH_65NM, TechNode
-
-#: RepTFD replay-queue entry: pc + result + address + value + tags.
-REPLAY_ENTRY_BITS = 130
-
-#: MEEK check-queue entry: forwarded operands/result + tags.
-CHECK_ENTRY_BITS = 100
+from repro.schemes.meek import CHECK_ENTRY_BITS, CHECK_QUEUE_ENTRIES
+from repro.schemes.reptfd import REPLAY_ENTRY_BITS, REPLAY_QUEUE_ENTRIES
 
 #: full-value comparator across one replay record (one XOR-reduce tree
 #: per compared field plus control).
@@ -76,13 +72,12 @@ def reunion_pair_cost(tech: TechNode = TECH_65NM,
                             2 * c.total_power_w, self_correcting=False)
 
 
-def reptfd_pair_cost(tech: TechNode = TECH_65NM,
-                     queue_entries: int = 96) -> SchemeSystemCost:
+def reptfd_pair_cost(tech: TechNode = TECH_65NM) -> SchemeSystemCost:
     """Two *plain* MIPS cores (no detectors, no CHECK stage) plus the
     replay queue and the full-value comparator — RepTFD's silicon story
     is that all the detection hardware is one FIFO and one comparator."""
     base = synthesize("mips", tech)
-    queue = cb_array(queue_entries, entry_bits=REPLAY_ENTRY_BITS)
+    queue = cb_array(REPLAY_QUEUE_ENTRIES, entry_bits=REPLAY_ENTRY_BITS)
     cmp_area = COMPARATOR_GATES * tech.gate_area_um2
     cmp_power = MIPS_CORE_POWER_W * (cmp_area / MIPS_CORE_AREA_UM2)
     area = 2 * base.total_area_um2 + queue.area_um2 + cmp_area
@@ -90,13 +85,12 @@ def reptfd_pair_cost(tech: TechNode = TECH_65NM,
     return SchemeSystemCost("reptfd", 2, area, power, self_correcting=False)
 
 
-def meek_pair_cost(tech: TechNode = TECH_65NM,
-                   queue_entries: int = 64) -> SchemeSystemCost:
+def meek_pair_cost(tech: TechNode = TECH_65NM) -> SchemeSystemCost:
     """One OoO leader plus the small in-order checker core plus the
     check queue — the sub-2x replication point none of the pair schemes
     can reach."""
     base = synthesize("mips", tech)
-    queue = cb_array(queue_entries, entry_bits=CHECK_ENTRY_BITS)
+    queue = cb_array(CHECK_QUEUE_ENTRIES, entry_bits=CHECK_ENTRY_BITS)
     checker_area = base.total_area_um2 * CHECKER_CORE_FRACTION
     checker_power = base.total_power_w * CHECKER_CORE_FRACTION
     area = base.total_area_um2 + checker_area + queue.area_um2

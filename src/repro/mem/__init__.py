@@ -20,10 +20,10 @@ from repro.mem.bus import Bus
 from repro.mem.tlb import TLB, TLBConfig
 from repro.mem.dram import DRAM
 from repro.mem.l2 import SharedL2
-from repro.mem.hierarchy import MemoryHierarchy, MemPort
+from repro.mem.hierarchy import MemPort
 
 __all__ = [
     "Cache", "CacheConfig", "WritePolicy", "AccessResult",
     "MSHRFile", "Bus", "TLB", "TLBConfig", "DRAM", "SharedL2",
-    "MemoryHierarchy", "MemPort",
+    "MemPort",
 ]

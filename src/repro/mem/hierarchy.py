@@ -1,21 +1,20 @@
-"""Per-core memory port and full hierarchy wiring.
+"""Per-core memory port.
 
 A :class:`MemPort` gives one core its split I/D L1s, I/D TLBs and L1 MSHR
 files, all funnelling into the bus + :class:`SharedL2` its system shares
-between its cores. The
-hierarchy computes end-to-end latencies; what happens to *store data*
-downstream of the L1 (Communication Buffer, write buffer, direct L2 write)
-is the redundancy layer's business and is deliberately not decided here.
+between its cores. The port computes end-to-end latencies; what happens
+to *store data* downstream of the L1 (Communication Buffer, write buffer,
+direct L2 write) is the redundancy layer's business and is deliberately
+not decided here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.mem.bus import Bus
-from repro.mem.cache import Cache, CacheConfig, WritePolicy
-from repro.mem.dram import DRAM
+from repro.mem.cache import Cache, CacheConfig
 from repro.mem.l2 import SharedL2
 from repro.mem.mshr import MSHRFile
 from repro.mem.tlb import TLB, TLBConfig
@@ -221,24 +220,3 @@ class MemPort:
                 self.bus.request(now + latency, xfer)
         return latency
 
-
-class MemoryHierarchy:
-    """Bus + L2 + one MemPort per core."""
-
-    def __init__(self, n_cores: int = 2,
-                 icache_cfg: Optional[CacheConfig] = None,
-                 dcache_cfg: Optional[CacheConfig] = None,
-                 l2: Optional[SharedL2] = None,
-                 bus: Optional[Bus] = None,
-                 l1_mshrs: int = 10) -> None:
-        self.bus = bus or Bus(width_bytes=8)
-        self.l2 = l2 or SharedL2()
-        self.ports: List[MemPort] = [
-            MemPort(self.bus, self.l2,
-                    icache_cfg=icache_cfg, dcache_cfg=dcache_cfg,
-                    l1_mshrs=l1_mshrs, name=f"core{i}")
-            for i in range(n_cores)
-        ]
-
-    def port(self, core_id: int) -> MemPort:
-        return self.ports[core_id]

@@ -1,12 +1,12 @@
-"""Shared machinery for redundant core-pair systems.
+"""The system chassis every scheme builds on.
 
-Both UnSync and Reunion are *core pairs running one thread twice* over a
-shared bus + L2. :class:`~repro.redundancy.pair.DualCoreSystem` owns that
-common shape — construction, the cycle loop, completion detection, result
-assembly — and exposes one hook (``on_cycle``) plus per-core commit gates
-for the scheme-specific behaviour. The unprotected baseline that Figures
-4-6 normalise against lives here too (a single core with a plain store
-write buffer).
+Every system runs one thread on one or two cores over a shared bus + L2.
+:class:`~repro.redundancy.pair.DualCoreSystem` owns that common shape —
+construction, the cycle loop, completion detection, result assembly,
+fault intake and the bounded-retry recovery window — and exposes one
+hook (``on_cycle``) plus per-core commit gates for the scheme-specific
+behaviour. The unprotected baseline that Figures 4-6 normalise against
+lives here too (a single core with a plain store write buffer).
 """
 
 from repro.redundancy.pair import DualCoreSystem, BaselineSystem

@@ -1,12 +1,20 @@
-"""Dual-core system scaffolding and the unprotected baseline.
+"""The one system chassis every scheme builds on.
 
-:class:`DualCoreSystem` is the common chassis of the pair schemes
-(UnSync, Reunion, RepTFD): two cores running the same program over a bus
-+ L2 that the pair builds for itself (the paper's core-pair), stepped in
-lockstep of *wall-clock cycles only* — the cores' pipelines drift apart
-freely, which is the whole point of UnSync. Subclasses install commit
-gates and override :meth:`DualCoreSystem.on_cycle` for their drain /
-verification engines.
+:class:`DualCoreSystem` runs one thread on ``n_cores`` cores (two for the
+redundant pairs UnSync, Reunion and RepTFD; one for MEEK's leader and the
+unprotected baseline) over a bus + L2 the system builds for itself,
+stepped in lockstep of *wall-clock cycles only* — a pair's pipelines
+drift apart freely, which is the whole point of UnSync. Subclasses
+install commit gates and override :meth:`DualCoreSystem.on_cycle` for
+their drain / verification engines.
+
+The chassis also owns the fault path every protected scheme shares:
+arming the injector, calling the scheme's ``_process_strikes`` on cycles
+with a strike due, turning each due strike into a recorded
+:class:`~repro.faults.events.FaultEvent` (:meth:`_strikes_due`), and the
+bounded-retry recovery window (:meth:`_open_recovery`,
+:meth:`_strike_during_recovery`). Each scheme keeps only its own
+adjudication and recovery.
 
 :class:`BaselineSystem` is the single, unprotected Table I core with a
 store write buffer — the reference every Figure 4-6 overhead is computed
@@ -15,11 +23,13 @@ against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate, Pipeline
 from repro.core.rob import ROBEntry
+from repro.faults.events import FaultEvent, Outcome
+from repro.faults.injector import FaultInjector, Strike
 from repro.isa.program import Program
 from repro.mem.bus import Bus
 from repro.mem.hierarchy import MemPort
@@ -27,7 +37,10 @@ from repro.mem.l2 import SharedL2
 from repro.mem.prewarm import prewarm_l2
 from repro.redundancy.stats import RunResult, WriteBuffer
 from repro.telemetry import NULL_REGISTRY, Telemetry
-from repro.telemetry.events import WATCHDOG_TRIP
+from repro.telemetry.events import (
+    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, RECOVERY_ABORT,
+    RECOVERY_REENTRY, WATCHDOG_TRIP,
+)
 
 
 class SimulationHang(RuntimeError):
@@ -49,14 +62,19 @@ class SimulationHang(RuntimeError):
 
 
 class DualCoreSystem:
-    """Two cores, one thread, shared L2 — the redundant-pair chassis."""
+    """One thread on one or two cores over a shared bus + L2."""
 
     scheme = "pair"
+    #: cores the system builds: the redundant pairs run the thread twice
+    n_cores = 2
+    #: telemetry track of the recovery-window events
+    recovery_track = "recovery"
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
                  name: Optional[str] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None,
+                 injector: Optional[FaultInjector] = None) -> None:
         self.program = program
         self.config = config or SystemConfig.table1()
         self.name = name or program.name
@@ -68,12 +86,23 @@ class DualCoreSystem:
         self._ev = telemetry.events if telemetry is not None else None
         self._met = telemetry.metrics if telemetry is not None \
             else NULL_REGISTRY
+        self.injector = injector
+        self.fault_events: List[FaultEvent] = []
+        self._next_strike: Optional[Strike] = None
+        # the recovery window: strikes before `_recovering_until` land in
+        # an open recovery and spend the episode's retry budget
+        self._recovering_until = 0
+        self._recovery_retries_left = 0
+        self.recovery_cycles_total = 0
+        self.recovery_reentries = 0
+        self.recovery_aborts = 0
+        self.due_count = 0
         self.bus = Bus(width_bytes=self.config.bus_width_bytes)
         self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
         prewarm_l2(self.l2, program)
         self.ports: List[MemPort] = []
         self.pipelines: List[Pipeline] = []
-        for i in range(2):
+        for i in range(self.n_cores):
             port = MemPort(self.bus, self.l2,
                            icache_cfg=self.config.icache,
                            dcache_cfg=self.config.dcache,
@@ -88,6 +117,8 @@ class DualCoreSystem:
             self.pipelines.append(Pipeline(program, self.config.core, port,
                                            gate=gate, name=f"core{i}"))
         self.now = 0
+        if injector is not None:
+            self._arm_next_strike(0)
 
     # -- scheme hooks ------------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -96,6 +127,12 @@ class DualCoreSystem:
 
     def on_cycle(self, now: int) -> None:
         """Per-cycle housekeeping before the cores step (drains, checks)."""
+
+    def _process_strikes(self, now: int) -> None:
+        """Adjudicate the strikes :meth:`_strikes_due` yields at ``now``
+        (override per protected scheme); called only on cycles where a
+        strike is due, before :meth:`on_cycle`."""
+        raise NotImplementedError
 
     def finished(self) -> bool:
         for p in self.pipelines:
@@ -117,12 +154,121 @@ class DualCoreSystem:
         m.update(self.scheme_metrics())
         return m
 
+    # -- fault intake --------------------------------------------------------
+    def _arm_next_strike(self, now: int) -> None:
+        self._next_strike = self.injector.next_strike(now)
+
+    def _core_track(self, core_id: int) -> str:
+        # a one-core system takes every strike lane on its one core
+        return f"core{min(core_id, self.n_cores - 1)}"
+
+    def _strikes_due(self, now: int) -> Iterator[Tuple[Strike, FaultEvent]]:
+        """Each strike due by ``now`` with its recorded :class:`FaultEvent`
+        (outcome unset) for the scheme to adjudicate; the next strike is
+        drawn once the scheme is done with this one."""
+        while self._next_strike is not None and self._next_strike.cycle <= now:
+            strike = self._next_strike
+            core_id = strike.core_id()
+            event = FaultEvent(cycle=now, core_id=core_id,
+                               block=strike.block, bit=strike.bit)
+            if self._ev is not None:
+                track = self._core_track(core_id)
+                self._ev.emit(FAULT_INJECTED, now, track,
+                              args={"block": strike.block,
+                                    "bit": strike.bit,
+                                    "flipped": strike.flipped_bits})
+                if strike.flipped_bits > 1:
+                    self._ev.emit(FAULT_MULTIBIT, now, track,
+                                  args={"block": strike.block,
+                                        "flipped": strike.flipped_bits})
+            yield strike, event
+            self.fault_events.append(event)
+            self._arm_next_strike(now)
+
+    # -- the recovery window ---------------------------------------------------
+    def _open_recovery(self, now: int, duration: int, budget: int) -> None:
+        """Freeze every core for ``duration`` cycles of recovery.
+
+        A window opened while none is running starts a fresh episode
+        with ``budget`` retries; one opened inside a running window
+        extends it. The injector hears of the window, and a strike it
+        queues to chase it preempts the pre-drawn one.
+        """
+        if now >= self._recovering_until:
+            self._recovery_retries_left = budget
+        self._extend_recovery(now, duration)
+        if self.injector is not None:
+            self.injector.on_recovery(now, duration)
+            self._next_strike = self.injector.preempt(self._next_strike)
+
+    def _extend_recovery(self, now: int, duration: int) -> None:
+        until = now + duration
+        self._recovering_until = max(self._recovering_until, until)
+        for p in self.pipelines:
+            p.frozen_until = max(p.frozen_until, until)
+        self.recovery_cycles_total += duration
+
+    def _where(self, core_id: int, block: str) -> Dict[str, object]:
+        """Recovery-event args naming the struck block (and its core,
+        when there are two to tell apart)."""
+        if self.n_cores == 1:
+            return {"block": block}
+        return {"core": core_id, "block": block}
+
+    def _note_reentry(self, now: int, core_id: int, block: str) -> None:
+        """Count a fault that landed inside the open recovery window."""
+        self.recovery_reentries += 1
+        if self._ev is not None:
+            args = self._where(core_id, block)
+            args["retries_left"] = self._recovery_retries_left
+            self._ev.emit(RECOVERY_REENTRY, now, self.recovery_track,
+                          args=args)
+
+    def _retry_recovery(self, now: int, core_id: int, block: str) -> bool:
+        """Spend one retry on restarting the open window; False once the
+        episode's budget is gone."""
+        if self._recovery_retries_left <= 0:
+            return False
+        self._recovery_retries_left -= 1
+        self.recovery_aborts += 1
+        if self._ev is not None:
+            self._ev.emit(RECOVERY_ABORT, now, self.recovery_track,
+                          args=self._where(core_id, block))
+        return True
+
+    def _strike_during_recovery(self, now: int, event: FaultEvent,
+                                penalty: int) -> None:
+        """A strike on state the open recovery is rebuilding.
+
+        The restart point is exactly what the strike corrupts, so the
+        recovery aborts and restarts with ``penalty`` more cycles while
+        the retry budget lasts; after that the error is detected but
+        unrecoverable.
+        """
+        core_id, block = event.core_id, event.block
+        self._note_reentry(now, core_id, block)
+        if self._retry_recovery(now, core_id, block):
+            self._extend_recovery(now, penalty)
+            event.outcome = Outcome.DETECTED_RECOVERED
+            return
+        event.outcome = Outcome.DETECTED_UNRECOVERABLE
+        self.due_count += 1
+        if self._ev is not None:
+            self._ev.emit(FAULT_DUE, now, self._core_track(core_id),
+                          args={"block": block,
+                                "reason": "retry-budget-exhausted"})
+
     # -- driving -----------------------------------------------------------
     def step(self) -> None:
-        self.on_cycle(self.now)
+        now = self.now
+        # tested inline: most cycles of an injected run have no strike due
+        strike = self._next_strike
+        if strike is not None and strike.cycle <= now:
+            self._process_strikes(now)
+        self.on_cycle(now)
         for p in self.pipelines:
-            p.step(self.now)
-        self.now += 1
+            p.step(now)
+        self.now = now + 1
 
     def run(self, max_cycles: int = 2_000_000) -> RunResult:
         while not self.finished():
@@ -140,7 +286,7 @@ class DualCoreSystem:
         return self.result()
 
     def result(self) -> RunResult:
-        # per-thread performance: the pair retires ONE logical thread, so
+        # per-thread performance: a pair retires ONE logical thread, so
         # cycles = slowest core's completion, instructions = one stream.
         cycles = max(p.stats.cycles for p in self.pipelines)
         instructions = self.pipelines[0].stats.committed
@@ -157,6 +303,7 @@ class DualCoreSystem:
             instructions=instructions,
             state=self.pipelines[0].committed_state,
             core_stats=[p.stats for p in self.pipelines],
+            fault_events=list(self.fault_events),
             metrics=metrics,
         )
 
@@ -186,86 +333,31 @@ class _WriteBufferGate(CommitGate):
                                   entry.store_value, entry.ins.mem_width)
 
 
-class BaselineSystem:
-    """Single unprotected core + write buffer: the Figure 4-6 reference."""
+class BaselineSystem(DualCoreSystem):
+    """Single unprotected core + write buffer: the Figure 4-6 reference.
+
+    It takes no ``injector``: there are no detectors to fire.
+    """
 
     scheme = "baseline"
+    n_cores = 1
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
                  wbuf_entries: int = 16,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.program = program
-        self.config = config or SystemConfig.table1()
-        self.name = name or program.name
-        self.telemetry = telemetry
-        self._ev = telemetry.events if telemetry is not None else None
-        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
-        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
-        prewarm_l2(self.l2, program)
-        self.port = MemPort(self.bus, self.l2,
-                            icache_cfg=self.config.icache,
-                            dcache_cfg=self.config.dcache,
-                            itlb_cfg=self.config.itlb,
-                            dtlb_cfg=self.config.dtlb,
-                            l1_mshrs=self.config.l1_mshrs,
-                            name=f"{self.name}.core0")
-        if self._ev is not None:
-            self.port.attach_events(self._ev, track="core0.mem")
         self.wbuf = WriteBuffer(capacity=wbuf_entries)
-        self.pipeline = Pipeline(program, self.config.core, self.port,
-                                 gate=_WriteBufferGate(self), name="core0")
-        self.now = 0
+        super().__init__(program, config, name=name, telemetry=telemetry)
 
-    def finished(self) -> bool:
-        """Uniform completion probe (the pair systems' spelling), so
-        system-agnostic drivers — the differential-replay prefix runner —
-        can step any scheme without special-casing the baseline."""
-        return self.pipeline.done
+    def make_gate(self, core_id: int) -> CommitGate:
+        return _WriteBufferGate(self)
 
-    def step(self) -> None:
-        # drain the write buffer whenever the bus is idle
-        while len(self.wbuf):
-            head = self.wbuf.head()
-            xfer = self.bus.transfer_cycles(self.wbuf.entry_bytes)
-            if self.bus.try_request(self.now, xfer) < 0:
-                break
-            self.wbuf.pop()
-            self.l2.access(head[1], is_write=True, now=self.now)
-        self.pipeline.step(self.now)
-        self.now += 1
+    def on_cycle(self, now: int) -> None:
+        self.wbuf.drain(self.bus, self.l2, now)
 
     def scheme_metrics(self) -> Dict[str, float]:
         return {
             "baseline.wbuf.pushes": float(self.wbuf.pushes),
             "baseline.wbuf.full_stalls": float(self.wbuf.full_stalls),
         }
-
-    def run(self, max_cycles: int = 2_000_000) -> RunResult:
-        while not self.pipeline.done:
-            if self.now >= max_cycles:
-                if self._ev is not None:
-                    self._ev.emit(WATCHDOG_TRIP, self.now, "watchdog",
-                                  args={"budget": max_cycles})
-                raise SimulationHang(
-                    f"{self.name}[baseline]: exceeded {max_cycles} cycles",
-                    cycles=self.now,
-                    committed=self.pipeline.stats.committed)
-            self.step()
-        if self._ev is not None:
-            self.port.flush_miss_bursts()
-        metrics = self.pipeline.stats.metric_counters("core0.pipeline.")
-        metrics.update(self.port.metric_counters("core0."))
-        metrics.update(self.scheme_metrics())
-        if self.telemetry is not None:
-            self.telemetry.metrics.merge_counters(metrics)
-        return RunResult(
-            name=self.name,
-            scheme=self.scheme,
-            cycles=self.pipeline.stats.cycles,
-            instructions=self.pipeline.stats.committed,
-            state=self.pipeline.committed_state,
-            core_stats=[self.pipeline.stats],
-            metrics=metrics,
-        )

@@ -1,14 +1,16 @@
-"""Run results and the baseline store write buffer."""
+"""Run results and the store write buffer."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Tuple
 
 from repro.core.pipeline import PipelineStats
 from repro.faults.events import FaultEvent
 from repro.isa.golden import ArchState
+from repro.mem.bus import Bus
+from repro.mem.l2 import SharedL2
 
 
 @dataclass
@@ -49,7 +51,9 @@ class WriteBuffer:
 
     The unprotected baseline needs one so that write-through stores do not
     serialise commit: retired stores queue here and drain whenever the bus
-    is free. A full buffer back-pressures commit exactly like UnSync's CB
+    is free. Reunion, RepTFD and MEEK release their verified stores
+    through one the same way. A full buffer back-pressures commit exactly
+    like UnSync's CB
     (same mechanism, no pairing rule) — which is why UnSync with a large
     CB converges to baseline performance in Figure 6.
     """
@@ -82,8 +86,11 @@ class WriteBuffer:
         self._entries.append((seq, addr, value, width))
         self.pushes += 1
 
-    def head(self) -> Optional[Tuple[int, int, int, int]]:
-        return self._entries[0] if self._entries else None
-
-    def pop(self) -> Tuple[int, int, int, int]:
-        return self._entries.popleft()
+    def drain(self, bus: Bus, l2: SharedL2, now: int) -> None:
+        """Write queued stores to the L2, oldest first, while the bus
+        accepts the transfer."""
+        entries = self._entries
+        while entries:
+            if bus.try_request(now, bus.transfer_cycles(self.entry_bytes)) < 0:
+                break
+            l2.access(entries.popleft()[1], is_write=True, now=now)

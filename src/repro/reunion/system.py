@@ -18,9 +18,7 @@ from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.detection import Detector, NoDetector
 from repro.faults.events import FaultEvent, Outcome
-from repro.faults.injector import (
-    BlockInventory, FaultInjector, REUNION_DETECTORS, Strike,
-)
+from repro.faults.injector import FaultInjector, REUNION_DETECTORS
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem
@@ -29,8 +27,7 @@ from repro.reunion.check_stage import CheckStage, ReunionParams
 from repro.reunion.csb import CheckStageBuffer, csb_entries_for
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    CSB_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT,
-    FAULT_SDC, RECOVERY_ABORT, RECOVERY_REENTRY, ROLLBACK,
+    CSB_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_SDC, ROLLBACK,
 )
 
 
@@ -105,6 +102,7 @@ class ReunionSystem(DualCoreSystem):
     """Fingerprint-compared redundant pair (the comparison baseline)."""
 
     scheme = "reunion"
+    recovery_track = "check"
     VOCAL = 0
 
     def __init__(self, program: Program,
@@ -133,28 +131,16 @@ class ReunionSystem(DualCoreSystem):
         self.csbs: List[CheckStageBuffer] = [
             CheckStageBuffer(capacity) for _ in range(2)]
         self.store_queue = WriteBuffer(capacity=16)
-        self.injector = injector
         self.detectors = detectors if detectors is not None else dict(REUNION_DETECTORS)
-        self.inventory = (injector.inventory if injector is not None
-                          else BlockInventory())
-        self.fault_events: List[FaultEvent] = []
         self.rollbacks = 0
-        self.rollback_cycles_total = 0
-        self.due_count = 0
-        self.rollback_reentries = 0
-        self.rollback_aborts = 0
-        self._rollback_until = 0
-        self._rollback_retries_left = self.params.rollback_retry_budget
         self.incoherence_events = 0
         self.incoherence_syncs = 0
         self.incoherence_cycles = 0
         self._incoherence_rng = None
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting group-verdict adjudication
         self._unbound_events: List[FaultEvent] = []
-        super().__init__(program, config, name=name, telemetry=telemetry)
-        if self.injector is not None:
-            self._arm_next_strike(0)
+        super().__init__(program, config, name=name, telemetry=telemetry,
+                         injector=injector)
 
     # -- construction hooks -----------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -162,22 +148,13 @@ class ReunionSystem(DualCoreSystem):
 
     # -- per-cycle engine ---------------------------------------------------
     def on_cycle(self, now: int) -> None:
-        if self.injector is not None:
-            self._process_strikes(now)
         if self.params.input_incoherence_rate > 0:
             self._process_incoherence(now)
         self._adjudicate(now)
         mismatch = self.check.mismatch_ready(now)
         if mismatch is not None:
             self._rollback(now, mismatch)
-        # drain the vocal store queue whenever the bus is idle
-        while len(self.store_queue):
-            head = self.store_queue.head()
-            xfer = self.bus.transfer_cycles(self.store_queue.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_queue.pop()
-            self.l2.access(head[1], is_write=True, now=now)
+        self.store_queue.drain(self.bus, self.l2, now)
 
     # -- input incoherence (relaxed input replication) -------------------------
     def _process_incoherence(self, now: int) -> None:
@@ -204,27 +181,13 @@ class ReunionSystem(DualCoreSystem):
         self.incoherence_cycles += penalty
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
     def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            block = self.inventory.get(strike.block)
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
+        inventory = self.injector.inventory
+        for strike, event in self._strikes_due(now):
+            core_id = event.core_id
+            block = inventory.get(strike.block)
             detector = self.detectors.get(strike.block, NoDetector())
             result = detector.check(strike.flipped_bits)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
             if result.corrected:
                 # SECDED L1: fixed in place, execution unaffected
                 event.outcome = Outcome.DETECTED_RECOVERED
@@ -244,8 +207,22 @@ class ReunionSystem(DualCoreSystem):
                     self._ev.emit(FAULT_DUE, now, f"core{core_id}",
                                   args={"block": strike.block,
                                         "reason": "detect-only-ecc"})
-            elif now < self._rollback_until:
-                self._strike_during_rollback(now, core_id, block, event)
+            elif now < self._recovering_until and block.pre_commit:
+                # pre-commit state is mid-squash: the corruption would
+                # poison the restart point, so the rollback restarts and
+                # its squash disposes of it — it never reaches a compared
+                # fingerprint, so `corrupt_next` stays clear
+                self._strike_during_recovery(now, event,
+                                             self.params.rollback_penalty)
+            elif now < self._recovering_until:
+                # architectural state has no fingerprint coverage at any
+                # time: an SDC even inside the window
+                self._note_reentry(now, core_id, block.name)
+                event.outcome = Outcome.SDC
+                if self._ev is not None:
+                    self._ev.emit(FAULT_SDC, now, f"core{core_id}",
+                                  args={"block": block.name,
+                                        "during_rollback": True})
             elif block.pre_commit:
                 # the corruption flows into the next fingerprint; verdict
                 # adjudicated when the group comparison lands.
@@ -258,54 +235,6 @@ class ReunionSystem(DualCoreSystem):
                     self._ev.emit(FAULT_SDC, now, f"core{core_id}",
                                   args={"block": strike.block,
                                     "flipped": strike.flipped_bits})
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
-
-    def _strike_during_rollback(self, now: int, core_id: int, block,
-                                event: FaultEvent) -> None:
-        """A strike landing inside an in-progress rollback window.
-
-        Pre-commit state is mid-squash: a corruption there would poison
-        the restart point if the flush simply continued, so the rollback
-        aborts and restarts (bounded retries), after which the squash
-        disposes of the corruption. Marking ``corrupt_next`` here — as
-        the steady-state path would — is exactly the mis-adjudication
-        this hardening removes: the corrupted value never survives into
-        a compared fingerprint. Architectural state has no fingerprint
-        coverage at any time, so those strikes stay SDC.
-        """
-        self.rollback_reentries += 1
-        if self._ev is not None:
-            self._ev.emit(RECOVERY_REENTRY, now, "check",
-                          args={"core": core_id, "block": block.name,
-                                "retries_left": self._rollback_retries_left})
-        if not block.pre_commit:
-            event.outcome = Outcome.SDC
-            if self._ev is not None:
-                self._ev.emit(FAULT_SDC, now, f"core{core_id}",
-                              args={"block": block.name,
-                                    "during_rollback": True})
-            return
-        if self._rollback_retries_left > 0:
-            self._rollback_retries_left -= 1
-            self.rollback_aborts += 1
-            penalty = self.params.rollback_penalty
-            self._rollback_until = max(self._rollback_until, now + penalty)
-            for pipeline in self.pipelines:
-                pipeline.frozen_until = max(pipeline.frozen_until,
-                                            now + penalty)
-            self.rollback_cycles_total += penalty
-            event.outcome = Outcome.DETECTED_RECOVERED
-            if self._ev is not None:
-                self._ev.emit(RECOVERY_ABORT, now, "check",
-                              args={"core": core_id, "block": block.name})
-        else:
-            event.outcome = Outcome.DETECTED_UNRECOVERABLE
-            self.due_count += 1
-            if self._ev is not None:
-                self._ev.emit(FAULT_DUE, now, f"core{core_id}",
-                              args={"block": block.name,
-                                    "reason": "retry-budget-exhausted"})
 
     def _adjudicate(self, now: int) -> None:
         """Resolve pending fault events once their group's verdict lands."""
@@ -350,15 +279,7 @@ class ReunionSystem(DualCoreSystem):
         """Squash both cores back to their committed (verified) state."""
         self.rollbacks += 1
         penalty = self.params.rollback_penalty
-        if now >= self._rollback_until:
-            # a fresh rollback episode resets the abort-retry budget
-            self._rollback_retries_left = self.params.rollback_retry_budget
-        self._rollback_until = max(self._rollback_until, now + penalty)
-        if self.injector is not None:
-            # a chase strike queued for this window must preempt the
-            # pre-drawn strike or it would be delivered after the squash
-            self.injector.on_recovery(now, penalty)
-            self._next_strike = self.injector.preempt(self._next_strike)
+        self._open_recovery(now, penalty, self.params.rollback_retry_budget)
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "check", dur=penalty,
                           args={"group": group})
@@ -366,13 +287,11 @@ class ReunionSystem(DualCoreSystem):
         committed = []
         for core_id, pipeline in enumerate(self.pipelines):
             pipeline.flush_pipeline()
-            pipeline.frozen_until = max(pipeline.frozen_until, now + penalty)
             gate: _ReunionGate = pipeline.gate  # type: ignore[assignment]
             gate.next_csb_seq = pipeline.stats.committed
             self.csbs[core_id].clear()
             committed.append(pipeline.stats.committed)
         self.check.reset_unverified(committed)
-        self.rollback_cycles_total += penalty
 
     # -- results ---------------------------------------------------------------
     def scheme_metrics(self) -> Dict[str, float]:
@@ -383,9 +302,9 @@ class ReunionSystem(DualCoreSystem):
             "reunion.fingerprint.aliased": float(
                 self.check.aliased_corruptions),
             "reunion.rollback.count": float(self.rollbacks),
-            "reunion.rollback.cycles": float(self.rollback_cycles_total),
-            "reunion.rollback.reentries": float(self.rollback_reentries),
-            "reunion.rollback.aborts": float(self.rollback_aborts),
+            "reunion.rollback.cycles": float(self.recovery_cycles_total),
+            "reunion.rollback.reentries": float(self.recovery_reentries),
+            "reunion.rollback.aborts": float(self.recovery_aborts),
             "reunion.due.count": float(self.due_count),
             "reunion.csb.pushes": float(self.csbs[0].pushes),
             "reunion.csb.full_stalls": float(
@@ -401,8 +320,3 @@ class ReunionSystem(DualCoreSystem):
             "reunion.incoherence.syncs": float(self.incoherence_syncs),
             "reunion.incoherence.cycles": float(self.incoherence_cycles),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res

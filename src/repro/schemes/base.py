@@ -104,16 +104,13 @@ class ResilienceScheme:
     def attach_injector(self, system, injector) -> None:
         """Re-arm a restored system with a fresh injector.
 
-        Mirrors the schemes' construction-time arming: the injector is
-        installed, its inventory adopted where the scheme keeps one, and
-        the first strike drawn with ``now=0`` — the same RNG call
-        sequence as an injected ``build_system``, which is what keeps a
-        fast-forwarded trial's strike stream byte-identical to full
-        replay.
+        Mirrors the chassis' construction-time arming: the injector is
+        installed and the first strike drawn with ``now=0`` — the same
+        RNG call sequence as an injected ``build_system``, which is what
+        keeps a fast-forwarded trial's strike stream byte-identical to
+        full replay.
         """
         system.injector = injector
-        if hasattr(system, "inventory"):
-            system.inventory = injector.inventory
         system._arm_next_strike(0)
 
     # -- accounting ---------------------------------------------------------

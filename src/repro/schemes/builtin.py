@@ -118,8 +118,10 @@ class RepTFDScheme(ResilienceScheme):
 
     def event_energy(self, metrics, tech):
         from repro.hwcost.components import cb_array
-        from repro.hwcost.redundancy_cost import REPLAY_ENTRY_BITS
-        queue = cb_array(96, entry_bits=REPLAY_ENTRY_BITS)
+        from repro.schemes.reptfd import (
+            REPLAY_ENTRY_BITS, REPLAY_QUEUE_ENTRIES,
+        )
+        queue = cb_array(REPLAY_QUEUE_ENTRIES, entry_bits=REPLAY_ENTRY_BITS)
         per_access = queue.power_w * (1.0 / tech.frequency_hz)
         # every compared record was pushed once and popped once
         compares = metrics["reptfd.replay.compares"]
@@ -151,8 +153,8 @@ class MEEKScheme(ResilienceScheme):
 
     def event_energy(self, metrics, tech):
         from repro.hwcost.components import cb_array
-        from repro.hwcost.redundancy_cost import CHECK_ENTRY_BITS
-        queue = cb_array(64, entry_bits=CHECK_ENTRY_BITS)
+        from repro.schemes.meek import CHECK_ENTRY_BITS, CHECK_QUEUE_ENTRIES
+        queue = cb_array(CHECK_QUEUE_ENTRIES, entry_bits=CHECK_ENTRY_BITS)
         per_access = queue.power_w * (1.0 / tech.frequency_hz)
         # every checked record was pushed once and popped once
         return {"check_queue": per_access * 2 * metrics["meek.check.count"]}

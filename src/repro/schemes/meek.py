@@ -33,22 +33,16 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
 from repro.core.config import SystemConfig
-from repro.core.pipeline import CommitGate, Pipeline
+from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.events import FaultEvent, Outcome
-from repro.faults.injector import Block, FaultInjector, Strike
+from repro.faults.injector import Block, FaultInjector
 from repro.isa.program import Program
-from repro.mem.bus import Bus
-from repro.mem.hierarchy import MemPort
-from repro.mem.l2 import SharedL2
-from repro.mem.prewarm import prewarm_l2
-from repro.redundancy.pair import SimulationHang
+from repro.redundancy.pair import DualCoreSystem, SimulationHang
 from repro.redundancy.stats import RunResult, WriteBuffer
-from repro.telemetry import NULL_REGISTRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    CHECKQ_DRAIN, CHECKQ_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED,
-    FAULT_MULTIBIT, FAULT_SDC, RECOVERY_ABORT, RECOVERY_REENTRY,
-    WATCHDOG_TRIP,
+    CHECKQ_DRAIN, CHECKQ_GATE, FAULT_DETECTED, FAULT_SDC, WATCHDOG_TRIP,
 )
 
 #: blocks the checker's re-execution covers: its private register file
@@ -58,10 +52,15 @@ from repro.telemetry.events import (
 MEEK_COVERED_BLOCKS = frozenset(
     ("regfile", "pc", "pipeline_regs", "rob", "iq", "lsq"))
 
-#: MEEK's scheme-private uncore structure: the check queue carries the
-#: leader's retirement records (values + tags) to the checker core.
+#: the check queue's geometry: it carries the leader's retirement
+#: records (forwarded operands/result + tags) to the checker core
+CHECK_QUEUE_ENTRIES = 64
+CHECK_ENTRY_BITS = 100
+
+#: MEEK's scheme-private uncore structure, at the default queue size
 MEEK_UNCORE_BLOCKS = (
-    Block("check_queue", 64 * 100, pre_commit=False),
+    Block("check_queue", CHECK_QUEUE_ENTRIES * CHECK_ENTRY_BITS,
+          pre_commit=False),
 )
 
 
@@ -71,7 +70,7 @@ class MEEKParams:
 
     #: bounded check-queue capacity (leader retirements awaiting the
     #: checker); a full queue back-pressures leader commit
-    queue_entries: int = 64
+    queue_entries: int = CHECK_QUEUE_ENTRIES
     #: instructions the in-order checker verifies per cycle (the paper's
     #: parallel checking lanes — sized to keep up with the leader's
     #: commit width so steady-state slowdown stays small)
@@ -145,10 +144,12 @@ class _MEEKGate(CommitGate):
             system.checkq_max_occupancy = len(system.check_queue)
 
 
-class MEEKSystem:
+class MEEKSystem(DualCoreSystem):
     """OoO leader + small in-order checker over a bounded check queue."""
 
     scheme = "meek"
+    n_cores = 1
+    recovery_track = "checkq"
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -156,70 +157,38 @@ class MEEKSystem:
                  injector: Optional[FaultInjector] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.program = program
-        self.config = config or SystemConfig.table1()
         self.params = params or MEEKParams()
-        self.name = name or program.name
-        self.telemetry = telemetry
-        self._ev = telemetry.events if telemetry is not None else None
-        self._met = telemetry.metrics if telemetry is not None \
-            else NULL_REGISTRY
-        self.bus = Bus(width_bytes=self.config.bus_width_bytes)
-        self.l2 = SharedL2(config=self.config.l2, mshrs=self.config.l2_mshrs)
-        prewarm_l2(self.l2, program)
-        self.port = MemPort(self.bus, self.l2,
-                            icache_cfg=self.config.icache,
-                            dcache_cfg=self.config.dcache,
-                            itlb_cfg=self.config.itlb,
-                            dtlb_cfg=self.config.dtlb,
-                            l1_mshrs=self.config.l1_mshrs,
-                            name=f"{self.name}.core0")
-        if self._ev is not None:
-            self.port.attach_events(self._ev, track="core0.mem")
         self.check_queue: Deque[_CheckRecord] = deque()
         self.store_buffer = WriteBuffer(
             capacity=self.params.store_buffer_entries)
-        self.injector = injector
-        self.fault_events: List[FaultEvent] = []
         self.checks = 0
         self.checked_seqs = 0
         self.checkq_full_stalls = 0
         self.checkq_max_occupancy = 0
         self.rechecks = 0
-        self.recovery_cycles_total = 0
-        self.due_count = 0
-        self.recheck_reentries = 0
-        self.recheck_aborts = 0
-        self._recheck_until = 0
-        self._recheck_retries_left = self.params.recheck_retry_budget
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting checker verification of the struck
         #: instruction: (checked-count threshold, event)
         self._pending: List = []
-        self.pipeline = Pipeline(program, self.config.core, self.port,
-                                 gate=_MEEKGate(self), name="core0")
-        self.now = 0
-        if self.injector is not None:
-            self._arm_next_strike(0)
+        super().__init__(program, config, name=name, telemetry=telemetry,
+                         injector=injector)
+
+    def make_gate(self, core_id: int) -> CommitGate:
+        return _MEEKGate(self)
 
     # -- per-cycle engine ---------------------------------------------------
     def step(self) -> None:
         now = self.now
-        if self.injector is not None:
+        # the chassis step's strike check: this step replaces that one
+        strike = self._next_strike
+        if strike is not None and strike.cycle <= now:
             self._process_strikes(now)
-            if self._pending:
-                self._adjudicate(now)
-        if now >= self._recheck_until:
+        if self._pending:
+            self._adjudicate(now)
+        if now >= self._recovering_until:
             self._check(now)
         # drain checker-verified stores whenever the bus is idle
-        while len(self.store_buffer):
-            head = self.store_buffer.head()
-            xfer = self.bus.transfer_cycles(self.store_buffer.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_buffer.pop()
-            self.l2.access(head[1], is_write=True, now=now)
-        self.pipeline.step(now)
+        self.store_buffer.drain(self.bus, self.l2, now)
+        self.pipelines[0].step(now)
         self.now += 1
 
     def _check(self, now: int) -> None:
@@ -245,33 +214,19 @@ class MEEKSystem:
                           args={"n": taken, "left": len(queue)})
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
     def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, "core0",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, "core0",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if now < self._recheck_until:
-                self._strike_during_recheck(now, event)
+        for strike, event in self._strikes_due(now):
+            if now < self._recovering_until:
+                self._strike_during_recovery(now, event,
+                                             self.params.recheck_penalty)
             elif strike.block == "check_queue":
                 self._strike_queue(event)
             elif strike.block in MEEK_COVERED_BLOCKS:
                 # surfaces when the checker re-executes the struck
                 # instruction (value compare, no parity blind spot)
                 event.outcome = None  # pending verification
-                self._pending.append((self.pipeline.stats.committed, event))
+                self._pending.append(
+                    (self.pipelines[0].stats.committed, event))
             else:
                 # forwarded load values are never re-verified: L1 and TLB
                 # corruption sails straight past the checker
@@ -280,8 +235,6 @@ class MEEKSystem:
                     self._ev.emit(FAULT_SDC, now, "core0",
                                   args={"block": strike.block,
                                         "flipped": strike.flipped_bits})
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
 
     def _strike_queue(self, event: FaultEvent) -> None:
         """A strike on a buffered check record: an empty queue is masked,
@@ -292,33 +245,6 @@ class MEEKSystem:
             return
         event.outcome = None
         self._pending.append((self.checked_seqs, event))
-
-    def _strike_during_recheck(self, now: int, event: FaultEvent) -> None:
-        """A strike landing inside an in-progress recheck window."""
-        self.recheck_reentries += 1
-        if self._ev is not None:
-            self._ev.emit(RECOVERY_REENTRY, now, "checkq",
-                          args={"block": event.block,
-                                "retries_left": self._recheck_retries_left})
-        if self._recheck_retries_left > 0:
-            self._recheck_retries_left -= 1
-            self.recheck_aborts += 1
-            penalty = self.params.recheck_penalty
-            self._recheck_until = max(self._recheck_until, now + penalty)
-            self.pipeline.frozen_until = max(self.pipeline.frozen_until,
-                                             now + penalty)
-            self.recovery_cycles_total += penalty
-            event.outcome = Outcome.DETECTED_RECOVERED
-            if self._ev is not None:
-                self._ev.emit(RECOVERY_ABORT, now, "checkq",
-                              args={"block": event.block})
-        else:
-            event.outcome = Outcome.DETECTED_UNRECOVERABLE
-            self.due_count += 1
-            if self._ev is not None:
-                self._ev.emit(FAULT_DUE, now, "core0",
-                              args={"block": event.block,
-                                    "reason": "retry-budget-exhausted"})
 
     def _adjudicate(self, now: int) -> None:
         """Resolve pending events the checker has verified past."""
@@ -342,26 +268,14 @@ class MEEKSystem:
     def _recheck(self, now: int) -> None:
         """Squash the leader and re-verify the unchecked window."""
         self.rechecks += 1
-        window = len(self.check_queue)
-        penalty = self.params.recheck_penalty + window
-        if now >= self._recheck_until:
-            # a fresh recheck episode resets the abort-retry budget
-            self._recheck_retries_left = self.params.recheck_retry_budget
-        self._recheck_until = max(self._recheck_until, now + penalty)
-        if self.injector is not None:
-            # a chase strike queued for this window must preempt the
-            # pre-drawn strike or it would be delivered after the squash
-            self.injector.on_recovery(now, penalty)
-            self._next_strike = self.injector.preempt(self._next_strike)
+        penalty = self.params.recheck_penalty + len(self.check_queue)
+        self._open_recovery(now, penalty, self.params.recheck_retry_budget)
         self._met.histogram("meek.recheck.penalty").observe(penalty)
-        self.pipeline.flush_pipeline()
-        self.pipeline.frozen_until = max(self.pipeline.frozen_until,
-                                         now + penalty)
-        self.recovery_cycles_total += penalty
+        self.pipelines[0].flush_pipeline()
 
     # -- driving ------------------------------------------------------------
     def finished(self) -> bool:
-        return (self.pipeline.done and not self.check_queue
+        return (self.pipelines[0].done and not self.check_queue
                 and not len(self.store_buffer))
 
     def run(self, max_cycles: int = 2_000_000) -> RunResult:
@@ -373,7 +287,7 @@ class MEEKSystem:
                 raise SimulationHang(
                     f"{self.name}[meek]: exceeded {max_cycles} cycles",
                     cycles=self.now,
-                    committed=self.pipeline.stats.committed)
+                    committed=self.pipelines[0].stats.committed)
             self.step()
         return self.result()
 
@@ -384,8 +298,8 @@ class MEEKSystem:
             "meek.checkq.full_stalls": float(self.checkq_full_stalls),
             "meek.checkq.max_occupancy": float(self.checkq_max_occupancy),
             "meek.recheck.count": float(self.rechecks),
-            "meek.recheck.reentries": float(self.recheck_reentries),
-            "meek.recheck.aborts": float(self.recheck_aborts),
+            "meek.recheck.reentries": float(self.recovery_reentries),
+            "meek.recheck.aborts": float(self.recovery_aborts),
             "meek.recovery.cycles": float(self.recovery_cycles_total),
             "meek.due.count": float(self.due_count),
             "meek.store_buffer.pushes": float(self.store_buffer.pushes),
@@ -394,21 +308,7 @@ class MEEKSystem:
         }
 
     def result(self) -> RunResult:
-        if self._ev is not None:
-            self.port.flush_miss_bursts()
-        metrics = self.pipeline.stats.metric_counters("core0.pipeline.")
-        metrics.update(self.port.metric_counters("core0."))
-        metrics.update(self.scheme_metrics())
-        if self.telemetry is not None:
-            self.telemetry.metrics.merge_counters(metrics)
-        res = RunResult(
-            name=self.name,
-            scheme=self.scheme,
-            cycles=max(self.pipeline.stats.cycles, self.now),
-            instructions=self.pipeline.stats.committed,
-            state=self.pipeline.committed_state,
-            core_stats=[self.pipeline.stats],
-            metrics=metrics,
-        )
-        res.fault_events = list(self.fault_events)
+        res = super().result()
+        # the checker keeps running after the leader retires HALT
+        res.cycles = max(res.cycles, self.now)
         return res

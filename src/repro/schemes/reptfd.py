@@ -35,21 +35,22 @@ from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.events import FaultEvent, Outcome
-from repro.faults.injector import Block, FaultInjector, Strike
+from repro.faults.injector import Block, FaultInjector
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem
 from repro.redundancy.stats import WriteBuffer
 from repro.telemetry import Telemetry
-from repro.telemetry.events import (
-    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, RECOVERY_ABORT,
-    RECOVERY_REENTRY, REPLAY_COMPARE, REPLAY_GATE, ROLLBACK,
-)
+from repro.telemetry.events import REPLAY_COMPARE, REPLAY_GATE, ROLLBACK
 
-#: RepTFD's scheme-private uncore structure: the replay queue holds the
-#: leader's commit records (pc + result + address + value + tags) until
-#: the trailer consumes them. Sized for the default 96-entry queue.
+#: the replay queue's geometry: it holds the leader's commit records
+#: (pc + result + address + value + tags) until the trailer consumes them
+REPLAY_QUEUE_ENTRIES = 96
+REPLAY_ENTRY_BITS = 130
+
+#: RepTFD's scheme-private uncore structure, at the default queue size
 REPTFD_UNCORE_BLOCKS = (
-    Block("replay_queue", 96 * 130, pre_commit=False),
+    Block("replay_queue", REPLAY_QUEUE_ENTRIES * REPLAY_ENTRY_BITS,
+          pre_commit=False),
 )
 
 
@@ -62,7 +63,7 @@ class RepTFDParams:
     replay_lag: int = 64
     #: bounded replay-queue capacity; a full queue back-pressures the
     #: leader's commit exactly like a full CB
-    queue_entries: int = 96
+    queue_entries: int = REPLAY_QUEUE_ENTRIES
     #: squash + re-steer cost of one rollback episode (both cores)
     rollback_penalty: int = 40
     #: rollback restarts tolerated inside one episode before the pair
@@ -170,6 +171,7 @@ class RepTFDSystem(DualCoreSystem):
     """Leader/trailer pair with delayed full-value replay comparison."""
 
     scheme = "reptfd"
+    recovery_track = "replay"
     LEADER = 0
     TRAILER = 1
 
@@ -183,26 +185,16 @@ class RepTFDSystem(DualCoreSystem):
         self.replay_queue: Deque[_ReplayRecord] = deque()
         self.store_queue = WriteBuffer(
             capacity=self.params.store_queue_entries)
-        self.injector = injector
-        self.fault_events: List[FaultEvent] = []
         self.compares = 0
         self.value_divergences = 0
         self.queue_full_stalls = 0
         self.queue_max_occupancy = 0
         self.rollbacks = 0
-        self.rollback_cycles_total = 0
-        self.due_count = 0
-        self.rollback_reentries = 0
-        self.rollback_aborts = 0
-        self._rollback_until = 0
-        self._rollback_retries_left = self.params.rollback_retry_budget
-        self._next_strike: Optional[Strike] = None
         #: fault events awaiting the trailer's comparison of the struck
         #: instruction: (trailer-commit threshold, event)
         self._pending: List = []
-        super().__init__(program, config, name=name, telemetry=telemetry)
-        if self.injector is not None:
-            self._arm_next_strike(0)
+        super().__init__(program, config, name=name, telemetry=telemetry,
+                         injector=injector)
 
     # -- construction hooks -------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -212,40 +204,19 @@ class RepTFDSystem(DualCoreSystem):
 
     # -- per-cycle engine ---------------------------------------------------
     def on_cycle(self, now: int) -> None:
-        if self.injector is not None:
-            self._process_strikes(now)
-            if self._pending:
-                self._adjudicate(now)
+        if self._pending:
+            self._adjudicate(now)
         # drain trailer-verified stores whenever the bus is idle
-        while len(self.store_queue):
-            head = self.store_queue.head()
-            xfer = self.bus.transfer_cycles(self.store_queue.entry_bytes)
-            if self.bus.try_request(now, xfer) < 0:
-                break
-            self.store_queue.pop()
-            self.l2.access(head[1], is_write=True, now=now)
+        self.store_queue.drain(self.bus, self.l2, now)
 
     # -- faults -------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
     def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-            if now < self._rollback_until:
-                self._strike_during_rollback(now, core_id, event)
+        for strike, event in self._strikes_due(now):
+            if now < self._recovering_until:
+                # the squash-and-restart state is exactly what the next
+                # comparison round depends on
+                self._strike_during_recovery(now, event,
+                                             self.params.rollback_penalty)
             elif strike.block == "replay_queue":
                 self._strike_queue(now, event)
             else:
@@ -253,11 +224,9 @@ class RepTFDSystem(DualCoreSystem):
                 # the corruption surfaces when the trailer re-executes the
                 # struck instruction, regardless of cluster size (the
                 # full-value compare has no parity blind spot)
-                threshold = self.pipelines[core_id].stats.committed
+                threshold = self.pipelines[event.core_id].stats.committed
                 event.outcome = None  # pending comparison
                 self._pending.append((threshold, event))
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
 
     def _strike_queue(self, now: int, event: FaultEvent) -> None:
         """A strike on a buffered replay record.
@@ -272,40 +241,6 @@ class RepTFDSystem(DualCoreSystem):
         event.outcome = None
         self._pending.append(
             (self.pipelines[self.TRAILER].stats.committed, event))
-
-    def _strike_during_rollback(self, now: int, core_id: int,
-                                event: FaultEvent) -> None:
-        """A strike landing inside an in-progress rollback window.
-
-        The squash-and-restart state is exactly what the next comparison
-        round depends on, so the rollback aborts and restarts (bounded
-        retries); an exhausted budget degrades to DUE.
-        """
-        self.rollback_reentries += 1
-        if self._ev is not None:
-            self._ev.emit(RECOVERY_REENTRY, now, "replay",
-                          args={"core": core_id, "block": event.block,
-                                "retries_left": self._rollback_retries_left})
-        if self._rollback_retries_left > 0:
-            self._rollback_retries_left -= 1
-            self.rollback_aborts += 1
-            penalty = self.params.rollback_penalty
-            self._rollback_until = max(self._rollback_until, now + penalty)
-            for pipeline in self.pipelines:
-                pipeline.frozen_until = max(pipeline.frozen_until,
-                                            now + penalty)
-            self.rollback_cycles_total += penalty
-            event.outcome = Outcome.DETECTED_RECOVERED
-            if self._ev is not None:
-                self._ev.emit(RECOVERY_ABORT, now, "replay",
-                              args={"core": core_id, "block": event.block})
-        else:
-            event.outcome = Outcome.DETECTED_UNRECOVERABLE
-            self.due_count += 1
-            if self._ev is not None:
-                self._ev.emit(FAULT_DUE, now, f"core{core_id}",
-                              args={"block": event.block,
-                                    "reason": "retry-budget-exhausted"})
 
     def _adjudicate(self, now: int) -> None:
         """Resolve pending events the trailer's comparison has reached."""
@@ -343,23 +278,13 @@ class RepTFDSystem(DualCoreSystem):
         lag_window = (self.pipelines[self.LEADER].stats.committed
                       - self.pipelines[self.TRAILER].stats.committed)
         penalty = self.params.rollback_penalty + max(0, lag_window)
-        if now >= self._rollback_until:
-            # a fresh rollback episode resets the abort-retry budget
-            self._rollback_retries_left = self.params.rollback_retry_budget
-        self._rollback_until = max(self._rollback_until, now + penalty)
-        if self.injector is not None:
-            # a chase strike queued for this window must preempt the
-            # pre-drawn strike or it would be delivered after the squash
-            self.injector.on_recovery(now, penalty)
-            self._next_strike = self.injector.preempt(self._next_strike)
+        self._open_recovery(now, penalty, self.params.rollback_retry_budget)
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "replay", dur=penalty,
                           args={"window": lag_window})
         self._met.histogram("reptfd.rollback.penalty").observe(penalty)
         for pipeline in self.pipelines:
             pipeline.flush_pipeline()
-            pipeline.frozen_until = max(pipeline.frozen_until, now + penalty)
-        self.rollback_cycles_total += penalty
 
     # -- results ------------------------------------------------------------
     def scheme_metrics(self) -> Dict[str, float]:
@@ -369,16 +294,11 @@ class RepTFDSystem(DualCoreSystem):
             "reptfd.queue.full_stalls": float(self.queue_full_stalls),
             "reptfd.queue.max_occupancy": float(self.queue_max_occupancy),
             "reptfd.rollback.count": float(self.rollbacks),
-            "reptfd.rollback.cycles": float(self.rollback_cycles_total),
-            "reptfd.rollback.reentries": float(self.rollback_reentries),
-            "reptfd.rollback.aborts": float(self.rollback_aborts),
+            "reptfd.rollback.cycles": float(self.recovery_cycles_total),
+            "reptfd.rollback.reentries": float(self.recovery_reentries),
+            "reptfd.rollback.aborts": float(self.recovery_aborts),
             "reptfd.due.count": float(self.due_count),
             "reptfd.store_queue.pushes": float(self.store_queue.pushes),
             "reptfd.store_queue.full_stalls": float(
                 self.store_queue.full_stalls),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res

@@ -16,17 +16,14 @@ from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.detection import Detector, NoDetector
 from repro.faults.events import FaultEvent, Outcome
-from repro.faults.injector import (
-    BlockInventory, FaultInjector, Strike, UNSYNC_DETECTORS,
-)
+from repro.faults.injector import FaultInjector, Strike, UNSYNC_DETECTORS
 from repro.isa.program import Program
 from repro.mem.cache import WritePolicy
 from repro.redundancy.pair import DualCoreSystem
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     CB_DRAIN, CB_GATE, EIH_INTERRUPT, EIH_RECOVERY, FAULT_DETECTED,
-    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, FAULT_SDC, RECOVERY_ABORT,
-    RECOVERY_REENTRY,
+    FAULT_DUE, FAULT_SDC,
 )
 from repro.unsync.comm_buffer import CBEntry, CommBuffer
 from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
@@ -105,6 +102,7 @@ class UnSyncSystem(DualCoreSystem):
     """Two un-synchronized redundant cores with CB + EIH recovery."""
 
     scheme = "unsync"
+    recovery_track = "eih"
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -118,28 +116,18 @@ class UnSyncSystem(DualCoreSystem):
             CommBuffer(self.unsync.cb_entries, self.unsync.cb_entry_bytes)
             for _ in range(2)]
         self.eih = ErrorInterruptHandler(self.unsync.eih)
-        self.injector = injector
         self.detectors = detectors if detectors is not None else dict(UNSYNC_DETECTORS)
-        self.fault_events: List[FaultEvent] = []
-        self.recovery_cycles_total = 0
-        self.due_count = 0
-        self.recovery_reentries = 0
-        self.recovery_aborts = 0
-        self._recovering_until = 0
-        self._recovery_retries_left = self.unsync.recovery_retry_budget
         #: cycle of the last *detected* strike per core (paired-strike
         #: DUE window checks; -inf sentinel keeps arithmetic branchless)
         self._last_detected_strike = [-(10 ** 9), -(10 ** 9)]
-        self._next_strike: Optional[Strike] = None
         # UnSync *requires* write-through L1s (Sec III-C-1)
         cfg = config or SystemConfig.table1()
         if cfg.dcache.policy is not WritePolicy.WRITE_THROUGH:
             raise ValueError(
                 "UnSync requires a write-through L1 D-cache (see Figure 2's "
                 "unrecoverable write-back scenario)")
-        super().__init__(program, cfg, name=name, telemetry=telemetry)
-        if self.injector is not None:
-            self._arm_next_strike(0)
+        super().__init__(program, cfg, name=name, telemetry=telemetry,
+                         injector=injector)
 
     # -- construction hooks --------------------------------------------------
     def make_gate(self, core_id: int) -> CommitGate:
@@ -147,8 +135,6 @@ class UnSyncSystem(DualCoreSystem):
 
     # -- per-cycle engine ------------------------------------------------------
     def on_cycle(self, now: int) -> None:
-        if self.injector is not None:
-            self._process_strikes(now)
         if self.eih._pending:
             pending = self.eih.poll(now)
             if pending is not None:
@@ -156,8 +142,6 @@ class UnSyncSystem(DualCoreSystem):
                 if now < self._recovering_until:
                     self._reenter_recovery(now, *pending, event=event)
                 else:
-                    self._recovery_retries_left = \
-                        self.unsync.recovery_retry_budget
                     self._recover(now, *pending, event=event)
         if now >= self._recovering_until:
             self._drain(now)
@@ -187,32 +171,14 @@ class UnSyncSystem(DualCoreSystem):
                           args={"n": drained, "left": len(f0)})
 
     # -- faults ---------------------------------------------------------------
-    def _arm_next_strike(self, now: int) -> None:
-        self._next_strike = self.injector.next_strike(now)
-
     def _process_strikes(self, now: int) -> None:
-        while self._next_strike is not None and self._next_strike.cycle <= now:
-            strike = self._next_strike
-            core_id = strike.core_id()
-            event = FaultEvent(cycle=now, core_id=core_id,
-                               block=strike.block, bit=strike.bit)
-            if self._ev is not None:
-                self._ev.emit(FAULT_INJECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "bit": strike.bit,
-                                    "flipped": strike.flipped_bits})
-                if strike.flipped_bits > 1:
-                    self._ev.emit(FAULT_MULTIBIT, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
+        for strike, event in self._strikes_due(now):
             if strike.block == "eih_pending":
                 self._strike_eih_queue(now, event)
             elif strike.block == "recovery_copy":
-                self._strike_recovery_copy(now, core_id, event)
+                self._strike_recovery_copy(now, event.core_id, event)
             else:
-                self._strike_block(now, core_id, strike, event)
-            self.fault_events.append(event)
-            self._arm_next_strike(now)
+                self._strike_block(now, event.core_id, strike, event)
 
     def _strike_block(self, now: int, core_id: int, strike: Strike,
                       event: FaultEvent) -> None:
@@ -292,17 +258,8 @@ class UnSyncSystem(DualCoreSystem):
         whole recovery restarts (its cycles are sunk cost); once the
         budget is exhausted the pair gives up: detected, unrecoverable.
         """
-        self.recovery_reentries += 1
-        if self._ev is not None:
-            self._ev.emit(RECOVERY_REENTRY, now, "eih",
-                          args={"core": bad_core, "block": block,
-                                "retries_left": self._recovery_retries_left})
-        if self._recovery_retries_left > 0:
-            self._recovery_retries_left -= 1
-            self.recovery_aborts += 1
-            if self._ev is not None:
-                self._ev.emit(RECOVERY_ABORT, now, "eih",
-                              args={"core": bad_core, "block": block})
+        self._note_reentry(now, bad_core, block)
+        if self._retry_recovery(now, bad_core, block):
             self._recover(now, bad_core, block, stall_complete, event=event)
         else:
             self._declare_due(now, bad_core, block, event,
@@ -341,16 +298,8 @@ class UnSyncSystem(DualCoreSystem):
             cb_entries=len(self.cbs[good_core]),
             cb_entry_bytes=self.unsync.cb_entry_bytes,
         )
-        freeze_until = now + plan.total_cycles
-        for p in self.pipelines:
-            p.frozen_until = max(p.frozen_until, freeze_until)
-        self._recovering_until = max(self._recovering_until, freeze_until)
-        self.recovery_cycles_total += plan.total_cycles
-        if self.injector is not None:
-            # adversarial injectors may chase the recovery window; any
-            # strike queued just now must preempt the pre-drawn one
-            self.injector.on_recovery(now, plan.total_cycles)
-            self._next_strike = self.injector.preempt(self._next_strike)
+        self._open_recovery(now, plan.total_cycles,
+                            self.unsync.recovery_retry_budget)
         if self._ev is not None:
             # emitted at `now` (poll time), keeping the eih track monotonic
             # even though the interrupt was *raised* detection-latency ago
@@ -405,11 +354,6 @@ class UnSyncSystem(DualCoreSystem):
             "unsync.recovery.aborts": float(self.recovery_aborts),
             "unsync.due.count": float(self.due_count),
         }
-
-    def result(self):
-        res = super().result()
-        res.fault_events = list(self.fault_events)
-        return res
 
 
 def replace_line(line):

@@ -340,8 +340,8 @@ def test_reunion_strike_during_rollback_aborts_and_recovers(loop):
     inj.on_recovery = chase
     res = system.run()
     assert system.rollbacks >= 1
-    assert system.rollback_reentries >= 1
-    assert system.rollback_aborts >= 1
+    assert system.recovery_reentries >= 1
+    assert system.recovery_aborts >= 1
     gold = golden.run(loop)
     assert res.state.regs == gold.state.regs
 

@@ -80,11 +80,6 @@ def test_reuse_matches_golden_across_workloads():
 # ---------------------------------------------------------------------------
 # injected runs are cross-checked too
 # ---------------------------------------------------------------------------
-def _pipelines(system):
-    # MEEK has one OoO core; the pair schemes have two
-    return getattr(system, "pipelines", None) or [system.pipeline]
-
-
 @pytest.mark.parametrize("scheme", protected_schemes())
 def test_injected_runs_cross_check_every_64_commits(scheme, monkeypatch):
     checks = Counter()
@@ -100,7 +95,7 @@ def test_injected_runs_cross_check_every_64_commits(scheme, monkeypatch):
         load_workload("fibonacci"), injector=FaultInjector(1 / 50, seed=3))
     # count retirements independently, through each core's commit gate
     retired = Counter()
-    for pipe in _pipelines(system):
+    for pipe in system.pipelines:
         def on_commit(entry, now, name=pipe.name,
                       inner=pipe.gate.on_commit):
             retired[name] += 1
@@ -108,7 +103,7 @@ def test_injected_runs_cross_check_every_64_commits(scheme, monkeypatch):
         pipe.gate.on_commit = on_commit
     res = system.run()
     assert res.fault_events  # the run really was struck
-    for pipe in _pipelines(system):
+    for pipe in system.pipelines:
         assert retired[pipe.name] > 64, pipe.name
         # every 64th non-HALT commit re-executes; HALT retires unchecked
         assert checks[pipe.name] >= (retired[pipe.name] - 1) // 64, \

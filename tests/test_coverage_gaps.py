@@ -146,12 +146,25 @@ def test_write_buffer_mechanics():
     wb.push(1, 0x104, 2, 4)
     assert wb.full and not wb.can_accept()
     assert wb.full_stalls == 1
-    assert wb.head()[0] == 0
-    assert wb.pop()[0] == 0
     with pytest.raises(RuntimeError):
         wb.push(2, 0, 0, 4)
-        wb.push(3, 0, 0, 4)
-        wb.push(4, 0, 0, 4)
+
+
+def test_write_buffer_drains_oldest_first_while_the_bus_accepts():
+    bus, l2 = Bus(width_bytes=8), SharedL2()
+    wb = WriteBuffer(capacity=2)
+    wb.push(0, 0x1000, 1, 4)
+    wb.push(1, 0x2000, 2, 4)
+    # one 12-byte entry holds the 8-byte bus for two cycles: the younger
+    # entry waits behind the older one's transfer
+    wb.drain(bus, l2, now=0)
+    assert len(wb) == 1
+    assert l2.cache.probe(0x1000) and not l2.cache.probe(0x2000)
+    wb.drain(bus, l2, now=1)  # the bus refuses: the entry stays queued
+    assert len(wb) == 1 and not l2.cache.probe(0x2000)
+    wb.drain(bus, l2, now=2)
+    assert len(wb) == 0 and l2.cache.probe(0x2000)
+    assert bus.stats.transactions == 2
 
 
 def test_write_buffer_validation():

@@ -102,6 +102,9 @@ def test_baseline_scheme_refuses_injector_attach():
     system = desc.build_system(program)
     with pytest.raises(ValueError, match="baseline"):
         desc.attach_injector(system, FaultInjector(0.01, seed=1))
+    # the chassis takes an injector, but the baseline never passes one on
+    with pytest.raises(TypeError):
+        desc.build_system(program, injector=FaultInjector(0.01, seed=1))
 
 
 # ---------------------------------------------------------------------------
