@@ -16,7 +16,8 @@ UnSync's block-by-block choice (Sec III-B-1):
 These models answer one question for the simulators — *given k bits
 flipped in a protected word, does the detector fire / correct?* — plus the
 detection latency to charge. Real bit-level codecs are unnecessary: the
-injector controls k exactly.
+injector controls k exactly. What the detectors cost in area and power is
+:mod:`repro.hwcost`'s business (Table II), not theirs.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class Detector:
     def check(self, flipped_bits: int) -> DetectionResult:
         raise NotImplementedError
 
-    #: fraction of the block's area added by the detector (for hwcost)
-    area_overhead = 0.0
-    #: fraction of per-access energy added
-    power_overhead = 0.0
-
 
 class NoDetector(Detector):
     """Unprotected block: every upset sails through."""
@@ -68,8 +64,6 @@ class ParityDetector(Detector):
 
     name = "parity"
     detection_latency = 1
-    area_overhead = 0.002   # <1% (paper cites ARM app note [24])
-    power_overhead = 0.002
 
     def check(self, flipped_bits: int) -> DetectionResult:
         if flipped_bits <= 0:
@@ -90,8 +84,6 @@ class DMRDetector(Detector):
 
     name = "dmr"
     detection_latency = 0
-    area_overhead = 1.0     # full duplication of the element
-    power_overhead = 0.06   # ~6% at the core level (paper cites [26], [27])
 
     def check(self, flipped_bits: int) -> DetectionResult:
         detected = flipped_bits > 0
@@ -109,8 +101,6 @@ class SECDEDDetector(Detector):
 
     name = "secded"
     detection_latency = 2   # codec needs more than one cycle (Sec III-B-1)
-    area_overhead = 0.22    # ~22% cache area (paper, citing [24])
-    power_overhead = 0.10   # ~10% cache power (Sec VI-A-1)
 
     def check(self, flipped_bits: int) -> DetectionResult:
         if flipped_bits <= 0:

@@ -14,8 +14,12 @@ class Outcome(enum.Enum):
     MASKED = "masked"
     #: a detector fired and the system recovered
     DETECTED_RECOVERED = "detected-recovered"
-    #: a detector fired but recovery was impossible (e.g. dirty write-back
-    #: line scenario of Figure 2)
+    #: a detector fired but recovery was impossible. The ``fault.due``
+    #: reasons the schemes emit: ``retry-budget-exhausted`` (a strike
+    #: outlasted a recovery's retries), ``paired-strike`` (UnSync's copy
+    #: source was struck too), ``interrupt-lost`` (a strike on the EIH
+    #: queue destroyed the recovery signal) and ``detect-only-ecc``
+    #: (a 2-bit cluster in Reunion's SECDED L1)
     DETECTED_UNRECOVERABLE = "detected-unrecoverable"
     #: no detector fired and the architectural output changed
     SDC = "silent-data-corruption"

@@ -135,19 +135,18 @@ class BlockInventory:
         return [b.bits / self.total_bits for b in self.blocks]
 
     def coverage(self, detectors: Dict[str, Detector],
-                 fingerprint_pre_commit: bool = False,
-                 flipped_bits: int = 1) -> float:
-        """Fraction of sequential-state bits on which a ``flipped_bits``-bit
-        upset is detected.
+                 fingerprint_pre_commit: bool = False) -> float:
+        """Fraction of sequential-state bits on which a single-bit upset
+        is detected.
 
         ``fingerprint_pre_commit=True`` additionally counts every
         ``pre_commit`` block as covered (Reunion's output comparison).
         """
         covered = 0
         for b in self.blocks:
-            det = detectors.get(b.name, NoDetector())
-            hit = det.check(flipped_bits).detected or det.check(flipped_bits).corrected
-            if hit or (fingerprint_pre_commit and b.pre_commit):
+            result = detectors.get(b.name, NoDetector()).check(1)
+            if (result.detected or result.corrected
+                    or (fingerprint_pre_commit and b.pre_commit)):
                 covered += b.bits
         return covered / self.total_bits
 

@@ -11,10 +11,13 @@ their drain / verification engines.
 The chassis also owns the fault path every protected scheme shares:
 arming the injector, calling the scheme's ``_process_strikes`` on cycles
 with a strike due, turning each due strike into a recorded
-:class:`~repro.faults.events.FaultEvent` (:meth:`_strikes_due`), and the
-bounded-retry recovery window (:meth:`_open_recovery`,
-:meth:`_strike_during_recovery`). Each scheme keeps only its own
-adjudication and recovery.
+:class:`~repro.faults.events.FaultEvent` (:meth:`_strikes_due`), the
+verdicts that label it (:meth:`_sdc`, :meth:`_detected`, :meth:`_due`),
+the deferred-compare queue of strikes a delayed re-check will catch
+(:meth:`_await_compare`, :meth:`_compared`), and the bounded-retry
+recovery window (:meth:`_open_recovery`,
+:meth:`_strike_during_recovery`). Each scheme keeps only its own choice
+of verdict and its recovery.
 
 :class:`BaselineSystem` is the single, unprotected Table I core with a
 store write buffer — the reference every Figure 4-6 overhead is computed
@@ -23,7 +26,7 @@ against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sized, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate, Pipeline
@@ -38,8 +41,8 @@ from repro.mem.prewarm import prewarm_l2
 from repro.redundancy.stats import RunResult, WriteBuffer
 from repro.telemetry import NULL_REGISTRY, Telemetry
 from repro.telemetry.events import (
-    FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, RECOVERY_ABORT,
-    RECOVERY_REENTRY, WATCHDOG_TRIP,
+    FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, FAULT_SDC,
+    RECOVERY_ABORT, RECOVERY_REENTRY, WATCHDOG_TRIP,
 )
 
 
@@ -89,6 +92,8 @@ class DualCoreSystem:
         self.injector = injector
         self.fault_events: List[FaultEvent] = []
         self._next_strike: Optional[Strike] = None
+        #: strikes a delayed re-check will catch: (progress threshold, event)
+        self._awaiting: List[Tuple[int, FaultEvent]] = []
         # the recovery window: strikes before `_recovering_until` land in
         # an open recovery and spend the episode's retry budget
         self._recovering_until = 0
@@ -185,6 +190,74 @@ class DualCoreSystem:
             self.fault_events.append(event)
             self._arm_next_strike(now)
 
+    # -- verdicts ------------------------------------------------------------
+    # With _compared and _strike_during_recovery, the only code that labels
+    # a strike detected or silent (tests/test_verdict_path.py pins this);
+    # ``args`` become the announcing event's args, in the caller's order.
+    def _sdc(self, now: int, event: FaultEvent, **args: object) -> None:
+        """No detector caught the strike: silent data corruption."""
+        event.outcome = Outcome.SDC
+        if self._ev is not None:
+            self._ev.emit(FAULT_SDC, now, self._core_track(event.core_id),
+                          args=args)
+
+    def _detected(self, now: int, event: FaultEvent, after: int,
+                  **args: object) -> None:
+        """A detector caught the strike ``after`` cycles after it landed,
+        and the system repairs it."""
+        event.outcome = Outcome.DETECTED_RECOVERED
+        event.detection_latency = after
+        if self._ev is not None:
+            self._ev.emit(FAULT_DETECTED, now,
+                          self._core_track(event.core_id), args=args)
+
+    def _due(self, now: int, event: FaultEvent, reason: str,
+             track: Optional[str] = None, **args: object) -> None:
+        """A detected error the system cannot repair, announced on the
+        struck core's track unless the caller names another."""
+        event.outcome = Outcome.DETECTED_UNRECOVERABLE
+        self.due_count += 1
+        if self._ev is not None:
+            args["reason"] = reason
+            self._ev.emit(FAULT_DUE, now,
+                          track or self._core_track(event.core_id),
+                          args=args)
+
+    # -- the deferred compare ------------------------------------------------
+    def _await_compare(self, event: FaultEvent, threshold: int) -> None:
+        """Leave ``event`` to a delayed re-check of the retirement stream:
+        it is caught once the compare's progress passes ``threshold``."""
+        self._awaiting.append((threshold, event))
+
+    def _strike_compare_queue(self, event: FaultEvent, queue: Sized,
+                              progress: int) -> None:
+        """A strike on the queue of records awaiting the compare.
+
+        A corrupted record mis-compares when the compare (now at
+        ``progress``) consumes it: a spurious mismatch, repaired like any
+        other. An empty queue has no record to corrupt (masked).
+        """
+        if queue:
+            self._await_compare(event, progress)
+        else:
+            event.outcome = Outcome.MASKED
+
+    def _compared(self, now: int, progress: int) -> List[FaultEvent]:
+        """The awaiting events the compare reached at ``progress``, each
+        labelled detected-recovered with its latency set and observed
+        in ``<scheme>.detection.latency``."""
+        matured = [e for t, e in self._awaiting if progress > t]
+        if matured:
+            self._awaiting = [(t, e) for t, e in self._awaiting
+                              if progress <= t]
+            histogram = self._met.histogram(
+                f"{self.scheme}.detection.latency")
+            for event in matured:
+                event.outcome = Outcome.DETECTED_RECOVERED
+                event.detection_latency = max(0, now - event.cycle)
+                histogram.observe(event.detection_latency)
+        return matured
+
     # -- the recovery window ---------------------------------------------------
     def _open_recovery(self, now: int, duration: int, budget: int) -> None:
         """Freeze every core for ``duration`` cycles of recovery.
@@ -251,12 +324,7 @@ class DualCoreSystem:
             self._extend_recovery(now, penalty)
             event.outcome = Outcome.DETECTED_RECOVERED
             return
-        event.outcome = Outcome.DETECTED_UNRECOVERABLE
-        self.due_count += 1
-        if self._ev is not None:
-            self._ev.emit(FAULT_DUE, now, self._core_track(core_id),
-                          args={"block": block,
-                                "reason": "retry-budget-exhausted"})
+        self._due(now, event, "retry-budget-exhausted", block=block)
 
     # -- driving -----------------------------------------------------------
     def step(self) -> None:
@@ -344,10 +412,9 @@ class BaselineSystem(DualCoreSystem):
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
-                 wbuf_entries: int = 16,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.wbuf = WriteBuffer(capacity=wbuf_entries)
+        self.wbuf = WriteBuffer(capacity=16)
         super().__init__(program, config, name=name, telemetry=telemetry)
 
     def make_gate(self, core_id: int) -> CommitGate:

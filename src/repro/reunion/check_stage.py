@@ -45,8 +45,7 @@ class ReunionParams:
     #:   sent* the fingerprint containing the serializing instruction
     #:   (i.e. the local pipeline has drained through the CHECK stage),
     #:   but not for the cross-core comparison round trip; commit still
-    #:   waits for full verification. This intermediate reading matches
-    #:   the paper's Figure 4 magnitudes best and is the default.
+    #:   waits for full verification (the intermediate reading);
     #: * ``"cut"``  — the serializing instruction still seals its own
     #:   fingerprint (so it is verified before it commits — correctness is
     #:   identical) but the front end keeps dispatching; the in-order

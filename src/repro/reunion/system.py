@@ -16,19 +16,17 @@ from typing import Dict, List, Optional
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
-from repro.faults.detection import Detector, NoDetector
-from repro.faults.events import FaultEvent, Outcome
+from repro.faults.detection import NoDetector
+from repro.faults.events import FaultEvent
 from repro.faults.injector import FaultInjector, REUNION_DETECTORS
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem
 from repro.redundancy.stats import WriteBuffer
 from repro.reunion.check_stage import CheckStage, ReunionParams
-from repro.reunion.csb import CheckStageBuffer, csb_entries_for
+from repro.reunion.csb import CheckStageBuffer
 from repro.telemetry import Telemetry
-from repro.telemetry.events import (
-    CSB_GATE, FAULT_DETECTED, FAULT_DUE, FAULT_SDC, ROLLBACK,
-)
+from repro.telemetry.events import CSB_GATE, ROLLBACK
 
 
 class _ReunionGate(CommitGate):
@@ -108,30 +106,23 @@ class ReunionSystem(DualCoreSystem):
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
                  params: Optional[ReunionParams] = None,
-                 csb_entries: Optional[int] = None,
                  injector: Optional[FaultInjector] = None,
-                 detectors: Optional[Dict[str, Detector]] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.params = params or ReunionParams()
         self.check = CheckStage(self.params)
         if telemetry is not None:
             self.check.events = telemetry.events
-        # Performance default: generous CSB so that — as in the paper's
-        # Figure 5 narrative — the *ROB* is the structure that saturates
-        # under large FI / comparison latency, not the CSB. The paper's
-        # hardware sizing rule (csb_entries_for, 17 entries at FI=10 with
-        # the minimum 6-cycle latency) is what the Table II cost model
-        # charges; pass csb_entries explicitly to study CSB-bound setups.
-        if csb_entries is not None:
-            capacity = csb_entries
-        else:
-            capacity = (self.params.fingerprint_interval
-                        + 4 * self.params.comparison_latency)
+        # A generous CSB so that — as in the paper's Figure 5 narrative —
+        # the *ROB* is the structure that saturates under large FI /
+        # comparison latency, not the CSB. The paper's hardware sizing
+        # rule (csb_entries_for, 17 entries at FI=10 with the minimum
+        # 6-cycle latency) is what the Table II cost model charges.
+        capacity = (self.params.fingerprint_interval
+                    + 4 * self.params.comparison_latency)
         self.csbs: List[CheckStageBuffer] = [
             CheckStageBuffer(capacity) for _ in range(2)]
         self.store_queue = WriteBuffer(capacity=16)
-        self.detectors = detectors if detectors is not None else dict(REUNION_DETECTORS)
         self.rollbacks = 0
         self.incoherence_events = 0
         self.incoherence_syncs = 0
@@ -186,27 +177,18 @@ class ReunionSystem(DualCoreSystem):
         for strike, event in self._strikes_due(now):
             core_id = event.core_id
             block = inventory.get(strike.block)
-            detector = self.detectors.get(strike.block, NoDetector())
+            detector = REUNION_DETECTORS.get(strike.block, NoDetector())
             result = detector.check(strike.flipped_bits)
             if result.corrected:
                 # SECDED L1: fixed in place, execution unaffected
-                event.outcome = Outcome.DETECTED_RECOVERED
-                event.detection_latency = result.latency_cycles
-                if self._ev is not None:
-                    self._ev.emit(FAULT_DETECTED, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "corrected": True})
+                self._detected(now, event, result.latency_cycles,
+                               block=strike.block, corrected=True)
             elif result.detected:
                 # SECDED saturated into detect-only (2-bit cluster): the
                 # L1 line is known-bad and the fingerprint never covered
                 # it — detected, unrecoverable.
-                event.outcome = Outcome.DETECTED_UNRECOVERABLE
                 event.detection_latency = result.latency_cycles
-                self.due_count += 1
-                if self._ev is not None:
-                    self._ev.emit(FAULT_DUE, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                        "reason": "detect-only-ecc"})
+                self._due(now, event, "detect-only-ecc", block=strike.block)
             elif now < self._recovering_until and block.pre_commit:
                 # pre-commit state is mid-squash: the corruption would
                 # poison the restart point, so the rollback restarts and
@@ -218,61 +200,37 @@ class ReunionSystem(DualCoreSystem):
                 # architectural state has no fingerprint coverage at any
                 # time: an SDC even inside the window
                 self._note_reentry(now, core_id, block.name)
-                event.outcome = Outcome.SDC
-                if self._ev is not None:
-                    self._ev.emit(FAULT_SDC, now, f"core{core_id}",
-                                  args={"block": block.name,
-                                        "during_rollback": True})
+                self._sdc(now, event, block=block.name, during_rollback=True)
             elif block.pre_commit:
                 # the corruption flows into the next fingerprint; verdict
                 # adjudicated when the group comparison lands.
                 self.check.corrupt_next[core_id] = True
-                event.outcome = None  # pending
                 self._unbound_events.append(event)
             else:
-                event.outcome = Outcome.SDC
-                if self._ev is not None:
-                    self._ev.emit(FAULT_SDC, now, f"core{core_id}",
-                                  args={"block": strike.block,
-                                    "flipped": strike.flipped_bits})
+                self._sdc(now, event, block=strike.block,
+                          flipped=strike.flipped_bits)
 
     def _adjudicate(self, now: int) -> None:
-        """Resolve pending fault events once their group's verdict lands."""
+        """Resolve pending fault events once their group's verdict lands:
+        the oldest pending event takes the lowest compared corrupted
+        group, and so on in order."""
         unbound = self._unbound_events
         if not unbound:
             return
         check = self.check
-        resolved = []
-        for event in unbound:
-            # find a corrupted group with a verdict
-            for group in sorted(check.corrupted_groups):
-                if check.was_compared(group):
-                    verdict_ok = check.is_verified(group, now + 10**9)
-                    if verdict_ok:
-                        event.outcome = Outcome.SDC  # CRC aliased
-                        if self._ev is not None:
-                            self._ev.emit(FAULT_SDC, now,
-                                          f"core{event.core_id}",
-                                          args={"block": event.block,
-                                                "aliased": True})
-                    else:
-                        event.outcome = Outcome.DETECTED_RECOVERED
-                        event.detection_latency = max(0, now - event.cycle)
-                        if self._ev is not None:
-                            self._ev.emit(FAULT_DETECTED, now,
-                                          f"core{event.core_id}",
-                                          args={"block": event.block,
-                                                "group": group,
-                                                "latency":
-                                                    event.detection_latency})
-                        self._met.histogram(
-                            "reunion.detection.latency").observe(
-                                event.detection_latency)
-                    check.corrupted_groups.discard(group)
-                    resolved.append(event)
-                    break
-        for event in resolved:
-            unbound.remove(event)
+        compared = sorted(g for g in check.corrupted_groups
+                          if check.was_compared(g))
+        for event, group in zip(unbound, compared):
+            check.corrupted_groups.discard(group)
+            if check.is_verified(group, now + 10**9):
+                # the CRC aliased: the corrupted group compared equal
+                self._sdc(now, event, block=event.block, aliased=True)
+                continue
+            latency = max(0, now - event.cycle)
+            self._detected(now, event, latency, block=event.block,
+                           group=group, latency=latency)
+            self._met.histogram("reunion.detection.latency").observe(latency)
+        del unbound[:len(compared)]
 
     # -- rollback -------------------------------------------------------------
     def _rollback(self, now: int, group: int) -> None:

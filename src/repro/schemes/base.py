@@ -60,8 +60,8 @@ class ResilienceScheme:
         """Build this scheme's system over ``program`` (must override).
 
         ``kwargs`` are forwarded to the system constructor (``injector``,
-        ``detectors``, ``telemetry``, scheme-specific knobs ...). The
-        returned object exposes ``run(max_cycles) -> RunResult``.
+        ``telemetry``, scheme-specific knobs ...). The returned object
+        exposes ``run(max_cycles) -> RunResult``.
         """
         raise NotImplementedError
 

@@ -30,20 +30,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
-from repro.faults.events import FaultEvent, Outcome
 from repro.faults.injector import Block, FaultInjector
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem, SimulationHang
 from repro.redundancy.stats import RunResult, WriteBuffer
 from repro.telemetry import Telemetry
-from repro.telemetry.events import (
-    CHECKQ_DRAIN, CHECKQ_GATE, FAULT_DETECTED, FAULT_SDC, WATCHDOG_TRIP,
-)
+from repro.telemetry.events import CHECKQ_DRAIN, CHECKQ_GATE, WATCHDOG_TRIP
 
 #: blocks the checker's re-execution covers: its private register file
 #: shadows the leader's, and pre-commit pipeline state feeds the compared
@@ -166,9 +163,6 @@ class MEEKSystem(DualCoreSystem):
         self.checkq_full_stalls = 0
         self.checkq_max_occupancy = 0
         self.rechecks = 0
-        #: fault events awaiting checker verification of the struck
-        #: instruction: (checked-count threshold, event)
-        self._pending: List = []
         super().__init__(program, config, name=name, telemetry=telemetry,
                          injector=injector)
 
@@ -182,8 +176,15 @@ class MEEKSystem(DualCoreSystem):
         strike = self._next_strike
         if strike is not None and strike.cycle <= now:
             self._process_strikes(now)
-        if self._pending:
-            self._adjudicate(now)
+        if self._awaiting:
+            # the checker's verified count is the compare
+            compared = self._compared(now, self.checked_seqs)
+            if compared:
+                for event in compared:
+                    latency = event.detection_latency
+                    self._detected(now, event, latency, block=event.block,
+                                   latency=latency)
+                self._recheck(now)
         if now >= self._recovering_until:
             self._check(now)
         # drain checker-verified stores whenever the bus is idle
@@ -220,50 +221,17 @@ class MEEKSystem(DualCoreSystem):
                 self._strike_during_recovery(now, event,
                                              self.params.recheck_penalty)
             elif strike.block == "check_queue":
-                self._strike_queue(event)
+                self._strike_compare_queue(event, self.check_queue,
+                                           self.checked_seqs)
             elif strike.block in MEEK_COVERED_BLOCKS:
                 # surfaces when the checker re-executes the struck
                 # instruction (value compare, no parity blind spot)
-                event.outcome = None  # pending verification
-                self._pending.append(
-                    (self.pipelines[0].stats.committed, event))
+                self._await_compare(event, self.pipelines[0].stats.committed)
             else:
                 # forwarded load values are never re-verified: L1 and TLB
                 # corruption sails straight past the checker
-                event.outcome = Outcome.SDC
-                if self._ev is not None:
-                    self._ev.emit(FAULT_SDC, now, "core0",
-                                  args={"block": strike.block,
-                                        "flipped": strike.flipped_bits})
-
-    def _strike_queue(self, event: FaultEvent) -> None:
-        """A strike on a buffered check record: an empty queue is masked,
-        otherwise the corrupted record mis-compares at the checker — a
-        spurious mismatch repaired by an ordinary recheck."""
-        if not self.check_queue:
-            event.outcome = Outcome.MASKED
-            return
-        event.outcome = None
-        self._pending.append((self.checked_seqs, event))
-
-    def _adjudicate(self, now: int) -> None:
-        """Resolve pending events the checker has verified past."""
-        matured = [(t, e) for t, e in self._pending
-                   if self.checked_seqs > t]
-        if not matured:
-            return
-        for _, event in matured:
-            event.outcome = Outcome.DETECTED_RECOVERED
-            event.detection_latency = max(0, now - event.cycle)
-            if self._ev is not None:
-                self._ev.emit(FAULT_DETECTED, now, "core0",
-                              args={"block": event.block,
-                                    "latency": event.detection_latency})
-            self._met.histogram("meek.detection.latency").observe(
-                event.detection_latency)
-        self._pending = [(t, e) for t, e in self._pending
-                         if self.checked_seqs <= t]
-        self._recheck(now)
+                self._sdc(now, event, block=strike.block,
+                          flipped=strike.flipped_bits)
 
     def _recheck(self, now: int) -> None:
         """Squash the leader and re-verify the unchecked window."""

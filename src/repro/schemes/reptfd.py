@@ -29,12 +29,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
-from repro.faults.events import FaultEvent, Outcome
 from repro.faults.injector import Block, FaultInjector
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem
@@ -190,9 +189,6 @@ class RepTFDSystem(DualCoreSystem):
         self.queue_full_stalls = 0
         self.queue_max_occupancy = 0
         self.rollbacks = 0
-        #: fault events awaiting the trailer's comparison of the struck
-        #: instruction: (trailer-commit threshold, event)
-        self._pending: List = []
         super().__init__(program, config, name=name, telemetry=telemetry,
                          injector=injector)
 
@@ -204,8 +200,19 @@ class RepTFDSystem(DualCoreSystem):
 
     # -- per-cycle engine ---------------------------------------------------
     def on_cycle(self, now: int) -> None:
-        if self._pending:
-            self._adjudicate(now)
+        if self._awaiting:
+            # the trailer's commit is the compare
+            compared = self._compared(
+                now, self.pipelines[self.TRAILER].stats.committed)
+            if compared:
+                if self._ev is not None:
+                    for event in compared:
+                        self._ev.emit(REPLAY_COMPARE, now, "replay",
+                                      args={"core": event.core_id,
+                                            "block": event.block,
+                                            "latency":
+                                                event.detection_latency})
+                self._rollback(now)
         # drain trailer-verified stores whenever the bus is idle
         self.store_queue.drain(self.bus, self.l2, now)
 
@@ -218,49 +225,16 @@ class RepTFDSystem(DualCoreSystem):
                 self._strike_during_recovery(now, event,
                                              self.params.rollback_penalty)
             elif strike.block == "replay_queue":
-                self._strike_queue(now, event)
+                self._strike_compare_queue(
+                    event, self.replay_queue,
+                    self.pipelines[self.TRAILER].stats.committed)
             else:
                 # every core block feeds the compared commit-time image —
                 # the corruption surfaces when the trailer re-executes the
                 # struck instruction, regardless of cluster size (the
                 # full-value compare has no parity blind spot)
-                threshold = self.pipelines[event.core_id].stats.committed
-                event.outcome = None  # pending comparison
-                self._pending.append((threshold, event))
-
-    def _strike_queue(self, now: int, event: FaultEvent) -> None:
-        """A strike on a buffered replay record.
-
-        An empty queue has no record to corrupt (masked). Otherwise the
-        corrupted record mis-compares when the trailer consumes it — a
-        spurious mismatch, detected and repaired by an ordinary rollback.
-        """
-        if not self.replay_queue:
-            event.outcome = Outcome.MASKED
-            return
-        event.outcome = None
-        self._pending.append(
-            (self.pipelines[self.TRAILER].stats.committed, event))
-
-    def _adjudicate(self, now: int) -> None:
-        """Resolve pending events the trailer's comparison has reached."""
-        verified = self.pipelines[self.TRAILER].stats.committed
-        matured = [(t, e) for t, e in self._pending if verified > t]
-        if not matured:
-            return
-        for _, event in matured:
-            event.outcome = Outcome.DETECTED_RECOVERED
-            event.detection_latency = max(0, now - event.cycle)
-            if self._ev is not None:
-                self._ev.emit(REPLAY_COMPARE, now, "replay",
-                              args={"core": event.core_id,
-                                    "block": event.block,
-                                    "latency": event.detection_latency})
-            self._met.histogram("reptfd.detection.latency").observe(
-                event.detection_latency)
-        self._pending = [(t, e) for t, e in self._pending
-                         if verified <= t]
-        self._rollback(now)
+                self._await_compare(
+                    event, self.pipelines[event.core_id].stats.committed)
 
     # -- rollback -----------------------------------------------------------
     def _rollback(self, now: int) -> None:

@@ -33,6 +33,34 @@ class ServiceError(RuntimeError):
         self.message = message
 
 
+def request_json(host: str, port: int, timeout: float, method: str,
+                 path: str, body: Optional[Dict] = None) -> Dict:
+    """One JSON request on a fresh connection to ``host:port``.
+
+    Returns the decoded response body; raises :class:`ServiceError` on a
+    non-2xx status and lets socket errors (``OSError``) propagate.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    try:
+        payload = (json.dumps(body, sort_keys=True).encode()
+                   if body is not None else None)
+        headers = {"Content-Type": "application/json"} if payload else {}
+        conn.request(method, path, body=payload, headers=headers)
+        response = conn.getresponse()
+        raw = response.read()
+        try:
+            data = json.loads(raw.decode() or "{}")
+        except json.JSONDecodeError:
+            data = {"error": raw.decode(errors="replace")[:200]}
+        if response.status >= 300:
+            raise ServiceError(
+                response.status,
+                str(data.get("error", "unexpected response")))
+        return data
+    finally:
+        conn.close()
+
+
 class ServiceClient:
     """Talks JSON to one ``repro serve`` instance."""
 
@@ -44,27 +72,8 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict] = None) -> Dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            payload = (json.dumps(body, sort_keys=True).encode()
-                       if body is not None else None)
-            headers = {"Content-Type": "application/json"} if payload \
-                else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            try:
-                data = json.loads(raw.decode() or "{}")
-            except json.JSONDecodeError:
-                data = {"error": raw.decode(errors="replace")[:200]}
-            if response.status >= 300:
-                raise ServiceError(
-                    response.status,
-                    str(data.get("error", "unexpected response")))
-            return data
-        finally:
-            conn.close()
+        return request_json(self.host, self.port, self.timeout, method,
+                            path, body)
 
     # -- API ----------------------------------------------------------------
     def healthz(self) -> Dict:

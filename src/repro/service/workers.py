@@ -45,9 +45,7 @@ hand-rolled loops.
 
 from __future__ import annotations
 
-import http.client
 import itertools
-import json
 import random
 import threading
 import time
@@ -60,7 +58,7 @@ from repro.campaign.snapshot import run_trial_differential
 from repro.campaign.spec import TrialSpec
 from repro.campaign.trial import TrialResult
 from repro.service.chaos import ChaosController
-from repro.service.client import ServiceError
+from repro.service.client import ServiceError, request_json
 from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
                                  call_with_retry)
 
@@ -568,27 +566,8 @@ class WorkerClient:
 
     def _once(self, method: str, path: str,
               body: Optional[Dict]) -> Dict:
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            payload = (json.dumps(body, sort_keys=True).encode()
-                       if body is not None else None)
-            headers = {"Content-Type": "application/json"} if payload \
-                else {}
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            try:
-                data = json.loads(raw.decode() or "{}")
-            except json.JSONDecodeError:
-                data = {"error": raw.decode(errors="replace")[:200]}
-            if response.status >= 300:
-                raise ServiceError(
-                    response.status,
-                    str(data.get("error", "unexpected response")))
-            return data
-        finally:
-            conn.close()
+        return request_json(self.host, self.port, self.timeout, method,
+                            path, body)
 
     def _request(self, method: str, path: str,
                  body: Optional[Dict] = None) -> Dict:

@@ -30,7 +30,9 @@ class EIHConfig:
 
 
 @dataclass(slots=True)
-class _PendingInterrupt:
+class PendingInterrupt:
+    """One raised interrupt awaiting delivery to the pair."""
+
     raise_cycle: int
     core_id: int
     block: str
@@ -47,41 +49,36 @@ class ErrorInterruptHandler:
 
     def __init__(self, config: Optional[EIHConfig] = None) -> None:
         self.config = config or EIHConfig()
-        self._pending: List[_PendingInterrupt] = []
+        self._pending: List[PendingInterrupt] = []
         self.interrupts_received = 0
         self.recoveries_signalled = 0
         self.interrupts_dropped = 0
-        #: the interrupt most recently returned by :meth:`poll` (the
-        #: system reads its ``token`` — poll's tuple shape is frozen API)
-        self.last_popped: Optional[_PendingInterrupt] = None
 
     def raise_interrupt(self, now: int, core_id: int, block: str,
                         token: Any = None) -> None:
         """A detector on ``core_id`` fired at cycle ``now``."""
-        self._pending.append(_PendingInterrupt(now, core_id, block, token))
+        self._pending.append(PendingInterrupt(now, core_id, block, token))
         self.interrupts_received += 1
 
-    def poll(self, now: int) -> Optional[Tuple[int, str, int]]:
-        """The recovery the pair must begin at cycle ``now``, if any.
+    def poll(self, now: int) -> Optional[PendingInterrupt]:
+        """The interrupt whose recovery the pair must begin at ``now``.
 
-        Returns ``(erroneous_core_id, block, stall_complete_cycle)`` once
-        ``signal_latency`` has elapsed since the interrupt;
-        ``stall_complete_cycle`` is when both pipelines are quiesced and
-        state copying may begin. Deliverable interrupts pop in
-        ``(raise_cycle, core_id, block)`` order, independent of raise
-        order.
+        An interrupt is deliverable once ``signal_latency`` has elapsed
+        since it was raised; both pipelines are then quiesced
+        ``stall_latency`` cycles later, when state copying may begin.
+        Deliverable interrupts pop in ``(raise_cycle, core_id, block)``
+        order, independent of raise order.
         """
         ready = [intr for intr in self._pending
                  if now >= intr.raise_cycle + self.config.signal_latency]
         if not ready:
             return None
-        intr = min(ready, key=_PendingInterrupt.order_key)
+        intr = min(ready, key=PendingInterrupt.order_key)
         self._pending.remove(intr)
         self.recoveries_signalled += 1
-        self.last_popped = intr
-        return (intr.core_id, intr.block, now + self.config.stall_latency)
+        return intr
 
-    def drop_latest_pending(self) -> Optional[_PendingInterrupt]:
+    def drop_latest_pending(self) -> Optional[PendingInterrupt]:
         """A strike on the pending queue destroys its youngest record.
 
         Returns the dropped interrupt (deterministically the max
@@ -90,7 +87,7 @@ class ErrorInterruptHandler:
         """
         if not self._pending:
             return None
-        intr = max(self._pending, key=_PendingInterrupt.order_key)
+        intr = max(self._pending, key=PendingInterrupt.order_key)
         self._pending.remove(intr)
         self.interrupts_dropped += 1
         return intr

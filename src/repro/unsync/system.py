@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
-from repro.faults.detection import Detector, NoDetector
+from repro.faults.detection import NoDetector
 from repro.faults.events import FaultEvent, Outcome
 from repro.faults.injector import FaultInjector, Strike, UNSYNC_DETECTORS
 from repro.isa.program import Program
@@ -22,11 +22,12 @@ from repro.mem.cache import WritePolicy
 from repro.redundancy.pair import DualCoreSystem
 from repro.telemetry import Telemetry
 from repro.telemetry.events import (
-    CB_DRAIN, CB_GATE, EIH_INTERRUPT, EIH_RECOVERY, FAULT_DETECTED,
-    FAULT_DUE, FAULT_SDC,
+    CB_DRAIN, CB_GATE, EIH_INTERRUPT, EIH_RECOVERY,
 )
 from repro.unsync.comm_buffer import CBEntry, CommBuffer
-from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
+from repro.unsync.eih import (
+    EIHConfig, ErrorInterruptHandler, PendingInterrupt,
+)
 from repro.unsync.recovery import RecoveryCostModel
 
 
@@ -108,7 +109,6 @@ class UnSyncSystem(DualCoreSystem):
                  config: Optional[SystemConfig] = None,
                  unsync: Optional[UnSyncConfig] = None,
                  injector: Optional[FaultInjector] = None,
-                 detectors: Optional[Dict[str, Detector]] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
         self.unsync = unsync or UnSyncConfig()
@@ -116,7 +116,6 @@ class UnSyncSystem(DualCoreSystem):
             CommBuffer(self.unsync.cb_entries, self.unsync.cb_entry_bytes)
             for _ in range(2)]
         self.eih = ErrorInterruptHandler(self.unsync.eih)
-        self.detectors = detectors if detectors is not None else dict(UNSYNC_DETECTORS)
         #: cycle of the last *detected* strike per core (paired-strike
         #: DUE window checks; -inf sentinel keeps arithmetic branchless)
         self._last_detected_strike = [-(10 ** 9), -(10 ** 9)]
@@ -136,13 +135,12 @@ class UnSyncSystem(DualCoreSystem):
     # -- per-cycle engine ------------------------------------------------------
     def on_cycle(self, now: int) -> None:
         if self.eih._pending:
-            pending = self.eih.poll(now)
-            if pending is not None:
-                event = self.eih.last_popped.token
+            intr = self.eih.poll(now)
+            if intr is not None:
                 if now < self._recovering_until:
-                    self._reenter_recovery(now, *pending, event=event)
+                    self._reenter_recovery(now, intr)
                 else:
-                    self._recover(now, *pending, event=event)
+                    self._recover(now, intr)
         if now >= self._recovering_until:
             self._drain(now)
 
@@ -176,38 +174,30 @@ class UnSyncSystem(DualCoreSystem):
             if strike.block == "eih_pending":
                 self._strike_eih_queue(now, event)
             elif strike.block == "recovery_copy":
-                self._strike_recovery_copy(now, event.core_id, event)
+                self._strike_recovery_copy(now, event)
             else:
-                self._strike_block(now, event.core_id, strike, event)
+                self._strike_block(now, strike, event)
 
-    def _strike_block(self, now: int, core_id: int, strike: Strike,
+    def _strike_block(self, now: int, strike: Strike,
                       event: FaultEvent) -> None:
         """The standard detector-adjudicated path (any inventory block)."""
-        detector = self.detectors.get(strike.block, NoDetector())
+        detector = UNSYNC_DETECTORS.get(strike.block, NoDetector())
         result = detector.check(strike.flipped_bits)
-        if result.detected or result.corrected:
-            event.detection_latency = result.latency_cycles
-            event.outcome = Outcome.DETECTED_RECOVERED
-            if not result.corrected:
-                # corrected (e.g. SECDED) is fixed in place, no recovery;
-                # detected-only raises the pair-wide recovery interrupt
-                self._last_detected_strike[core_id] = now
-                self.eih.raise_interrupt(now + result.latency_cycles,
-                                         core_id, strike.block, token=event)
-            if self._ev is not None:
-                self._ev.emit(FAULT_DETECTED, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "latency": result.latency_cycles,
-                                    "corrected": result.corrected})
-            self._met.histogram("unsync.detection.latency").observe(
-                result.latency_cycles)
-        else:
+        if not (result.detected or result.corrected):
             # even-weight clusters defeat 1-bit parity: a true SDC
-            event.outcome = Outcome.SDC
-            if self._ev is not None:
-                self._ev.emit(FAULT_SDC, now, f"core{core_id}",
-                              args={"block": strike.block,
-                                    "flipped": strike.flipped_bits})
+            self._sdc(now, event, block=strike.block,
+                      flipped=strike.flipped_bits)
+            return
+        latency = result.latency_cycles
+        self._detected(now, event, latency, block=strike.block,
+                       latency=latency, corrected=result.corrected)
+        self._met.histogram("unsync.detection.latency").observe(latency)
+        if not result.corrected:
+            # corrected (e.g. SECDED) is fixed in place, no recovery;
+            # detected-only raises the pair-wide recovery interrupt
+            self._last_detected_strike[event.core_id] = now
+            self.eih.raise_interrupt(now + latency, event.core_id,
+                                     strike.block, token=event)
 
     def _strike_eih_queue(self, now: int, event: FaultEvent) -> None:
         """A strike on the EIH pending queue destroys a queued interrupt.
@@ -218,20 +208,11 @@ class UnSyncSystem(DualCoreSystem):
         """
         event.outcome = Outcome.MASKED
         dropped = self.eih.drop_latest_pending()
-        if dropped is None:
-            return
-        lost: Optional[FaultEvent] = dropped.token
-        if lost is not None:
-            lost.outcome = Outcome.DETECTED_UNRECOVERABLE
-        self.due_count += 1
-        if self._ev is not None:
-            self._ev.emit(FAULT_DUE, now, "eih",
-                          args={"block": dropped.block,
-                                "core": dropped.core_id,
-                                "reason": "interrupt-lost"})
+        if dropped is not None:
+            self._due(now, dropped.token, "interrupt-lost", track="eih",
+                      block=dropped.block, core=dropped.core_id)
 
-    def _strike_recovery_copy(self, now: int, core_id: int,
-                              event: FaultEvent) -> None:
+    def _strike_recovery_copy(self, now: int, event: FaultEvent) -> None:
         """A strike on the in-flight recovery copy.
 
         Outside a recovery window there is no copy in flight (masked);
@@ -241,45 +222,30 @@ class UnSyncSystem(DualCoreSystem):
         if now >= self._recovering_until:
             event.outcome = Outcome.MASKED
             return
-        event.outcome = Outcome.DETECTED_RECOVERED
-        self._last_detected_strike[core_id] = now
-        self.eih.raise_interrupt(now, core_id, "recovery_copy", token=event)
-        if self._ev is not None:
-            self._ev.emit(FAULT_DETECTED, now, f"core{core_id}",
-                          args={"block": "recovery_copy", "latency": 0,
-                                "corrected": False})
+        self._detected(now, event, 0, block="recovery_copy", latency=0,
+                       corrected=False)
+        self._last_detected_strike[event.core_id] = now
+        self.eih.raise_interrupt(now, event.core_id, "recovery_copy",
+                                 token=event)
 
-    def _reenter_recovery(self, now: int, bad_core: int, block: str,
-                          stall_complete: int,
-                          event: Optional[FaultEvent]) -> None:
+    def _reenter_recovery(self, now: int, intr: PendingInterrupt) -> None:
         """A new detection landed while a recovery was already running.
 
         With retry budget left the in-progress copy is abandoned and the
         whole recovery restarts (its cycles are sunk cost); once the
         budget is exhausted the pair gives up: detected, unrecoverable.
         """
-        self._note_reentry(now, bad_core, block)
-        if self._retry_recovery(now, bad_core, block):
-            self._recover(now, bad_core, block, stall_complete, event=event)
+        self._note_reentry(now, intr.core_id, intr.block)
+        if self._retry_recovery(now, intr.core_id, intr.block):
+            self._recover(now, intr)
         else:
-            self._declare_due(now, bad_core, block, event,
-                              reason="retry-budget-exhausted")
+            self._due(now, intr.token, "retry-budget-exhausted",
+                      track="eih", core=intr.core_id, block=intr.block)
 
-    def _declare_due(self, now: int, bad_core: int, block: str,
-                     event: Optional[FaultEvent], reason: str) -> None:
-        """Graceful degradation: a detected error the pair cannot repair."""
-        if event is not None:
-            event.outcome = Outcome.DETECTED_UNRECOVERABLE
-        self.due_count += 1
-        if self._ev is not None:
-            self._ev.emit(FAULT_DUE, now, "eih",
-                          args={"core": bad_core, "block": block,
-                                "reason": reason})
-
-    def _recover(self, now: int, bad_core: int, block: str,
-                 stall_complete: int,
-                 event: Optional[FaultEvent] = None) -> None:
-        """Execute the six-step always-forward recovery."""
+    def _recover(self, now: int, intr: PendingInterrupt) -> None:
+        """Execute the six-step always-forward recovery of the interrupt
+        the EIH delivered at ``now``."""
+        bad_core, block = intr.core_id, intr.block
         good_core = 1 - bad_core
         # the paper's unrecoverable case: the copy *source* was itself
         # struck inside the detection window (or its own interrupt is
@@ -287,13 +253,14 @@ class UnSyncSystem(DualCoreSystem):
         window = self.unsync.due_window()
         if (self.eih.pending_for(good_core)
                 or now - self._last_detected_strike[good_core] <= window):
-            self._declare_due(now, bad_core, block, event,
-                              reason="paired-strike")
+            self._due(now, intr.token, "paired-strike", track="eih",
+                      core=bad_core, block=block)
             return
         good = self.pipelines[good_core]
         bad = self.pipelines[bad_core]
         plan = self.unsync.recovery.plan(
-            stall_cycles=max(0, stall_complete - now),
+            # both pipelines are quiesced stall_latency after the poll
+            stall_cycles=max(0, self.unsync.eih.stall_latency),
             l1_resident_lines=self.ports[good_core].dcache.resident_count(),
             cb_entries=len(self.cbs[good_core]),
             cb_entry_bytes=self.unsync.cb_entry_bytes,

@@ -161,7 +161,7 @@ def pop_all(eih, now=100):
         got = eih.poll(now)
         if got is None:
             break
-        order.append(got[:2])
+        order.append((got.core_id, got.block))
     return order
 
 

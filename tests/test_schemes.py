@@ -200,6 +200,16 @@ def test_run_scheme_resolves_through_registry(loop):
         run_scheme("no-such-scheme", loop)
 
 
+@pytest.mark.parametrize("name,knob", [("unsync", "detectors"),
+                                       ("reunion", "detectors"),
+                                       ("reunion", "csb_entries"),
+                                       ("baseline", "wbuf_entries")])
+def test_build_system_rejects_deleted_knobs(loop, name, knob):
+    # detectors, CSB and write-buffer sizes are fixed by the scheme
+    with pytest.raises(TypeError):
+        get(name).build_system(loop, **{knob: 16})
+
+
 # ---------------------------------------------------------------------------
 # golden byte-identity: the port changed nothing for UnSync/Reunion
 # ---------------------------------------------------------------------------

@@ -99,11 +99,11 @@ def test_cb_preserves_push_order(seqs):
 # ---------------------------------------------------------------------------
 def test_eih_signal_latency():
     eih = ErrorInterruptHandler(EIHConfig(signal_latency=3, stall_latency=2))
-    eih.raise_interrupt(now=10, core_id=1, block="regfile")
+    eih.raise_interrupt(now=10, core_id=1, block="regfile", token="event")
     assert eih.poll(12) is None          # before the signal arrives
-    core, block, stall_done = eih.poll(13)
-    assert (core, block) == (1, "regfile")
-    assert stall_done == 15
+    intr = eih.poll(13)
+    assert (intr.raise_cycle, intr.core_id, intr.block) == (10, 1, "regfile")
+    assert intr.token == "event"         # the caller's payload comes back
     assert eih.poll(14) is None          # consumed
 
 
