@@ -26,8 +26,8 @@ from repro.faults.detection import (
 )
 from repro.faults.events import FaultEvent, Outcome, TRIAL_OUTCOMES
 from repro.faults.adversarial import (
-    ADVERSARIAL_MODEL, AdversarialConfig, AdversarialInjector,
-    FAULT_MODELS, STANDARD_MODEL, adversarial_injector,
+    ADVERSARIAL_MODEL, AdversarialInjector, FAULT_MODELS, STANDARD_MODEL,
+    adversarial_injector,
 )
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "Detector", "ParityDetector", "DMRDetector", "SECDEDDetector",
     "NoDetector",
     "FaultEvent", "Outcome", "TRIAL_OUTCOMES",
-    "ADVERSARIAL_MODEL", "AdversarialConfig", "AdversarialInjector",
+    "ADVERSARIAL_MODEL", "AdversarialInjector",
     "FAULT_MODELS", "STANDARD_MODEL", "adversarial_injector",
 ]

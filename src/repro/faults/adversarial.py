@@ -13,15 +13,15 @@ an always-forward recovery scheme:
   Soft Errors in Uncore Components") motivate the rates.
 * **spatially correlated pair strikes** — both cores of a redundant pair
   struck within one detection-latency window. This is the paper's
-  unrecoverable case: when the EIH stalls the pair there is no clean
+  unrecoverable case: when the pair stalls to recover there is no clean
   core left to copy from.
 * **recovery chasing** — a strike scheduled *inside* an ongoing
   recovery/rollback episode (Zeng et al. show the recovery window is
   where lightweight resilience schemes actually break). The simulators
   notify the injector via :meth:`AdversarialInjector.on_recovery`.
 * **uncore targets** — structures the standard inventory never models:
-  CB entries, the EIH pending-interrupt queue, the in-flight recovery
-  copy (UnSync) and the CSB fingerprint store (Reunion).
+  each scheme's private buffers and queues, which its registry
+  descriptor declares (``uncore_blocks``).
 
 Everything is driven by one seeded RNG, so an adversarial trial remains
 a pure function of its :class:`~repro.campaign.spec.TrialSpec` — the
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.faults.injector import (
@@ -45,54 +44,22 @@ STANDARD_MODEL = "standard"
 ADVERSARIAL_MODEL = "adversarial"
 FAULT_MODELS: Tuple[str, ...] = (STANDARD_MODEL, ADVERSARIAL_MODEL)
 
-#: UnSync uncore structures (sizes follow UnSyncConfig defaults: a
-#: 170-entry x 12-byte CB, a handful of 64-bit pending-interrupt
-#: records, one cache line of copy data in flight during recovery).
-UNSYNC_UNCORE_BLOCKS: Tuple[Block, ...] = (
-    Block("cb", 170 * 12 * 8, pre_commit=False),
-    Block("eih_pending", 4 * 64, pre_commit=False),
-    Block("recovery_copy", 64 * 8, pre_commit=False),
-)
-
-#: Reunion's exposed uncore structure: the CSB holds pre-commit
-#: fingerprint state, so a corrupted entry surfaces as a mismatch (or an
-#: aliased escape) through the existing adjudication path.
-REUNION_UNCORE_BLOCKS: Tuple[Block, ...] = (
-    Block("csb", 64 * 66, pre_commit=True),
-)
-
-
-@dataclass(frozen=True)
-class AdversarialConfig:
-    """Mixture knobs of the adversarial strike generator."""
-
-    #: fraction of strikes that flip a multi-bit cluster (vs a single bit)
-    multi_bit_fraction: float = 0.35
-    #: cluster sizes drawn for a multi-bit strike, even-biased so that
-    #: parity-defeating upsets dominate (2, 2, 3, 4 -> half the clusters
-    #: are 2-bit)
-    cluster_sizes: Tuple[int, ...] = (2, 2, 3, 4)
-    #: fraction of strikes that are mirrored onto the *other* core within
-    #: ``pair_window_cycles`` — the paper's unrecoverable paired case
-    paired_fraction: float = 0.2
-    #: companion strikes land within this many cycles of the primary
-    pair_window_cycles: int = 4
-    #: probability that an ongoing recovery/rollback episode attracts a
-    #: chase strike inside its window
-    recovery_chase_fraction: float = 0.5
-    #: fraction of strikes redirected at the scheme's uncore blocks
-    uncore_fraction: float = 0.25
-
-    def __post_init__(self) -> None:
-        for name in ("multi_bit_fraction", "paired_fraction",
-                     "recovery_chase_fraction", "uncore_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.pair_window_cycles <= 0:
-            raise ValueError("pair_window_cycles must be positive")
-        if not self.cluster_sizes or min(self.cluster_sizes) < 2:
-            raise ValueError("cluster_sizes must all be >= 2 bits")
+#: fraction of strikes that flip a multi-bit cluster (vs a single bit)
+MULTI_BIT_FRACTION = 0.35
+#: cluster sizes drawn for a multi-bit strike, even-biased so that
+#: parity-defeating upsets dominate (2, 2, 3, 4 -> half the clusters are
+#: 2-bit)
+CLUSTER_SIZES: Tuple[int, ...] = (2, 2, 3, 4)
+#: fraction of strikes that are mirrored onto the *other* core within
+#: ``PAIR_WINDOW_CYCLES`` — the paper's unrecoverable paired case
+PAIRED_FRACTION = 0.2
+#: companion strikes land within this many cycles of the primary
+PAIR_WINDOW_CYCLES = 4
+#: probability that an ongoing recovery/rollback episode attracts a
+#: chase strike inside its window
+RECOVERY_CHASE_FRACTION = 0.5
+#: fraction of strikes redirected at the scheme's uncore blocks
+UNCORE_FRACTION = 0.25
 
 
 class AdversarialInjector(FaultInjector):
@@ -107,13 +74,11 @@ class AdversarialInjector(FaultInjector):
     def __init__(self, per_cycle_rate: float,
                  inventory: Optional[BlockInventory] = None,
                  seed: int = 0,
-                 config: Optional[AdversarialConfig] = None,
                  uncore_blocks: Sequence[Block] = ()) -> None:
         uncore = tuple(uncore_blocks)
         if inventory is None:
             inventory = BlockInventory(tuple(BLOCKS) + uncore)
         super().__init__(per_cycle_rate, inventory=inventory, seed=seed)
-        self.config = config or AdversarialConfig()
         self._uncore_names = [b.name for b in uncore]
         self._uncore_weights = [b.bits for b in uncore]
         self._base_names = [b.name for b in self.inventory
@@ -138,9 +103,8 @@ class AdversarialInjector(FaultInjector):
     # -- sampling ------------------------------------------------------------
     def _sample_strike(self, cycle: int, core: int,
                        allow_uncore: bool = True) -> Strike:
-        cfg = self.config
         if (allow_uncore and self._uncore_names
-                and self._rng.random() < cfg.uncore_fraction):
+                and self._rng.random() < UNCORE_FRACTION):
             names, weights = self._uncore_names, self._uncore_weights
             self.uncore_strikes += 1
         else:
@@ -148,8 +112,8 @@ class AdversarialInjector(FaultInjector):
         name = self._rng.choices(names, weights=weights, k=1)[0]
         bit = self._rng.randrange(self.inventory.get(name).bits)
         flipped = 1
-        if self._rng.random() < cfg.multi_bit_fraction:
-            flipped = self._rng.choice(cfg.cluster_sizes)
+        if self._rng.random() < MULTI_BIT_FRACTION:
+            flipped = self._rng.choice(CLUSTER_SIZES)
             self.multi_bit_strikes += 1
         return Strike(cycle=cycle, block=name, bit=bit,
                       flipped_bits=flipped, core=core)
@@ -164,10 +128,10 @@ class AdversarialInjector(FaultInjector):
         cycle = now + max(1, int(interval))
         core = self._rng.randrange(2)
         strike = self._sample_strike(cycle, core)
-        if self._rng.random() < self.config.paired_fraction:
-            # mirror onto the other core inside the detection window: the
-            # EIH will find no clean core to copy from
-            delta = self._rng.randrange(self.config.pair_window_cycles)
+        if self._rng.random() < PAIRED_FRACTION:
+            # mirror onto the other core inside the detection window: no
+            # clean core is left to recover from
+            delta = self._rng.randrange(PAIR_WINDOW_CYCLES)
             self._enqueue(self._sample_strike(cycle + delta, 1 - core,
                                               allow_uncore=False))
             self.paired_strikes += 1
@@ -184,7 +148,7 @@ class AdversarialInjector(FaultInjector):
         return armed
 
     def on_recovery(self, now: int, duration_cycles: int) -> None:
-        if self._rng.random() >= self.config.recovery_chase_fraction:
+        if self._rng.random() >= RECOVERY_CHASE_FRACTION:
             return
         # land inside the recovery window (capped so short rollbacks and
         # long L1 copies are both chaseable)
@@ -195,14 +159,12 @@ class AdversarialInjector(FaultInjector):
         self.chase_strikes += 1
 
 
-def adversarial_injector(scheme: str, per_cycle_rate: float, seed: int = 0,
-                         config: Optional[AdversarialConfig] = None
-                         ) -> AdversarialInjector:
+def adversarial_injector(scheme: str, per_cycle_rate: float,
+                         seed: int = 0) -> AdversarialInjector:
     """The adversarial injector for one scheme's structure inventory.
 
     The scheme registry declares each scheme's uncore strike targets
-    (UnSync's checkpoint buffers, Reunion's fingerprint path, RepTFD's
-    replay queue, MEEK's check queue); a scheme outside the registry
+    (its descriptor's ``uncore_blocks``); a scheme outside the registry
     simply exposes no uncore surface.
     """
     from repro.schemes import UnknownSchemeError, get
@@ -210,5 +172,5 @@ def adversarial_injector(scheme: str, per_cycle_rate: float, seed: int = 0,
         uncore: Sequence[Block] = get(scheme).uncore_blocks()
     except UnknownSchemeError:
         uncore = ()
-    return AdversarialInjector(per_cycle_rate, seed=seed, config=config,
+    return AdversarialInjector(per_cycle_rate, seed=seed,
                                uncore_blocks=uncore)

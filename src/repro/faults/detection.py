@@ -35,7 +35,6 @@ class DetectionResult:
 class Detector:
     """Interface: adjudicate a k-bit upset in one protected word."""
 
-    name = "detector"
     #: cycles from corrupted read to the error interrupt
     detection_latency = 1
 
@@ -46,7 +45,6 @@ class Detector:
 class NoDetector(Detector):
     """Unprotected block: every upset sails through."""
 
-    name = "none"
     detection_latency = 0
 
     def check(self, flipped_bits: int) -> DetectionResult:
@@ -62,7 +60,6 @@ class ParityDetector(Detector):
     simulators charge `detection_latency` from that read.
     """
 
-    name = "parity"
     detection_latency = 1
 
     def check(self, flipped_bits: int) -> DetectionResult:
@@ -82,7 +79,6 @@ class DMRDetector(Detector):
     modelled as zero). Detection is same-cycle.
     """
 
-    name = "dmr"
     detection_latency = 0
 
     def check(self, flipped_bits: int) -> DetectionResult:
@@ -99,7 +95,6 @@ class SECDEDDetector(Detector):
     conservative choice for coverage accounting.
     """
 
-    name = "secded"
     detection_latency = 2   # codec needs more than one cycle (Sec III-B-1)
 
     def check(self, flipped_bits: int) -> DetectionResult:

@@ -46,8 +46,6 @@ class FaultEvent:
     outcome: Optional[Outcome] = None
     #: cycles from strike to detection (when detected)
     detection_latency: int = 0
-    #: cycles of recovery penalty charged (when recovered)
-    recovery_cycles: int = 0
 
     @property
     def detected(self) -> bool:

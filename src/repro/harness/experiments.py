@@ -17,7 +17,9 @@ from repro.faults.injector import (
 from repro.faults.ser import BREAK_EVEN_SER, break_even_ser
 from repro.harness.runner import baseline_run, compare_schemes, run_scheme
 from repro.reunion.check_stage import ReunionParams
-from repro.unsync.comm_buffer import ENTRY_BYTES
+from repro.reunion.system import ReunionSystem
+from repro.unsync.comm_buffer import cb_entries_for
+from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig
 from repro.workloads.suites import benchmark_names, load_benchmark
 
@@ -85,7 +87,6 @@ def fig5_fi_latency(benchmarks: Sequence[str] = FIG5_DEFAULT,
         for fi, lat in grid:
             params = ReunionParams(fingerprint_interval=fi,
                                    comparison_latency=lat)
-            from repro.reunion.system import ReunionSystem
             system = ReunionSystem(program, params=params)
             res = system.run()
             points.append(Fig5Point(
@@ -122,7 +123,7 @@ def fig6_cb_size(benchmarks: Sequence[str] = FIG6_DEFAULT,
         program = load_benchmark(name)
         base = baseline_run(program)
         for kb in sizes_kb:
-            entries = max(1, int(kb * 1024 // ENTRY_BYTES))
+            entries = cb_entries_for(kb)
             cfg = UnSyncConfig(cb_entries=entries)
             res = run_scheme("unsync", program, unsync=cfg)
             points.append(Fig6Point(
@@ -193,8 +194,7 @@ def break_even_analysis(benchmark: str = "bzip2") -> BreakEven:
     cmp = compare_schemes(program)
     adv_cycles = (cmp.reunion.cycles - cmp.unsync.cycles) / cmp.baseline.instructions
     adv_cycles = max(0.0, adv_cycles)
-    from repro.unsync.recovery import RecoveryCostModel
-    reunion_rollback = ReunionParams().rollback_penalty
+    reunion_rollback = ReunionSystem.rollback_penalty
     penalties = {}
     for mode in ("copy", "invalidate"):
         plan = RecoveryCostModel(l1_restore=mode).plan(

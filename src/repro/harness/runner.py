@@ -32,8 +32,8 @@ def run_scheme(scheme: str, program: Program,
     ``scheme`` is any :func:`repro.schemes.available` name (an unknown
     one raises :class:`~repro.schemes.UnknownSchemeError`, a
     ``ValueError``). Extra kwargs are forwarded to the system constructor
-    (``unsync=`` for UnSync, ``params=`` for Reunion, RepTFD and MEEK,
-    ``injector=``, ``telemetry=``, ``name=``). ``max_cycles`` tightens
+    (``unsync=`` for UnSync, ``params=`` for Reunion, ``injector=``,
+    ``telemetry=``, ``name=``). ``max_cycles`` tightens
     the cycle-budget watchdog (the campaign trial runner uses it to
     classify wedged simulations as ``HANG`` instead of waiting out the
     generous default).

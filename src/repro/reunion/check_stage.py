@@ -26,7 +26,8 @@ from repro.reunion.fingerprint import FingerprintGenerator
 
 @dataclass(frozen=True)
 class ReunionParams:
-    """The two knobs of Figure 5."""
+    """The two knobs of Figure 5, and the serializing policy the
+    ablation bench sweeps."""
 
     #: instructions per fingerprint (paper default/minimum: 10)
     fingerprint_interval: int = 10
@@ -35,8 +36,6 @@ class ReunionParams:
     #: the default here and the Figure 4 operating point; Figure 5 sweeps
     #: this from 10 to 40+ explicitly.
     comparison_latency: int = 6
-    #: rollback cost beyond re-execution: squash + refill of both pipelines
-    rollback_penalty: int = 8
     #: serializing-instruction policy:
     #: * ``"drain"`` — dispatch stalls until the fingerprint containing
     #:   the serializing instruction is fully verified (the strong reading
@@ -56,27 +55,6 @@ class ReunionParams:
     #:   (≈8% average, bzip2/ammp/galgel above 10%); the stronger policies
     #:   overshoot the paper by 2-3x and are kept for ablation.
     serializing_policy: str = "cut"
-    #: Relaxed input replication (Sec II): both cores load directly from
-    #: memory, so a racing writer on another pair can hand the two
-    #: replicas *different* values — "input incoherence", which Reunion
-    #: treats exactly like a transient fault. Our workloads are
-    #: single-threaded (replicas can never actually diverge), so the
-    #: phenomenon is injected as a Poisson event rate per cycle; each
-    #: event costs a load re-issue on both cores and, with
-    #: ``incoherence_escalation_prob``, escalates to a synchronizing
-    #: memory request.
-    input_incoherence_rate: float = 0.0
-    #: probability a re-issued load pair still disagrees and needs the
-    #: synchronizing request (Sec II: "issuing the load a third time")
-    incoherence_escalation_prob: float = 0.1
-    #: cost of one re-issue (an extra L1/L2 round trip on both cores)
-    reissue_penalty: int = 12
-    #: cost of a synchronizing memory request (exclusive line acquisition)
-    sync_request_penalty: int = 40
-    #: how many times an in-progress rollback may abort-and-restart when
-    #: a strike lands inside its squash window before the pair degrades
-    #: to a detected-unrecoverable (DUE) outcome
-    rollback_retry_budget: int = 2
 
     def __post_init__(self) -> None:
         if self.fingerprint_interval <= 0:

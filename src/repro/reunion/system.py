@@ -10,15 +10,14 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.detection import NoDetector
 from repro.faults.events import FaultEvent
-from repro.faults.injector import FaultInjector, REUNION_DETECTORS
+from repro.faults.injector import Block, FaultInjector, REUNION_DETECTORS
 from repro.isa.instructions import Opcode
 from repro.isa.program import Program
 from repro.redundancy.pair import DualCoreSystem
@@ -27,6 +26,13 @@ from repro.reunion.check_stage import CheckStage, ReunionParams
 from repro.reunion.csb import CheckStageBuffer
 from repro.telemetry import Telemetry
 from repro.telemetry.events import CSB_GATE, ROLLBACK
+
+#: Reunion's exposed uncore structure: the CSB holds pre-commit
+#: fingerprint state, so a corrupted entry surfaces as a mismatch (or an
+#: aliased escape) through the existing adjudication path.
+REUNION_UNCORE_BLOCKS: Tuple[Block, ...] = (
+    Block("csb", 64 * 66, pre_commit=True),
+)
 
 
 class _ReunionGate(CommitGate):
@@ -102,6 +108,12 @@ class ReunionSystem(DualCoreSystem):
     scheme = "reunion"
     recovery_track = "check"
     VOCAL = 0
+    #: rollback cost beyond re-execution: squash + refill of both pipelines
+    rollback_penalty = 8
+    #: how many times an in-progress rollback may abort-and-restart when
+    #: a strike lands inside its squash window before the pair degrades
+    #: to a detected-unrecoverable (DUE) outcome
+    rollback_retry_budget = 2
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -124,10 +136,6 @@ class ReunionSystem(DualCoreSystem):
             CheckStageBuffer(capacity) for _ in range(2)]
         self.store_queue = WriteBuffer(capacity=16)
         self.rollbacks = 0
-        self.incoherence_events = 0
-        self.incoherence_syncs = 0
-        self.incoherence_cycles = 0
-        self._incoherence_rng = None
         #: fault events awaiting group-verdict adjudication
         self._unbound_events: List[FaultEvent] = []
         super().__init__(program, config, name=name, telemetry=telemetry,
@@ -139,37 +147,11 @@ class ReunionSystem(DualCoreSystem):
 
     # -- per-cycle engine ---------------------------------------------------
     def on_cycle(self, now: int) -> None:
-        if self.params.input_incoherence_rate > 0:
-            self._process_incoherence(now)
         self._adjudicate(now)
         mismatch = self.check.mismatch_ready(now)
         if mismatch is not None:
             self._rollback(now, mismatch)
         self.store_queue.drain(self.bus, self.l2, now)
-
-    # -- input incoherence (relaxed input replication) -------------------------
-    def _process_incoherence(self, now: int) -> None:
-        """Sample racing-writer events and charge their costs.
-
-        Both cores stall for the re-issue (their loads must be replayed
-        at the same point of the instruction stream); an escalated event
-        additionally pays the synchronizing request and occupies the bus.
-        """
-        import random
-        if self._incoherence_rng is None:
-            self._incoherence_rng = random.Random(0xC0)
-        rng = self._incoherence_rng
-        if rng.random() >= self.params.input_incoherence_rate:
-            return
-        self.incoherence_events += 1
-        penalty = self.params.reissue_penalty
-        if rng.random() < self.params.incoherence_escalation_prob:
-            self.incoherence_syncs += 1
-            penalty += self.params.sync_request_penalty
-            self.bus.request(now, self.bus.transfer_cycles(64))
-        for pipeline in self.pipelines:
-            pipeline.frozen_until = max(pipeline.frozen_until, now + penalty)
-        self.incoherence_cycles += penalty
 
     # -- faults -------------------------------------------------------------
     def _process_strikes(self, now: int) -> None:
@@ -195,7 +177,7 @@ class ReunionSystem(DualCoreSystem):
                 # its squash disposes of it — it never reaches a compared
                 # fingerprint, so `corrupt_next` stays clear
                 self._strike_during_recovery(now, event,
-                                             self.params.rollback_penalty)
+                                             self.rollback_penalty)
             elif now < self._recovering_until:
                 # architectural state has no fingerprint coverage at any
                 # time: an SDC even inside the window
@@ -236,8 +218,8 @@ class ReunionSystem(DualCoreSystem):
     def _rollback(self, now: int, group: int) -> None:
         """Squash both cores back to their committed (verified) state."""
         self.rollbacks += 1
-        penalty = self.params.rollback_penalty
-        self._open_recovery(now, penalty, self.params.rollback_retry_budget)
+        penalty = self.rollback_penalty
+        self._open_recovery(now, penalty, self.rollback_retry_budget)
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "check", dur=penalty,
                           args={"group": group})
@@ -274,7 +256,4 @@ class ReunionSystem(DualCoreSystem):
             "reunion.store_queue.pushes": float(self.store_queue.pushes),
             "reunion.store_queue.full_stalls": float(
                 self.store_queue.full_stalls),
-            "reunion.incoherence.events": float(self.incoherence_events),
-            "reunion.incoherence.syncs": float(self.incoherence_syncs),
-            "reunion.incoherence.cycles": float(self.incoherence_cycles),
         }

@@ -47,7 +47,7 @@ class UnSyncScheme(ResilienceScheme):
         return UnSyncSystem(program, config=config, **kwargs)
 
     def uncore_blocks(self) -> Tuple:
-        from repro.faults.adversarial import UNSYNC_UNCORE_BLOCKS
+        from repro.unsync.system import UNSYNC_UNCORE_BLOCKS
         return UNSYNC_UNCORE_BLOCKS
 
     def system_cost(self, tech=None):
@@ -80,7 +80,7 @@ class ReunionScheme(ResilienceScheme):
         return ReunionSystem(program, config=config, **kwargs)
 
     def uncore_blocks(self) -> Tuple:
-        from repro.faults.adversarial import REUNION_UNCORE_BLOCKS
+        from repro.reunion.system import REUNION_UNCORE_BLOCKS
         return REUNION_UNCORE_BLOCKS
 
     def system_cost(self, tech=None):

@@ -50,52 +50,16 @@ MEEK_COVERED_BLOCKS = frozenset(
     ("regfile", "pc", "pipeline_regs", "rob", "iq", "lsq"))
 
 #: the check queue's geometry: it carries the leader's retirement
-#: records (forwarded operands/result + tags) to the checker core
+#: records (forwarded operands/result + tags) to the checker core; a full
+#: queue back-pressures the leader's commit
 CHECK_QUEUE_ENTRIES = 64
 CHECK_ENTRY_BITS = 100
 
-#: MEEK's scheme-private uncore structure, at the default queue size
+#: MEEK's scheme-private uncore structure
 MEEK_UNCORE_BLOCKS = (
     Block("check_queue", CHECK_QUEUE_ENTRIES * CHECK_ENTRY_BITS,
           pre_commit=False),
 )
-
-
-@dataclass(frozen=True)
-class MEEKParams:
-    """MEEK knobs on top of the Table I system."""
-
-    #: bounded check-queue capacity (leader retirements awaiting the
-    #: checker); a full queue back-pressures leader commit
-    queue_entries: int = CHECK_QUEUE_ENTRIES
-    #: instructions the in-order checker verifies per cycle (the paper's
-    #: parallel checking lanes — sized to keep up with the leader's
-    #: commit width so steady-state slowdown stays small)
-    check_width: int = 4
-    #: cycles an entry matures in the queue before the checker may take
-    #: it (transfer + the checker's own pipeline depth)
-    check_latency: int = 8
-    #: squash + re-steer cost of one recheck episode
-    recheck_penalty: int = 24
-    #: recheck restarts tolerated inside one episode before degrading to
-    #: a detected-unrecoverable outcome
-    recheck_retry_budget: int = 2
-    #: verified-store release queue between the checker and the L2
-    store_buffer_entries: int = 16
-
-    def __post_init__(self) -> None:
-        if self.queue_entries <= 0:
-            raise ValueError("queue_entries must be positive")
-        if self.check_width <= 0:
-            raise ValueError("check_width must be positive")
-        if self.check_latency < 0:
-            raise ValueError("check_latency must be >= 0")
-        if self.recheck_penalty <= 0:
-            raise ValueError("recheck_penalty must be positive")
-        if self.recheck_retry_budget < 0:
-            raise ValueError("recheck_retry_budget must be >= 0")
-        if self.store_buffer_entries <= 0:
-            raise ValueError("store_buffer_entries must be positive")
 
 
 @dataclass(slots=True)
@@ -120,7 +84,7 @@ class _MEEKGate(CommitGate):
 
     def can_commit(self, entry: ROBEntry, now: int) -> bool:
         system = self.system
-        if len(system.check_queue) >= system.params.queue_entries:
+        if len(system.check_queue) >= CHECK_QUEUE_ENTRIES:
             system.checkq_full_stalls += 1
             if self._ev is not None and self._stall_start is None:
                 self._stall_start = now
@@ -147,17 +111,27 @@ class MEEKSystem(DualCoreSystem):
     scheme = "meek"
     n_cores = 1
     recovery_track = "checkq"
+    #: instructions the in-order checker verifies per cycle (the paper's
+    #: parallel checking lanes — sized to keep up with the leader's
+    #: commit width so steady-state slowdown stays small)
+    check_width = 4
+    #: cycles an entry matures in the queue before the checker may take
+    #: it (transfer + the checker's own pipeline depth)
+    check_latency = 8
+    #: squash + re-steer cost of one recheck episode
+    recheck_penalty = 24
+    #: recheck restarts tolerated inside one episode before degrading to
+    #: a detected-unrecoverable outcome
+    recheck_retry_budget = 2
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
-                 params: Optional[MEEKParams] = None,
                  injector: Optional[FaultInjector] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.params = params or MEEKParams()
         self.check_queue: Deque[_CheckRecord] = deque()
-        self.store_buffer = WriteBuffer(
-            capacity=self.params.store_buffer_entries)
+        #: verified-store release queue between the checker and the L2
+        self.store_buffer = WriteBuffer(capacity=16)
         self.checks = 0
         self.checked_seqs = 0
         self.checkq_full_stalls = 0
@@ -197,9 +171,9 @@ class MEEKSystem(DualCoreSystem):
         entries, releasing verified stores to the store buffer."""
         queue = self.check_queue
         taken = 0
-        while queue and taken < self.params.check_width:
+        while queue and taken < self.check_width:
             head = queue[0]
-            if now - head.commit_cycle < self.params.check_latency:
+            if now - head.commit_cycle < self.check_latency:
                 break
             if head.is_store and not self.store_buffer.can_accept():
                 break
@@ -219,7 +193,7 @@ class MEEKSystem(DualCoreSystem):
         for strike, event in self._strikes_due(now):
             if now < self._recovering_until:
                 self._strike_during_recovery(now, event,
-                                             self.params.recheck_penalty)
+                                             self.recheck_penalty)
             elif strike.block == "check_queue":
                 self._strike_compare_queue(event, self.check_queue,
                                            self.checked_seqs)
@@ -236,8 +210,8 @@ class MEEKSystem(DualCoreSystem):
     def _recheck(self, now: int) -> None:
         """Squash the leader and re-verify the unchecked window."""
         self.rechecks += 1
-        penalty = self.params.recheck_penalty + len(self.check_queue)
-        self._open_recovery(now, penalty, self.params.recheck_retry_budget)
+        penalty = self.recheck_penalty + len(self.check_queue)
+        self._open_recovery(now, penalty, self.recheck_retry_budget)
         self._met.histogram("meek.recheck.penalty").observe(penalty)
         self.pipelines[0].flush_pipeline()
 

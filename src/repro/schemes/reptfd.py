@@ -42,46 +42,16 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import REPLAY_COMPARE, REPLAY_GATE, ROLLBACK
 
 #: the replay queue's geometry: it holds the leader's commit records
-#: (pc + result + address + value + tags) until the trailer consumes them
+#: (pc + result + address + value + tags) until the trailer consumes them;
+#: a full queue back-pressures the leader's commit exactly like a full CB
 REPLAY_QUEUE_ENTRIES = 96
 REPLAY_ENTRY_BITS = 130
 
-#: RepTFD's scheme-private uncore structure, at the default queue size
+#: RepTFD's scheme-private uncore structure
 REPTFD_UNCORE_BLOCKS = (
     Block("replay_queue", REPLAY_QUEUE_ENTRIES * REPLAY_ENTRY_BITS,
           pre_commit=False),
 )
-
-
-@dataclass(frozen=True)
-class RepTFDParams:
-    """RepTFD knobs on top of the Table I system."""
-
-    #: minimum age (cycles) of a leader record before the trailer may
-    #: retire the same instruction — the detection-latency floor
-    replay_lag: int = 64
-    #: bounded replay-queue capacity; a full queue back-pressures the
-    #: leader's commit exactly like a full CB
-    queue_entries: int = REPLAY_QUEUE_ENTRIES
-    #: squash + re-steer cost of one rollback episode (both cores)
-    rollback_penalty: int = 40
-    #: rollback restarts tolerated inside one episode before the pair
-    #: degrades to a detected-unrecoverable outcome
-    rollback_retry_budget: int = 2
-    #: verified-store release queue between trailer commit and the L2
-    store_queue_entries: int = 16
-
-    def __post_init__(self) -> None:
-        if self.replay_lag <= 0:
-            raise ValueError("replay_lag must be positive")
-        if self.queue_entries <= 0:
-            raise ValueError("queue_entries must be positive")
-        if self.rollback_penalty <= 0:
-            raise ValueError("rollback_penalty must be positive")
-        if self.rollback_retry_budget < 0:
-            raise ValueError("rollback_retry_budget must be >= 0")
-        if self.store_queue_entries <= 0:
-            raise ValueError("store_queue_entries must be positive")
 
 
 @dataclass(slots=True)
@@ -107,7 +77,7 @@ class _LeaderGate(CommitGate):
 
     def can_commit(self, entry: ROBEntry, now: int) -> bool:
         system = self.system
-        if len(system.replay_queue) >= system.params.queue_entries:
+        if len(system.replay_queue) >= REPLAY_QUEUE_ENTRIES:
             system.queue_full_stalls += 1
             if self._ev is not None and self._stall_start is None:
                 self._stall_start = now
@@ -144,7 +114,7 @@ class _TrailerGate(CommitGate):
             # the leader is mid-resteer after a rollback; wait for its
             # record stream to catch up with the trailer's commit point
             return False
-        if now - head.commit_cycle < system.params.replay_lag:
+        if now - head.commit_cycle < system.replay_lag:
             return False
         if entry.is_store:
             # verified stores need a release-queue slot
@@ -173,17 +143,23 @@ class RepTFDSystem(DualCoreSystem):
     recovery_track = "replay"
     LEADER = 0
     TRAILER = 1
+    #: minimum age (cycles) of a leader record before the trailer may
+    #: retire the same instruction — the detection-latency floor
+    replay_lag = 64
+    #: squash + re-steer cost of one rollback episode (both cores)
+    rollback_penalty = 40
+    #: rollback restarts tolerated inside one episode before the pair
+    #: degrades to a detected-unrecoverable outcome
+    rollback_retry_budget = 2
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
-                 params: Optional[RepTFDParams] = None,
                  injector: Optional[FaultInjector] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.params = params or RepTFDParams()
         self.replay_queue: Deque[_ReplayRecord] = deque()
-        self.store_queue = WriteBuffer(
-            capacity=self.params.store_queue_entries)
+        #: verified-store release queue between trailer commit and the L2
+        self.store_queue = WriteBuffer(capacity=16)
         self.compares = 0
         self.value_divergences = 0
         self.queue_full_stalls = 0
@@ -223,7 +199,7 @@ class RepTFDSystem(DualCoreSystem):
                 # the squash-and-restart state is exactly what the next
                 # comparison round depends on
                 self._strike_during_recovery(now, event,
-                                             self.params.rollback_penalty)
+                                             self.rollback_penalty)
             elif strike.block == "replay_queue":
                 self._strike_compare_queue(
                     event, self.replay_queue,
@@ -251,8 +227,8 @@ class RepTFDSystem(DualCoreSystem):
         self.rollbacks += 1
         lag_window = (self.pipelines[self.LEADER].stats.committed
                       - self.pipelines[self.TRAILER].stats.committed)
-        penalty = self.params.rollback_penalty + max(0, lag_window)
-        self._open_recovery(now, penalty, self.params.rollback_retry_budget)
+        penalty = self.rollback_penalty + max(0, lag_window)
+        self._open_recovery(now, penalty, self.rollback_retry_budget)
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "replay", dur=penalty,
                           args={"window": lag_window})

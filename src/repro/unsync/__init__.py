@@ -12,21 +12,20 @@ the erroneous core — *always forward*, never a rollback.
 Public API:
 
 * :class:`~repro.unsync.system.UnSyncSystem` — run a workload under UnSync.
-* :class:`~repro.unsync.comm_buffer.CommBuffer` and
-  :func:`~repro.unsync.comm_buffer.matched_drain` — the CB mechanism.
+* :class:`~repro.unsync.comm_buffer.CommBuffer` — the CB mechanism.
 * :class:`~repro.unsync.eih.ErrorInterruptHandler` — detection-to-recovery
   signalling.
 * :mod:`repro.unsync.recovery` — the always-forward recovery cost model.
 """
 
-from repro.unsync.comm_buffer import CommBuffer, CBEntry, matched_drain
-from repro.unsync.eih import ErrorInterruptHandler, EIHConfig
+from repro.unsync.comm_buffer import CommBuffer, CBEntry
+from repro.unsync.eih import ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel, RecoveryPlan
 from repro.unsync.system import UnSyncSystem, UnSyncConfig
 
 __all__ = [
-    "CommBuffer", "CBEntry", "matched_drain",
-    "ErrorInterruptHandler", "EIHConfig",
+    "CommBuffer", "CBEntry",
+    "ErrorInterruptHandler",
     "RecoveryCostModel", "RecoveryPlan",
     "UnSyncSystem", "UnSyncConfig",
 ]

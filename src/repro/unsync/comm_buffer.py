@@ -10,7 +10,7 @@ written into the L2 cache."
 
 Because both cores retire the identical store stream in order, each CB is
 a FIFO of the same sequence; the "latest entry completed on both" rule is
-exactly the matched FIFO prefix, which :func:`matched_drain` computes.
+exactly the matched FIFO prefix, which ``UnSyncSystem._drain`` pops.
 
 A full CB back-pressures its core's commit stage — the mechanism behind
 Figure 6.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional
 
 
 #: Paper sizing: one entry holds address + data + instruction tag. The
@@ -28,6 +28,11 @@ from typing import Deque, List, Optional, Tuple
 #: 32-bit data and a tag, so we budget 12 bytes per entry when converting
 #: Figure 6's KB sizes to entry counts.
 ENTRY_BYTES = 12
+
+
+def cb_entries_for(kb: float) -> int:
+    """CB entries in ``kb`` KB of buffer (Figure 6's x-axis)."""
+    return max(1, int(kb * 1024 // ENTRY_BYTES))
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,28 +49,16 @@ class CBEntry:
 class CommBuffer:
     """Non-coalescing FIFO of retired stores for one core."""
 
-    def __init__(self, capacity_entries: int = 10,
-                 entry_bytes: int = ENTRY_BYTES) -> None:
+    def __init__(self, capacity_entries: int = 10) -> None:
         if capacity_entries <= 0:
             raise ValueError("CB needs at least one entry")
         self.capacity = capacity_entries
-        self.entry_bytes = entry_bytes
         self._fifo: Deque[CBEntry] = deque()
         self.pushes = 0
         self.drains = 0
         self.full_stalls = 0
         #: high-water mark (the Figure 6 sizing question, measured)
         self.max_occupancy = 0
-
-    @classmethod
-    def from_kilobytes(cls, kb: float, entry_bytes: int = ENTRY_BYTES) -> "CommBuffer":
-        """Size a CB the way Figure 6's x-axis does (KB of buffer)."""
-        entries = max(1, int(kb * 1024 // entry_bytes))
-        return cls(capacity_entries=entries, entry_bytes=entry_bytes)
-
-    @property
-    def size_bytes(self) -> int:
-        return self.capacity * self.entry_bytes
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -97,9 +90,6 @@ class CommBuffer:
         self.drains += 1
         return self._fifo.popleft()
 
-    def entries(self) -> Tuple[CBEntry, ...]:
-        return tuple(self._fifo)
-
     def overwrite_from(self, other: "CommBuffer") -> None:
         """Recovery step 5: replace contents with the clean core's CB."""
         self._fifo = deque(other._fifo)
@@ -107,20 +97,3 @@ class CommBuffer:
     def clear(self) -> None:
         self._fifo.clear()
 
-
-def matched_drain(cb_a: CommBuffer, cb_b: CommBuffer) -> int:
-    """Sequence number up to which both CBs hold (or have already drained)
-    the store stream — the drainable prefix boundary.
-
-    Entries with ``seq <= matched`` may be written to L2. Returns -1 when
-    nothing is drainable. Since both FIFOs observe the same retirement
-    order, the boundary is ``min`` over the two *youngest* entries, but
-    drains pop both FIFOs together so in steady state the heads agree; a
-    head mismatch can only mean one core ran ahead, and only the common
-    prefix drains.
-    """
-    if not len(cb_a) or not len(cb_b):
-        return -1
-    youngest_a = cb_a._fifo[-1].seq
-    youngest_b = cb_b._fifo[-1].seq
-    return min(youngest_a, youngest_b)

@@ -4,7 +4,8 @@ One EIH serves each core-pair. Detection blocks raise an interrupt to the
 EIH; the EIH broadcasts RECOVERY to both cores and the CB. The paper's
 Figure 2 discussion is explicit that this signalling takes "a non-zero
 number of cycles" — that window is where the write-back-cache
-unrecoverability argument lives, so the latency is a first-class knob.
+unrecoverability argument lives. The two latencies below are fixed
+constants; UnSync's paired-strike window is their sum.
 
 Ordering contract: when several interrupts are deliverable at the same
 poll, they pop in ``(raise_cycle, core_id, block)`` order *regardless of
@@ -15,18 +16,13 @@ campaign JSONL) on every run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-
-@dataclass(frozen=True)
-class EIHConfig:
-    """Latency parameters of the detection-to-recovery path."""
-
-    #: cycles from a detector firing to the EIH receiving the interrupt
-    signal_latency: int = 2
-    #: cycles from EIH broadcast to both pipelines being fully stalled
-    stall_latency: int = 3
+#: cycles from a detector firing to the EIH receiving the interrupt
+SIGNAL_LATENCY = 2
+#: cycles from EIH broadcast to both pipelines being fully stalled
+STALL_LATENCY = 3
 
 
 @dataclass(slots=True)
@@ -47,8 +43,7 @@ class PendingInterrupt:
 class ErrorInterruptHandler:
     """Collects error interrupts and schedules pair-wide recovery."""
 
-    def __init__(self, config: Optional[EIHConfig] = None) -> None:
-        self.config = config or EIHConfig()
+    def __init__(self) -> None:
         self._pending: List[PendingInterrupt] = []
         self.interrupts_received = 0
         self.recoveries_signalled = 0
@@ -63,14 +58,14 @@ class ErrorInterruptHandler:
     def poll(self, now: int) -> Optional[PendingInterrupt]:
         """The interrupt whose recovery the pair must begin at ``now``.
 
-        An interrupt is deliverable once ``signal_latency`` has elapsed
+        An interrupt is deliverable once ``SIGNAL_LATENCY`` has elapsed
         since it was raised; both pipelines are then quiesced
-        ``stall_latency`` cycles later, when state copying may begin.
+        ``STALL_LATENCY`` cycles later, when state copying may begin.
         Deliverable interrupts pop in ``(raise_cycle, core_id, block)``
         order, independent of raise order.
         """
         ready = [intr for intr in self._pending
-                 if now >= intr.raise_cycle + self.config.signal_latency]
+                 if now >= intr.raise_cycle + SIGNAL_LATENCY]
         if not ready:
             return None
         intr = min(ready, key=PendingInterrupt.order_key)
@@ -95,7 +90,3 @@ class ErrorInterruptHandler:
     def pending_for(self, core_id: int) -> bool:
         """Whether an undelivered interrupt from ``core_id`` is queued."""
         return any(intr.core_id == core_id for intr in self._pending)
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self._pending)

@@ -2,8 +2,8 @@
 
 The six recovery steps and how each is charged:
 
-1. stop both cores                  -> EIH stall latency (eih.py)
-2. flush the erroneous pipeline     -> ``pipeline_flush_cycles``
+1. stop both cores                  -> ``STALL_LATENCY`` (eih.py)
+2. flush the erroneous pipeline     -> ``PIPELINE_FLUSH_CYCLES``
 3. copy arch state + L1 contents    -> bytes / bus bandwidth via the L2
 4. stop CB->L2 drains               -> in-flight transfer completes (bus)
 5. overwrite the erroneous CB       -> CB entries over the pair link
@@ -20,7 +20,19 @@ the copy cost — the model reports both numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+
+from repro.unsync.comm_buffer import ENTRY_BYTES
+
+#: the state-copy path: an 8-byte L1<->L2 bus beat, the L2 access the
+#: copy subroutines pay, and the flush of the erroneous pipeline
+BUS_WIDTH_BYTES = 8
+L2_ACCESS_CYCLES = 20
+PIPELINE_FLUSH_CYCLES = 4
+#: the architectural state copied in step 3: the register file (+ PC)
+#: and each resident L1D line
+REG_COUNT = 32
+REG_BYTES = 4
+LINE_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -42,17 +54,8 @@ class RecoveryPlan:
 
 @dataclass(frozen=True)
 class RecoveryCostModel:
-    """Parameters of the state-copy path."""
+    """The state-copy path's cost, under one L1-restore mode."""
 
-    bus_width_bytes: int = 8
-    l2_access_cycles: int = 20
-    pipeline_flush_cycles: int = 4
-    reg_count: int = 32
-    reg_bytes: int = 4
-    line_bytes: int = 64
-    #: blocks whose copy overlaps the L2 access pipelining: every block
-    #: after the first hides its L2 latency behind the previous transfer.
-    pipelined_copy: bool = True
     #: how the erroneous core's L1 is restored:
     #: * ``"copy"``       — bulk-copy the clean core's L1 contents via the
     #:   L2, exactly as Sec III-A step 3 describes (expensive, warm);
@@ -69,24 +72,19 @@ class RecoveryCostModel:
 
     def _block_copy_cycles(self, n_blocks: int, block_bytes: int) -> int:
         """Cycles to push ``n_blocks`` of ``block_bytes`` through the
-        core->L2->core path."""
+        core->L2->core path. The copy is pipelined: every block after the
+        first hides its L2 latency behind the previous transfer."""
         if n_blocks <= 0:
             return 0
-        beats = max(1, -(-block_bytes // self.bus_width_bytes))
-        # write to L2 then read back on the other core: 2 traversals
-        per_block = 2 * beats
-        total = n_blocks * per_block
-        if self.pipelined_copy:
-            total += 2 * self.l2_access_cycles  # fill/drain the pipe once
-        else:
-            total += n_blocks * 2 * self.l2_access_cycles
-        return total
+        beats = max(1, -(-block_bytes // BUS_WIDTH_BYTES))
+        # write to L2 then read back on the other core: 2 traversals,
+        # plus one fill/drain of the L2 pipe
+        return n_blocks * 2 * beats + 2 * L2_ACCESS_CYCLES
 
     def plan(self,
              stall_cycles: int,
              l1_resident_lines: int,
-             cb_entries: int,
-             cb_entry_bytes: int = 12) -> RecoveryPlan:
+             cb_entries: int) -> RecoveryPlan:
         """Compute the full recovery budget.
 
         ``l1_resident_lines`` counts the clean core's valid L1D lines (the
@@ -94,16 +92,16 @@ class RecoveryCostModel:
         the flush); ``cb_entries`` is the clean CB occupancy copied in
         step 5.
         """
-        regfile = self._block_copy_cycles(1, self.reg_count * self.reg_bytes
-                                          + self.reg_bytes)  # + PC
+        regfile = self._block_copy_cycles(1, REG_COUNT * REG_BYTES
+                                          + REG_BYTES)  # + PC
         if self.l1_restore == "copy":
-            l1 = self._block_copy_cycles(l1_resident_lines, self.line_bytes)
+            l1 = self._block_copy_cycles(l1_resident_lines, LINE_BYTES)
         else:
             l1 = 1  # flash invalidate
-        cb = self._block_copy_cycles(cb_entries, cb_entry_bytes) if cb_entries else 0
+        cb = self._block_copy_cycles(cb_entries, ENTRY_BYTES) if cb_entries else 0
         return RecoveryPlan(
             stall_cycles=stall_cycles,
-            flush_cycles=self.pipeline_flush_cycles,
+            flush_cycles=PIPELINE_FLUSH_CYCLES,
             regfile_copy_cycles=regfile,
             l1_copy_cycles=l1,
             cb_copy_cycles=cb,

@@ -8,15 +8,17 @@ always-forward recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pipeline import CommitGate
 from repro.core.rob import ROBEntry
 from repro.faults.detection import NoDetector
 from repro.faults.events import FaultEvent, Outcome
-from repro.faults.injector import FaultInjector, Strike, UNSYNC_DETECTORS
+from repro.faults.injector import (
+    Block, FaultInjector, Strike, UNSYNC_DETECTORS,
+)
 from repro.isa.program import Program
 from repro.mem.cache import WritePolicy
 from repro.redundancy.pair import DualCoreSystem
@@ -24,43 +26,39 @@ from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     CB_DRAIN, CB_GATE, EIH_INTERRUPT, EIH_RECOVERY,
 )
-from repro.unsync.comm_buffer import CBEntry, CommBuffer
+from repro.unsync.comm_buffer import CBEntry, CommBuffer, ENTRY_BYTES
 from repro.unsync.eih import (
-    EIHConfig, ErrorInterruptHandler, PendingInterrupt,
+    ErrorInterruptHandler, PendingInterrupt, SIGNAL_LATENCY, STALL_LATENCY,
 )
 from repro.unsync.recovery import RecoveryCostModel
+
+#: bytes actually moved per drain: the 32-bit data + address pair packs
+#: into one 64-bit bus beat
+DRAIN_PAYLOAD_BYTES = 8
 
 
 @dataclass(frozen=True)
 class UnSyncConfig:
-    """UnSync-specific knobs on top of the Table I system."""
+    """The two UnSync values the evaluation sweeps."""
 
     #: CB entries per core. The default is the 2 KB operating point —
     #: Figure 6's knee, where CB back-pressure vanishes; the paper's
     #: hardware synthesis point (10 entries, Table II) is what
-    #: ``repro.hwcost`` charges, and Figure 6 sweeps the full range via
-    #: :meth:`CommBuffer.from_kilobytes`.
+    #: ``repro.hwcost`` charges, and Figure 6 sweeps the full range
+    #: (:func:`~repro.unsync.comm_buffer.cb_entries_for` converts its KB).
     cb_entries: int = 170
-    cb_entry_bytes: int = 12
-    #: bytes actually moved per drain: the 32-bit data + address pair
-    #: packs into one 64-bit bus beat.
-    drain_payload_bytes: int = 8
-    eih: EIHConfig = field(default_factory=EIHConfig)
+    #: the L1-restore mode of the recovery (Sec VI-C's break-even)
     recovery: RecoveryCostModel = field(default_factory=RecoveryCostModel)
-    #: how many times an in-progress recovery may abort-and-restart when
-    #: a new strike lands inside its window before the pair degrades to a
-    #: detected-unrecoverable (DUE) outcome
-    recovery_retry_budget: int = 2
-    #: paired-strike vulnerability window: a detected strike on the clean
-    #: core within this many cycles of a recovery makes the copy source
-    #: suspect -> DUE. ``None`` derives signal + stall latency (the EIH's
-    #: own detection-to-quiesce window).
-    pair_due_window: Optional[int] = None
 
-    def due_window(self) -> int:
-        if self.pair_due_window is not None:
-            return self.pair_due_window
-        return self.eih.signal_latency + self.eih.stall_latency
+
+#: UnSync's uncore strike targets, sized at the default CB: a 170-entry x
+#: 12-byte CB, a handful of 64-bit pending-interrupt records, one cache
+#: line of copy data in flight during recovery
+UNSYNC_UNCORE_BLOCKS: Tuple[Block, ...] = (
+    Block("cb", UnSyncConfig.cb_entries * ENTRY_BYTES * 8, pre_commit=False),
+    Block("eih_pending", 4 * 64, pre_commit=False),
+    Block("recovery_copy", 64 * 8, pre_commit=False),
+)
 
 
 class _UnSyncGate(CommitGate):
@@ -104,6 +102,14 @@ class UnSyncSystem(DualCoreSystem):
 
     scheme = "unsync"
     recovery_track = "eih"
+    #: how many times an in-progress recovery may abort-and-restart when
+    #: a new strike lands inside its window before the pair degrades to a
+    #: detected-unrecoverable (DUE) outcome
+    recovery_retry_budget = 2
+    #: paired-strike vulnerability window: a detected strike on the clean
+    #: core within this many cycles of a recovery makes the copy source
+    #: suspect -> DUE. It is the EIH's own detection-to-quiesce window.
+    pair_due_window = SIGNAL_LATENCY + STALL_LATENCY
 
     def __init__(self, program: Program,
                  config: Optional[SystemConfig] = None,
@@ -113,9 +119,8 @@ class UnSyncSystem(DualCoreSystem):
                  telemetry: Optional[Telemetry] = None) -> None:
         self.unsync = unsync or UnSyncConfig()
         self.cbs: List[CommBuffer] = [
-            CommBuffer(self.unsync.cb_entries, self.unsync.cb_entry_bytes)
-            for _ in range(2)]
-        self.eih = ErrorInterruptHandler(self.unsync.eih)
+            CommBuffer(self.unsync.cb_entries) for _ in range(2)]
+        self.eih = ErrorInterruptHandler()
         #: cycle of the last *detected* strike per core (paired-strike
         #: DUE window checks; -inf sentinel keeps arithmetic branchless)
         self._last_detected_strike = [-(10 ** 9), -(10 ** 9)]
@@ -156,7 +161,7 @@ class UnSyncSystem(DualCoreSystem):
                 # one core is mid-recovery resync; only the common prefix
                 # is drainable and the heads disagree — wait.
                 break
-            xfer = self.bus.transfer_cycles(self.unsync.drain_payload_bytes)
+            xfer = self.bus.transfer_cycles(DRAIN_PAYLOAD_BYTES)
             if self.bus.try_request(now, xfer) < 0:
                 break
             cb0.pop()
@@ -250,7 +255,7 @@ class UnSyncSystem(DualCoreSystem):
         # the paper's unrecoverable case: the copy *source* was itself
         # struck inside the detection window (or its own interrupt is
         # still in flight) — there is no clean core to go forward from
-        window = self.unsync.due_window()
+        window = self.pair_due_window
         if (self.eih.pending_for(good_core)
                 or now - self._last_detected_strike[good_core] <= window):
             self._due(now, intr.token, "paired-strike", track="eih",
@@ -259,14 +264,13 @@ class UnSyncSystem(DualCoreSystem):
         good = self.pipelines[good_core]
         bad = self.pipelines[bad_core]
         plan = self.unsync.recovery.plan(
-            # both pipelines are quiesced stall_latency after the poll
-            stall_cycles=max(0, self.unsync.eih.stall_latency),
+            # both pipelines are quiesced STALL_LATENCY after the poll
+            stall_cycles=STALL_LATENCY,
             l1_resident_lines=self.ports[good_core].dcache.resident_count(),
             cb_entries=len(self.cbs[good_core]),
-            cb_entry_bytes=self.unsync.cb_entry_bytes,
         )
         self._open_recovery(now, plan.total_cycles,
-                            self.unsync.recovery_retry_budget)
+                            self.recovery_retry_budget)
         if self._ev is not None:
             # emitted at `now` (poll time), keeping the eih track monotonic
             # even though the interrupt was *raised* detection-latency ago
@@ -300,8 +304,6 @@ class UnSyncSystem(DualCoreSystem):
         self.cbs[bad_core].overwrite_from(self.cbs[good_core])
         # the copy traffic owns the bus for its duration
         self.bus.request(now, max(1, plan.total_cycles - plan.stall_cycles))
-        if self.fault_events:
-            self.fault_events[-1].recovery_cycles = plan.total_cycles
 
     # -- results ------------------------------------------------------------
     def scheme_metrics(self) -> Dict[str, float]:

@@ -13,18 +13,16 @@ from repro.campaign import (
 from repro.campaign.spec import TrialSpec
 from repro.faults import (
     ADVERSARIAL_MODEL, FAULT_MODELS, STANDARD_MODEL, TRIAL_OUTCOMES,
-    AdversarialConfig, AdversarialInjector, adversarial_injector,
+    AdversarialInjector, adversarial, adversarial_injector,
 )
 from repro.faults.events import Outcome
 from repro.faults.injector import (
     BLOCKS, BlockInventory, FaultInjector, Strike,
 )
-from repro.faults.adversarial import REUNION_UNCORE_BLOCKS
 from repro.isa import assemble, golden
 from repro.redundancy.pair import SimulationHang
-from repro.reunion.check_stage import ReunionParams
-from repro.reunion.system import ReunionSystem
-from repro.unsync.eih import EIHConfig, ErrorInterruptHandler
+from repro.reunion.system import REUNION_UNCORE_BLOCKS, ReunionSystem
+from repro.unsync.eih import ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
 
@@ -82,21 +80,31 @@ class ScriptedInjector(FaultInjector):
         return armed
 
 
-def fast_unsync(**kw):
-    return UnSyncConfig(recovery=RecoveryCostModel(l1_restore="invalidate"),
-                        **kw)
+def fast_unsync():
+    return UnSyncConfig(recovery=RecoveryCostModel(l1_restore="invalidate"))
+
+
+class NoPairWindowUnSync(UnSyncSystem):
+    """UnSync with a zero paired-strike window: isolates recovery
+    re-entry from the paired-strike DUE rule."""
+
+    pair_due_window = 0
 
 
 # ---------------------------------------------------------------------------
 # adversarial injector generation
 # ---------------------------------------------------------------------------
-def test_adversarial_config_validation():
-    with pytest.raises(ValueError):
-        AdversarialConfig(multi_bit_fraction=1.5)
-    with pytest.raises(ValueError):
-        AdversarialConfig(pair_window_cycles=0)
-    with pytest.raises(ValueError):
-        AdversarialConfig(cluster_sizes=(1, 2))
+def test_adversarial_mixture_constants():
+    # every mixture fraction is a probability, companions land inside a
+    # real window, and a multi-bit cluster flips at least two bits
+    for fraction in (adversarial.MULTI_BIT_FRACTION,
+                     adversarial.PAIRED_FRACTION,
+                     adversarial.RECOVERY_CHASE_FRACTION,
+                     adversarial.UNCORE_FRACTION):
+        assert 0.0 <= fraction <= 1.0
+    assert adversarial.PAIR_WINDOW_CYCLES > 0
+    assert adversarial.CLUSTER_SIZES
+    assert min(adversarial.CLUSTER_SIZES) >= 2
 
 
 def test_fault_model_names():
@@ -166,11 +174,11 @@ def pop_all(eih, now=100):
 
 
 def test_eih_pop_order_independent_of_raise_order():
-    a = ErrorInterruptHandler(EIHConfig())
+    a = ErrorInterruptHandler()
     a.raise_interrupt(10, 0, "regfile")
     a.raise_interrupt(10, 1, "lsq")
     a.raise_interrupt(12, 0, "rob")
-    b = ErrorInterruptHandler(EIHConfig())
+    b = ErrorInterruptHandler()
     b.raise_interrupt(12, 0, "rob")
     b.raise_interrupt(10, 1, "lsq")
     b.raise_interrupt(10, 0, "regfile")
@@ -179,7 +187,7 @@ def test_eih_pop_order_independent_of_raise_order():
 
 
 def test_eih_drop_latest_pending_is_deterministic():
-    eih = ErrorInterruptHandler(EIHConfig())
+    eih = ErrorInterruptHandler()
     eih.raise_interrupt(10, 0, "regfile", token="old")
     eih.raise_interrupt(20, 1, "lsq", token="young")
     dropped = eih.drop_latest_pending()
@@ -252,11 +260,9 @@ def test_recovery_copy_strike_outside_recovery_is_masked(loop):
 
 
 def test_strike_during_recovery_reenters_and_restarts(loop):
-    # window=0 isolates re-entry from the paired-strike DUE rule; the
-    # default "copy" restore keeps the recovery window long enough for
-    # the second strike to land inside it
-    cfg = UnSyncConfig(pair_due_window=0)
-    system = UnSyncSystem(loop, unsync=cfg, injector=ScriptedInjector(
+    # the default "copy" restore keeps the recovery window long enough
+    # for the second strike to land inside it
+    system = NoPairWindowUnSync(loop, injector=ScriptedInjector(
         [Strike(cycle=100, block="regfile", bit=4, flipped_bits=1, core=0),
          Strike(cycle=140, block="lsq", bit=9, flipped_bits=1, core=1)]))
     res = system.run()
@@ -269,8 +275,10 @@ def test_strike_during_recovery_reenters_and_restarts(loop):
 
 
 def test_recovery_retry_budget_exhaustion_degrades_to_due(loop):
-    cfg = UnSyncConfig(pair_due_window=0, recovery_retry_budget=0)
-    system = UnSyncSystem(loop, unsync=cfg, injector=ScriptedInjector(
+    class NoRetryUnSync(NoPairWindowUnSync):
+        recovery_retry_budget = 0
+
+    system = NoRetryUnSync(loop, injector=ScriptedInjector(
         [Strike(cycle=100, block="regfile", bit=4, flipped_bits=1, core=0),
          Strike(cycle=140, block="lsq", bit=9, flipped_bits=1, core=1)]))
     system.run()
@@ -280,8 +288,7 @@ def test_recovery_retry_budget_exhaustion_degrades_to_due(loop):
 
 
 def test_recovery_copy_strike_inside_recovery_restarts_it(loop):
-    cfg = UnSyncConfig(pair_due_window=0)
-    system = UnSyncSystem(loop, unsync=cfg, injector=ScriptedInjector(
+    system = NoPairWindowUnSync(loop, injector=ScriptedInjector(
         [Strike(cycle=100, block="regfile", bit=4, flipped_bits=1, core=0),
          Strike(cycle=140, block="recovery_copy", bit=0, core=1)]))
     res = system.run()

@@ -4,6 +4,7 @@ single-block, and large-L1 budgets, plus monotonicity properties."""
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.unsync import recovery
 from repro.unsync.recovery import RecoveryCostModel, RecoveryPlan
 
 
@@ -34,17 +35,10 @@ def test_sub_beat_block_rounds_up_to_one_beat():
 
 
 def test_pipelined_copy_hides_l2_latency():
-    pipelined = model(pipelined_copy=True)
-    serial = model(pipelined_copy=False)
+    # every block after the first hides its L2 latency: 32 blocks pay
+    # one pipe fill/drain, not 32
     n = 32
-    assert pipelined._block_copy_cycles(n, 64) \
-        == n * 16 + 40
-    assert serial._block_copy_cycles(n, 64) == n * 16 + n * 40
-    assert pipelined._block_copy_cycles(n, 64) \
-        < serial._block_copy_cycles(n, 64)
-    # for ONE block pipelining buys nothing
-    assert pipelined._block_copy_cycles(1, 64) \
-        == serial._block_copy_cycles(1, 64)
+    assert model()._block_copy_cycles(n, 64) == n * 16 + 40
 
 
 def test_large_l1_copy_dominates_the_plan():
@@ -111,7 +105,10 @@ def test_plan_total_monotone_in_every_axis(lines, cb, stall):
 @given(bus=st.sampled_from([4, 8, 16, 32]),
        lines=st.integers(min_value=1, max_value=256))
 def test_wider_bus_never_slows_the_copy(bus, lines):
-    narrow = model(bus_width_bytes=bus)
-    wide = model(bus_width_bytes=bus * 2)
-    assert wide._block_copy_cycles(lines, 64) \
-        <= narrow._block_copy_cycles(lines, 64)
+    m = model()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "BUS_WIDTH_BYTES", bus)
+        narrow = m._block_copy_cycles(lines, 64)
+        patch.setattr(recovery, "BUS_WIDTH_BYTES", bus * 2)
+        wide = m._block_copy_cycles(lines, 64)
+    assert wide <= narrow

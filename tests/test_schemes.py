@@ -19,6 +19,7 @@ import repro.schemes as schemes
 from repro.campaign import (
     CampaignError, CampaignSpec, run_campaign,
 )
+from repro.faults.adversarial import adversarial_injector
 from repro.faults.events import Outcome
 from repro.faults.injector import FaultInjector, Strike
 from repro.harness.runner import run_scheme
@@ -27,8 +28,9 @@ from repro.schemes import (
     ResilienceScheme, UnknownSchemeError, available, get, protected_schemes,
     register, unregister,
 )
-from repro.schemes.meek import MEEKParams, MEEKSystem
-from repro.schemes.reptfd import RepTFDParams, RepTFDSystem
+from repro.schemes import meek, reptfd
+from repro.schemes.meek import MEEKSystem
+from repro.schemes.reptfd import RepTFDSystem
 from repro.workloads import KERNELS, load_kernel, load_workload
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -203,11 +205,26 @@ def test_run_scheme_resolves_through_registry(loop):
 @pytest.mark.parametrize("name,knob", [("unsync", "detectors"),
                                        ("reunion", "detectors"),
                                        ("reunion", "csb_entries"),
-                                       ("baseline", "wbuf_entries")])
+                                       ("baseline", "wbuf_entries"),
+                                       ("reptfd", "params"),
+                                       ("meek", "params")])
 def test_build_system_rejects_deleted_knobs(loop, name, knob):
-    # detectors, CSB and write-buffer sizes are fixed by the scheme
+    # detectors, CSB and write-buffer sizes, and RepTFD's and MEEK's
+    # hardware parameters are fixed by the scheme
     with pytest.raises(TypeError):
         get(name).build_system(loop, **{knob: 16})
+
+
+def test_adversarial_injector_rejects_config():
+    # the strike mixture is fixed by the fault model's module constants
+    with pytest.raises(TypeError):
+        adversarial_injector("unsync", 0.01, config=None)
+
+
+def variant(system_cls, **constants):
+    """``system_cls`` with some of its class constants replaced: how a
+    test varies a scheme's fixed hardware parameters."""
+    return type(system_cls.__name__, (system_cls,), constants)
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +304,23 @@ def test_adversarial_injector_uses_scheme_uncore_blocks():
 # RepTFD directed tests
 # ---------------------------------------------------------------------------
 def test_reptfd_detects_with_latency_at_least_replay_lag(loop):
-    params = RepTFDParams(replay_lag=32)
-    system = RepTFDSystem(loop, params=params, injector=ScriptedInjector(
-        [Strike(cycle=60, block="regfile", bit=4, core=0)]))
+    system = variant(RepTFDSystem, replay_lag=32)(
+        loop, injector=ScriptedInjector(
+            [Strike(cycle=60, block="regfile", bit=4, core=0)]))
     res = system.run()
     [event] = res.fault_events
     assert event.outcome is Outcome.DETECTED_RECOVERED
     # the trailer cannot compare the struck instruction before the
     # leader's record has aged the full replay lag
-    assert event.detection_latency >= params.replay_lag
+    assert event.detection_latency >= 32
     assert system.rollbacks == 1
-    assert res.metrics["reptfd.rollback.cycles"] >= params.rollback_penalty
+    assert res.metrics["reptfd.rollback.cycles"] >= system.rollback_penalty
 
 
 def test_reptfd_detection_latency_scales_with_replay_lag(loop):
     def latency(lag):
-        system = RepTFDSystem(
-            loop, params=RepTFDParams(replay_lag=lag),
-            injector=ScriptedInjector(
+        system = variant(RepTFDSystem, replay_lag=lag)(
+            loop, injector=ScriptedInjector(
                 [Strike(cycle=60, block="regfile", bit=4, core=0)]))
         res = system.run()
         return res.fault_events[0].detection_latency
@@ -322,15 +338,16 @@ def test_reptfd_full_value_compare_has_no_multibit_blind_spot(loop):
     assert event.outcome is Outcome.DETECTED_RECOVERED
 
 
-def test_reptfd_queue_backpressure_stalls_leader(loop):
-    params = RepTFDParams(replay_lag=48, queue_entries=4)
-    system = RepTFDSystem(loop, params=params)
+def test_reptfd_queue_backpressure_stalls_leader(loop, monkeypatch):
+    lagged = variant(RepTFDSystem, replay_lag=48)
+    roomy = lagged(loop).run()
+    monkeypatch.setattr(reptfd, "REPLAY_QUEUE_ENTRIES", 4)
+    system = lagged(loop)
     res = system.run()
     assert system.queue_full_stalls > 0
     assert res.metrics["reptfd.queue.full_stalls"] > 0
-    assert system.queue_max_occupancy <= params.queue_entries
+    assert system.queue_max_occupancy <= 4
     # backpressure costs cycles but not correctness
-    roomy = RepTFDSystem(loop, params=RepTFDParams(replay_lag=48)).run()
     assert res.instructions == roomy.instructions
     assert res.cycles > roomy.cycles
 
@@ -347,13 +364,12 @@ def test_reptfd_fault_free_matches_baseline_architecturally(loop):
 def test_reptfd_retry_budget_exhaustion_is_due(loop):
     # first strike triggers a rollback; two more land inside the window
     # and burn the retry budget; the fourth degrades to DUE
-    params = RepTFDParams(replay_lag=16, rollback_penalty=200,
-                          rollback_retry_budget=2)
+    slow_rollback = variant(RepTFDSystem, replay_lag=16,
+                            rollback_penalty=200, rollback_retry_budget=2)
     first = Strike(cycle=60, block="regfile", bit=4, core=0)
     chasers = [Strike(cycle=60 + 40 * (i + 1), block="rob", bit=2, core=1)
                for i in range(3)]
-    system = RepTFDSystem(loop, params=params,
-                          injector=ScriptedInjector([first] + chasers))
+    system = slow_rollback(loop, injector=ScriptedInjector([first] + chasers))
     res = system.run()
     outcomes = [e.outcome for e in res.fault_events]
     assert outcomes.count(Outcome.DETECTED_UNRECOVERABLE) == 1
@@ -363,16 +379,16 @@ def test_reptfd_retry_budget_exhaustion_is_due(loop):
 # ---------------------------------------------------------------------------
 # MEEK directed tests
 # ---------------------------------------------------------------------------
-def test_meek_check_queue_backpressure(loop):
+def test_meek_check_queue_backpressure(loop, monkeypatch):
     # a throttled checker (1/cycle, long maturity, tiny queue) cannot keep
     # up with the 4-wide leader: commit must stall on the full queue
-    params = MEEKParams(queue_entries=4, check_width=1, check_latency=12)
-    system = MEEKSystem(loop, params=params)
+    roomy = MEEKSystem(loop).run()
+    monkeypatch.setattr(meek, "CHECK_QUEUE_ENTRIES", 4)
+    system = variant(MEEKSystem, check_width=1, check_latency=12)(loop)
     res = system.run()
     assert system.checkq_full_stalls > 0
     assert res.metrics["meek.checkq.full_stalls"] > 0
-    assert system.checkq_max_occupancy <= params.queue_entries
-    roomy = MEEKSystem(loop).run()
+    assert system.checkq_max_occupancy <= 4
     assert res.instructions == roomy.instructions
     assert res.cycles > roomy.cycles
 
@@ -387,14 +403,15 @@ def test_meek_fault_free_overhead_is_small(loop):
     assert res.cycles <= base.cycles * 1.25
 
 
-def test_meek_covered_strike_detected_with_check_latency(loop):
-    params = MEEKParams(check_latency=8)
-    system = MEEKSystem(loop, params=params, injector=ScriptedInjector(
-        [Strike(cycle=60, block="regfile", bit=4, core=0)]))
+@pytest.mark.parametrize("check_latency", [MEEKSystem.check_latency, 32])
+def test_meek_covered_strike_detected_with_check_latency(loop, check_latency):
+    system = variant(MEEKSystem, check_latency=check_latency)(
+        loop, injector=ScriptedInjector(
+            [Strike(cycle=60, block="regfile", bit=4, core=0)]))
     res = system.run()
     [event] = res.fault_events
     assert event.outcome is Outcome.DETECTED_RECOVERED
-    assert event.detection_latency >= params.check_latency
+    assert event.detection_latency >= check_latency
     assert system.rechecks == 1
 
 
