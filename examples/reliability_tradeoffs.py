@@ -9,17 +9,18 @@ factor of each pipeline and memory structure, and derates the paper's
 Run:  python examples/reliability_tradeoffs.py
 """
 
-from repro.core import Core
 from repro.faults.avf import effective_fit, pipeline_avf_report
 from repro.harness.report import format_table
+from repro.redundancy import BaselineSystem
 from repro.workloads import load_benchmark
 
 
 def avf_accounting() -> None:
     prog = load_benchmark("gzip")
-    core = Core(prog)
-    core.run()
-    report = pipeline_avf_report(core.pipeline, core.mem, program=prog)
+    system = BaselineSystem(prog)
+    system.run()
+    report = pipeline_avf_report(system.pipelines[0], system.ports[0],
+                                 program=prog)
     print(format_table(
         ["structure", "bits", "AVF", "ACE bits"],
         [(r.name, r.bits, f"{r.avf:.3f}", f"{r.ace_bits:.0f}")

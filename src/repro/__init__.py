@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 from repro.isa import assemble, Program
 from repro.isa.golden import run as golden_run
-from repro.core import Core, SystemConfig, CoreConfig
+from repro.core import SystemConfig, CoreConfig
 from repro.redundancy import BaselineSystem, RunResult
 from repro.unsync import UnSyncSystem, UnSyncConfig
 from repro.reunion import ReunionSystem, ReunionParams
@@ -42,7 +42,7 @@ from repro.campaign import CampaignSpec, run_campaign, summarize_store
 __all__ = [
     "__version__",
     "assemble", "Program", "golden_run",
-    "Core", "SystemConfig", "CoreConfig",
+    "SystemConfig", "CoreConfig",
     "BaselineSystem", "RunResult",
     "UnSyncSystem", "UnSyncConfig",
     "ReunionSystem", "ReunionParams",

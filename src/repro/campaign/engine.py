@@ -88,10 +88,9 @@ def _scheme_hwcost(schemes: Sequence[str]) -> Dict:
     parallel, resumed and summarize-only paths. Schemes whose descriptor
     declares no cost model are simply absent.
     """
-    from repro.hwcost.redundancy_cost import unprotected_cost
     from repro.schemes import get as get_scheme
 
-    base = unprotected_cost()
+    base = get_scheme("baseline").system_cost()
     section: Dict = {}
     for name in schemes:
         cost = get_scheme(name).system_cost()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.campaign.spec import CampaignError, CampaignSpec
 
@@ -150,6 +150,3 @@ class ResultStore:
     def completed(self) -> Set[Tuple[str, int]]:
         """Keys of every trial already on disk."""
         return {(r["cell"], r["seed"]) for r in self.iter_trials()}
-
-    def trial_records(self) -> List[Dict]:
-        return list(self.iter_trials())

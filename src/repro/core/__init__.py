@@ -25,12 +25,10 @@ from repro.core.config import CoreConfig, SystemConfig
 from repro.core.branch import BimodalPredictor
 from repro.core.rob import ROB, ROBEntry, EntryState
 from repro.core.pipeline import Pipeline, CommitGate, NullGate, PipelineStats
-from repro.core.core import Core, CoreResult
 
 __all__ = [
     "CoreConfig", "SystemConfig",
     "BimodalPredictor",
     "ROB", "ROBEntry", "EntryState",
     "Pipeline", "CommitGate", "NullGate", "PipelineStats",
-    "Core", "CoreResult",
 ]

@@ -37,12 +37,6 @@ class TraceRecord:
     commit_cycle: int = -1
 
     @property
-    def total_latency(self) -> Optional[int]:
-        if self.commit_cycle < 0 or self.fetch_cycle < 0:
-            return None
-        return self.commit_cycle - self.fetch_cycle
-
-    @property
     def commit_wait(self) -> Optional[int]:
         """Cycles spent completed-but-not-retired — where redundancy
         gates (CB back-pressure, fingerprint verification) show up."""

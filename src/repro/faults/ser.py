@@ -18,7 +18,6 @@ FIT = failures per 10^9 device-hours.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 #: Published anchor points used by the paper.
@@ -108,20 +107,6 @@ class SERModel:
         if ipc <= 0:
             raise ValueError("ipc must be positive")
         return self.per_instruction * ipc
-
-    def errors_expected(self, instructions: int) -> float:
-        """Expected strike count over ``instructions`` retirements."""
-        return self.per_instruction * instructions
-
-    def probability_of_at_least_one(self, instructions: int) -> float:
-        """P[>=1 strike] over a run, via the Poisson approximation."""
-        lam = self.errors_expected(instructions)
-        return 1.0 - math.exp(-lam)
-
-    def mean_instructions_between_errors(self) -> float:
-        if self.per_instruction <= 0:
-            return math.inf
-        return 1.0 / self.per_instruction
 
 
 def break_even_ser(error_free_advantage_cycles: float,

@@ -4,10 +4,11 @@ The paper's evaluation is thousands of seeded injection runs, so the
 figure-of-merit for the *reproduction* itself is simulator throughput:
 how many simulated instructions and cycles per wall-clock second each
 layer of the stack sustains. This module runs a fixed set of seeded
-scenarios — the golden interpreter, the out-of-order baseline core, the
-UnSync and Reunion pairs, and a serial campaign smoke — and writes the
-measurements to ``BENCH_pipeline.json`` at the repo root so the perf
-trajectory accumulates across PRs.
+scenarios — the golden interpreter, the unprotected baseline system (one
+out-of-order core and its write buffer), the UnSync and Reunion pairs,
+and a serial campaign smoke — and writes the measurements to
+``BENCH_pipeline.json`` at the repo root so the perf trajectory
+accumulates across PRs.
 
 Every scenario is deterministic (fixed workloads, fixed seeds); only the
 wall-clock varies. Regression checking therefore supports two modes:
@@ -96,42 +97,23 @@ def _sc_golden(quick: bool) -> Callable[[], Tuple[int, int]]:
     return run
 
 
-def _sc_baseline(quick: bool) -> Callable[[], Tuple[int, int]]:
-    from repro.core import Core
-    from repro.workloads import load_workload
-    program = load_workload("fibonacci" if quick else "bzip2")
-
-    def run() -> Tuple[int, int]:
-        res = Core(program).run(max_cycles=4_000_000)
-        return res.instructions, res.cycles
-    return run
-
-
-def _sc_pair(scheme: str, quick: bool) -> Callable[[], Tuple[int, int]]:
-    from repro.harness.runner import run_scheme
-    from repro.workloads import load_workload
-    program = load_workload("fibonacci" if quick else "bzip2")
-
-    def run() -> Tuple[int, int]:
-        res = run_scheme(scheme, program)
-        # a pair steps two pipelines per wall-clock cycle; count both so
-        # cycles/sec reflects simulated core-cycles of work
-        return res.instructions, 2 * res.cycles
-    return run
-
-
-def _sc_telemetry(quick: bool) -> Callable[[], Tuple[int, int]]:
-    """The unsync-pair scenario with full telemetry *enabled* — its gap
-    to `unsync-pair` is the telemetry-on overhead, and `unsync-pair`
-    against the committed baseline is the telemetry-off gate."""
+def _sc_scheme(scheme: str, quick: bool,
+               telemetry: bool = False) -> Callable[[], Tuple[int, int]]:
+    """One registered scheme's system on one workload. With ``telemetry``
+    the unsync pair runs with full telemetry *enabled*: its gap to
+    `unsync-pair` is the telemetry-on overhead, and `unsync-pair` against
+    the committed baseline is the telemetry-off gate."""
     from repro.harness.runner import run_scheme
     from repro.telemetry import Telemetry
     from repro.workloads import load_workload
     program = load_workload("fibonacci" if quick else "bzip2")
 
     def run() -> Tuple[int, int]:
-        res = run_scheme("unsync", program, telemetry=Telemetry())
-        return res.instructions, 2 * res.cycles
+        res = run_scheme(scheme, program,
+                         telemetry=Telemetry() if telemetry else None)
+        # a pair steps two pipelines per wall-clock cycle; count each so
+        # cycles/sec reflects simulated core-cycles of work
+        return res.instructions, len(res.core_stats) * res.cycles
     return run
 
 
@@ -187,10 +169,11 @@ def _sc_campaign_differential(quick: bool) -> Callable[[], Tuple[int, int]]:
 #: name -> factory(quick) -> zero-arg runner returning (instructions, cycles)
 SCENARIOS: Dict[str, Callable[[bool], Callable[[], Tuple[int, int]]]] = {
     "golden": _sc_golden,
-    "baseline-core": _sc_baseline,
-    "unsync-pair": lambda quick: _sc_pair("unsync", quick),
-    "reunion-pair": lambda quick: _sc_pair("reunion", quick),
-    "telemetry-pair": _sc_telemetry,
+    "baseline-core": lambda quick: _sc_scheme("baseline", quick),
+    "unsync-pair": lambda quick: _sc_scheme("unsync", quick),
+    "reunion-pair": lambda quick: _sc_scheme("reunion", quick),
+    "telemetry-pair": lambda quick: _sc_scheme("unsync", quick,
+                                               telemetry=True),
     "campaign-smoke": _sc_campaign,
     "campaign-differential": _sc_campaign_differential,
 }

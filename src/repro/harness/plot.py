@@ -1,32 +1,13 @@
 """ASCII charts for experiment output.
 
-The CLI and benches print the paper's figures as tables; these helpers
-add quick visual shapes — horizontal bar charts for Figure 4-style
-per-benchmark comparisons and multi-series line charts for Figure 5/6
+The CLI prints the paper's figures as tables; ``repro sweep`` adds a
+quick visual shape — a multi-series line chart for Figure 5/6-style
 sweeps — with no plotting dependency.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-
-def bar_chart(labels: Sequence[str], values: Sequence[float],
-              title: str = "", width: int = 50,
-              fmt: str = "{:+.1%}") -> str:
-    """Horizontal bar chart; handles mixed-sign values."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must align")
-    if not labels:
-        return "(no data)"
-    label_w = max(len(l) for l in labels)
-    biggest = max(abs(v) for v in values) or 1.0
-    lines = [title] if title else []
-    for label, value in zip(labels, values):
-        n = round(abs(value) / biggest * width)
-        bar = "#" * n
-        lines.append(f"{label:>{label_w}} | {bar:<{width}} {fmt.format(value)}")
-    return "\n".join(lines)
+from typing import Dict, List, Tuple
 
 
 def line_chart(series: Dict[str, List[Tuple[float, float]]],

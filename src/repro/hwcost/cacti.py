@@ -99,9 +99,3 @@ class CacheModel:
         scale = self.size_bytes / (32 * 1024)  # leakage scales with size
         base = _ACCESS_ENERGY_J * accesses_per_second + _LEAKAGE_W * scale
         return base * _POWER_FACTOR[protection]
-
-    # -- geometry sanity (used by tests) --------------------------------------
-    def raw_area_delta_fraction(self, protection: Protection) -> float:
-        """Pure bit-count area increase (no codec, no ratio shortcut)."""
-        base = self.data_bits + self.tag_bits
-        return self.protection_bits(protection) / base

@@ -177,12 +177,6 @@ class Cache:
                 if line.valid:
                     yield self._addr_of(index, line.tag)
 
-    def dirty_lines(self) -> Iterator[int]:
-        for index, ways in self._sets.items():
-            for line in ways:
-                if line.valid and line.dirty:
-                    yield self._addr_of(index, line.tag)
-
     def resident_count(self) -> int:
         return sum(1 for _ in self.resident_lines())
 

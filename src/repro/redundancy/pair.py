@@ -414,7 +414,7 @@ class BaselineSystem(DualCoreSystem):
                  config: Optional[SystemConfig] = None,
                  name: Optional[str] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
-        self.wbuf = WriteBuffer(capacity=16)
+        self.wbuf = WriteBuffer()
         super().__init__(program, config, name=name, telemetry=telemetry)
 
     def make_gate(self, core_id: int) -> CommitGate:

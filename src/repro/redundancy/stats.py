@@ -58,11 +58,12 @@ class WriteBuffer:
     CB converges to baseline performance in Figure 6.
     """
 
-    def __init__(self, capacity: int = 16, entry_bytes: int = 12) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.entry_bytes = entry_bytes
+    #: queued stores before commit back-pressures
+    capacity = 16
+    #: bytes one queued store moves over the bus (address + data + tag)
+    entry_bytes = 12
+
+    def __init__(self) -> None:
         self._entries: Deque[Tuple[int, int, int, int]] = deque()
         self.pushes = 0
         self.full_stalls = 0

@@ -115,16 +115,6 @@ class GroupMap:
         """Final member count of ``group`` (None while still open)."""
         return self._sizes.get(group)
 
-    def last_seq_of(self, group: int) -> Optional[int]:
-        """Seq of the final member (None while open)."""
-        size = self._sizes.get(group)
-        if size is None:
-            return None
-        first = 0
-        for g in range(group):
-            first += self._sizes[g]
-        return first + size - 1
-
     @property
     def groups_closed(self) -> int:
         """Number of sealed groups (they are sealed in index order)."""

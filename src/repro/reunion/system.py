@@ -134,7 +134,7 @@ class ReunionSystem(DualCoreSystem):
                     + 4 * self.params.comparison_latency)
         self.csbs: List[CheckStageBuffer] = [
             CheckStageBuffer(capacity) for _ in range(2)]
-        self.store_queue = WriteBuffer(capacity=16)
+        self.store_queue = WriteBuffer()
         self.rollbacks = 0
         #: fault events awaiting group-verdict adjudication
         self._unbound_events: List[FaultEvent] = []

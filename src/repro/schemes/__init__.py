@@ -15,15 +15,17 @@ unprotected baseline.
 
 To add a scheme: subclass :class:`ResilienceScheme`, implement
 ``build_system`` (and whichever of ``uncore_blocks`` / ``system_cost`` /
-``event_energy`` apply), name the counter that holds its recovery cycles
-in ``recovery_metric``, and :func:`register` an instance. The scheme's
-system reports its counters in ``RunResult.metrics`` under
+``event_energy`` apply; ``system_cost`` returns a
+:class:`SchemeSystemCost`), name the counter that holds its recovery
+cycles in ``recovery_metric``, and :func:`register` an instance. The
+scheme's system reports its counters in ``RunResult.metrics`` under
 ``<name>.``-prefixed names. See README.md's "Resilience schemes" section
 for a worked example.
 """
 
 from repro.schemes.base import (
     ResilienceScheme,
+    SchemeSystemCost,
     UnknownSchemeError,
     available,
     get,
@@ -51,6 +53,7 @@ __all__ = [
     "RepTFDScheme",
     "ResilienceScheme",
     "ReunionScheme",
+    "SchemeSystemCost",
     "UnSyncScheme",
     "UnknownSchemeError",
     "available",

@@ -18,6 +18,7 @@ at validation time — never drags in the simulators.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 
@@ -35,6 +36,26 @@ class UnknownSchemeError(ValueError):
             f"unknown scheme {name!r} (available: {', '.join(known)})")
         self.name = name
         self.known = known
+
+
+@dataclass
+class SchemeSystemCost:
+    """Total silicon for one protected thread under one scheme, which
+    the scheme's :meth:`ResilienceScheme.system_cost` rolls up from
+    Table II's components (:mod:`repro.hwcost`)."""
+
+    scheme: str
+    n_cores: int
+    total_area_um2: float
+    total_power_w: float
+    #: does the scheme correct (not just detect) without pair recovery?
+    self_correcting: bool
+
+    def area_vs(self, other: "SchemeSystemCost") -> float:
+        return self.total_area_um2 / other.total_area_um2 - 1.0
+
+    def power_vs(self, other: "SchemeSystemCost") -> float:
+        return self.total_power_w / other.total_power_w - 1.0
 
 
 class ResilienceScheme:
@@ -115,9 +136,9 @@ class ResilienceScheme:
 
     # -- accounting ---------------------------------------------------------
     def system_cost(self, tech=None):
-        """Per-protected-thread silicon cost
-        (:class:`~repro.hwcost.redundancy_cost.SchemeSystemCost`), or
-        ``None`` when the scheme has no cost model."""
+        """Per-protected-thread silicon cost at ``tech`` (default 65 nm)
+        as a :class:`SchemeSystemCost`, or ``None`` when the scheme has
+        no cost model."""
         return None
 
     def event_energy(self, metrics: Dict[str, float],

@@ -2,16 +2,34 @@
 
 Each descriptor is a thin, import-light adapter from the
 :class:`~repro.schemes.base.ResilienceScheme` seam onto the actual
-simulator/cost modules; the heavy imports all live inside the hook
-bodies so the registry itself stays cheap to import (campaign specs
-resolve it at validation time).
+simulator modules, and the one place that prices its scheme per
+protected thread from :mod:`repro.hwcost`'s components:
+
+* unprotected   = 1 x plain MIPS core
+* UnSync pair   = 2 x (UnSync core + parity L1 + CB)
+* Reunion pair  = 2 x (Reunion core + SECDED L1)
+* RepTFD pair   = 2 x (plain MIPS core) + replay queue + comparator
+* MEEK pair     = OoO leader + small in-order checker + check queue
+
+The heavy imports all live inside the hook bodies so the registry itself
+stays cheap to import (campaign specs resolve it at validation time).
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.schemes.base import ResilienceScheme
+from repro.schemes.base import ResilienceScheme, SchemeSystemCost
+
+
+def _replicas(scheme: str, n_cores: int, config: str,
+              tech) -> SchemeSystemCost:
+    """``n_cores`` copies of one Table II core ``config`` at ``tech``."""
+    from repro.hwcost.synthesis import synthesize
+    from repro.hwcost.tech import TECH_65NM
+    c = synthesize(config, tech or TECH_65NM)
+    return SchemeSystemCost(scheme, n_cores, n_cores * c.total_area_um2,
+                            n_cores * c.total_power_w, self_correcting=False)
 
 
 class BaselineScheme(ResilienceScheme):
@@ -30,9 +48,7 @@ class BaselineScheme(ResilienceScheme):
             "(snapshot/restore works; injector re-arming does not)")
 
     def system_cost(self, tech=None):
-        from repro.hwcost.redundancy_cost import unprotected_cost
-        from repro.hwcost.tech import TECH_65NM
-        return unprotected_cost(tech or TECH_65NM)
+        return _replicas("unprotected", 1, "mips", tech)
 
 
 class UnSyncScheme(ResilienceScheme):
@@ -51,9 +67,7 @@ class UnSyncScheme(ResilienceScheme):
         return UNSYNC_UNCORE_BLOCKS
 
     def system_cost(self, tech=None):
-        from repro.hwcost.redundancy_cost import unsync_pair_cost
-        from repro.hwcost.tech import TECH_65NM
-        return unsync_pair_cost(tech or TECH_65NM)
+        return _replicas("unsync", 2, "unsync", tech)
 
     def event_energy(self, metrics, tech):
         from repro.hwcost.components import cb_array
@@ -84,9 +98,7 @@ class ReunionScheme(ResilienceScheme):
         return REUNION_UNCORE_BLOCKS
 
     def system_cost(self, tech=None):
-        from repro.hwcost.redundancy_cost import reunion_pair_cost
-        from repro.hwcost.tech import TECH_65NM
-        return reunion_pair_cost(tech or TECH_65NM)
+        return _replicas("reunion", 2, "reunion", tech)
 
     def event_energy(self, metrics, tech):
         from repro.hwcost.components import crc_generator
@@ -111,18 +123,37 @@ class RepTFDScheme(ResilienceScheme):
         from repro.schemes.reptfd import REPTFD_UNCORE_BLOCKS
         return REPTFD_UNCORE_BLOCKS
 
-    def system_cost(self, tech=None):
-        from repro.hwcost.redundancy_cost import reptfd_pair_cost
-        from repro.hwcost.tech import TECH_65NM
-        return reptfd_pair_cost(tech or TECH_65NM)
-
-    def event_energy(self, metrics, tech):
+    @staticmethod
+    def _replay_queue():
         from repro.hwcost.components import cb_array
         from repro.schemes.reptfd import (
             REPLAY_ENTRY_BITS, REPLAY_QUEUE_ENTRIES,
         )
-        queue = cb_array(REPLAY_QUEUE_ENTRIES, entry_bits=REPLAY_ENTRY_BITS)
-        per_access = queue.power_w * (1.0 / tech.frequency_hz)
+        return cb_array(REPLAY_QUEUE_ENTRIES, entry_bits=REPLAY_ENTRY_BITS)
+
+    def system_cost(self, tech=None):
+        """Two *plain* MIPS cores (no detectors, no CHECK stage) plus the
+        replay queue and the full-value comparator — RepTFD's silicon
+        story is that all the detection hardware is one FIFO and one
+        comparator."""
+        from repro.hwcost.components import (
+            MIPS_CORE_AREA_UM2, MIPS_CORE_POWER_W,
+        )
+        from repro.hwcost.synthesis import synthesize
+        from repro.hwcost.tech import TECH_65NM
+        from repro.schemes.reptfd import COMPARATOR_GATES
+        tech = tech or TECH_65NM
+        base = synthesize("mips", tech)
+        queue = self._replay_queue()
+        cmp_area = COMPARATOR_GATES * tech.gate_area_um2
+        cmp_power = MIPS_CORE_POWER_W * (cmp_area / MIPS_CORE_AREA_UM2)
+        area = 2 * base.total_area_um2 + queue.area_um2 + cmp_area
+        power = 2 * base.total_power_w + queue.power_w + cmp_power
+        return SchemeSystemCost("reptfd", 2, area, power,
+                                self_correcting=False)
+
+    def event_energy(self, metrics, tech):
+        per_access = self._replay_queue().power_w * (1.0 / tech.frequency_hz)
         # every compared record was pushed once and popped once
         compares = metrics["reptfd.replay.compares"]
         return {
@@ -146,15 +177,29 @@ class MEEKScheme(ResilienceScheme):
         from repro.schemes.meek import MEEK_UNCORE_BLOCKS
         return MEEK_UNCORE_BLOCKS
 
-    def system_cost(self, tech=None):
-        from repro.hwcost.redundancy_cost import meek_pair_cost
-        from repro.hwcost.tech import TECH_65NM
-        return meek_pair_cost(tech or TECH_65NM)
-
-    def event_energy(self, metrics, tech):
+    @staticmethod
+    def _check_queue():
         from repro.hwcost.components import cb_array
         from repro.schemes.meek import CHECK_ENTRY_BITS, CHECK_QUEUE_ENTRIES
-        queue = cb_array(CHECK_QUEUE_ENTRIES, entry_bits=CHECK_ENTRY_BITS)
-        per_access = queue.power_w * (1.0 / tech.frequency_hz)
+        return cb_array(CHECK_QUEUE_ENTRIES, entry_bits=CHECK_ENTRY_BITS)
+
+    def system_cost(self, tech=None):
+        """One OoO leader plus the small in-order checker core plus the
+        check queue — the sub-2x replication point none of the pair
+        schemes can reach."""
+        from repro.hwcost.synthesis import synthesize
+        from repro.hwcost.tech import TECH_65NM
+        from repro.schemes.meek import CHECKER_CORE_FRACTION
+        base = synthesize("mips", tech or TECH_65NM)
+        queue = self._check_queue()
+        checker_area = base.total_area_um2 * CHECKER_CORE_FRACTION
+        checker_power = base.total_power_w * CHECKER_CORE_FRACTION
+        area = base.total_area_um2 + checker_area + queue.area_um2
+        power = base.total_power_w + checker_power + queue.power_w
+        return SchemeSystemCost("meek", 2, area, power,
+                                self_correcting=False)
+
+    def event_energy(self, metrics, tech):
+        per_access = self._check_queue().power_w * (1.0 / tech.frequency_hz)
         # every checked record was pushed once and popped once
         return {"check_queue": per_access * 2 * metrics["meek.check.count"]}

@@ -55,6 +55,11 @@ MEEK_COVERED_BLOCKS = frozenset(
 CHECK_QUEUE_ENTRIES = 64
 CHECK_ENTRY_BITS = 100
 
+#: MEEK's in-order checker core relative to the OoO leader: no rename,
+#: no issue queue, no speculation — an order of magnitude simpler
+#: control, dominated by the datapath and its shadow register file.
+CHECKER_CORE_FRACTION = 0.3
+
 #: MEEK's scheme-private uncore structure
 MEEK_UNCORE_BLOCKS = (
     Block("check_queue", CHECK_QUEUE_ENTRIES * CHECK_ENTRY_BITS,
@@ -131,7 +136,7 @@ class MEEKSystem(DualCoreSystem):
                  telemetry: Optional[Telemetry] = None) -> None:
         self.check_queue: Deque[_CheckRecord] = deque()
         #: verified-store release queue between the checker and the L2
-        self.store_buffer = WriteBuffer(capacity=16)
+        self.store_buffer = WriteBuffer()
         self.checks = 0
         self.checked_seqs = 0
         self.checkq_full_stalls = 0

@@ -47,6 +47,10 @@ from repro.telemetry.events import REPLAY_COMPARE, REPLAY_GATE, ROLLBACK
 REPLAY_QUEUE_ENTRIES = 96
 REPLAY_ENTRY_BITS = 130
 
+#: full-value comparator across one replay record (one XOR-reduce tree
+#: per compared field plus control).
+COMPARATOR_GATES = 2 * REPLAY_ENTRY_BITS + 40
+
 #: RepTFD's scheme-private uncore structure
 REPTFD_UNCORE_BLOCKS = (
     Block("replay_queue", REPLAY_QUEUE_ENTRIES * REPLAY_ENTRY_BITS,
@@ -159,7 +163,7 @@ class RepTFDSystem(DualCoreSystem):
                  telemetry: Optional[Telemetry] = None) -> None:
         self.replay_queue: Deque[_ReplayRecord] = deque()
         #: verified-store release queue between trailer commit and the L2
-        self.store_queue = WriteBuffer(capacity=16)
+        self.store_queue = WriteBuffer()
         self.compares = 0
         self.value_divergences = 0
         self.queue_full_stalls = 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque
 
 
 #: Paper sizing: one entry holds address + data + instruction tag. The
@@ -49,7 +49,7 @@ class CBEntry:
 class CommBuffer:
     """Non-coalescing FIFO of retired stores for one core."""
 
-    def __init__(self, capacity_entries: int = 10) -> None:
+    def __init__(self, capacity_entries: int) -> None:
         if capacity_entries <= 0:
             raise ValueError("CB needs at least one entry")
         self.capacity = capacity_entries
@@ -83,9 +83,6 @@ class CommBuffer:
         if len(self._fifo) > self.max_occupancy:
             self.max_occupancy = len(self._fifo)
 
-    def head(self) -> Optional[CBEntry]:
-        return self._fifo[0] if self._fifo else None
-
     def pop(self) -> CBEntry:
         self.drains += 1
         return self._fifo.popleft()
@@ -93,7 +90,3 @@ class CommBuffer:
     def overwrite_from(self, other: "CommBuffer") -> None:
         """Recovery step 5: replace contents with the clean core's CB."""
         self._fifo = deque(other._fifo)
-
-    def clear(self) -> None:
-        self._fifo.clear()
-

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core import Core
 from repro.faults.avf import (
     StructureAVF, effective_fit, occupancy_avf, pipeline_avf_report,
     regfile_liveness_avf,
 )
 from repro.isa import assemble
+from repro.redundancy import BaselineSystem
 from repro.workloads import load_benchmark
 
 
@@ -108,10 +108,11 @@ main:
 # ---------------------------------------------------------------------------
 def test_pipeline_avf_report_structure():
     prog = load_benchmark("sha")
-    core = Core(prog)
-    core.run()
-    report = pipeline_avf_report(core.pipeline, core.mem, program=prog,
-                                 cb_mean_occupancy=2.0, cb_capacity=10)
+    system = BaselineSystem(prog)
+    system.run()
+    report = pipeline_avf_report(system.pipelines[0], system.ports[0],
+                                 program=prog, cb_mean_occupancy=2.0,
+                                 cb_capacity=10)
     names = {r.name for r in report}
     assert {"rob", "iq", "lsq", "regfile", "l1d_data", "l1i_data",
             "cb"} == names
@@ -133,8 +134,9 @@ def test_effective_fit_derates():
 
 def test_effective_fit_bounds():
     prog = load_benchmark("gzip")
-    core = Core(prog)
-    core.run()
-    report = pipeline_avf_report(core.pipeline, core.mem, program=prog)
+    system = BaselineSystem(prog)
+    system.run()
+    report = pipeline_avf_report(system.pipelines[0], system.ports[0],
+                                 program=prog)
     eff = effective_fit(1000.0, report)
     assert 0 < eff <= 1000.0

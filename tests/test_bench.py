@@ -31,6 +31,21 @@ def test_run_bench_quick_smoke():
             > by_name["baseline-core"].instr_per_sec)
 
 
+def test_baseline_core_times_the_baseline_system():
+    """`baseline-core` runs the unprotected baseline the figures
+    normalise against, write buffer included, and counts its one core's
+    cycles; the pairs count both cores' cycles."""
+    from repro.harness.runner import run_scheme
+    from repro.workloads import load_workload
+    program = load_workload("bzip2")
+    base = run_scheme("baseline", program)
+    assert (base.instructions, base.cycles) == (6266, 3187)
+    assert SCENARIOS["baseline-core"](False)() == (6266, 3187)
+    pair = run_scheme("unsync", program)
+    assert SCENARIOS["unsync-pair"](False)() == \
+        (pair.instructions, 2 * pair.cycles)
+
+
 def test_run_bench_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
         run_bench(["golden", "no-such-scenario"])

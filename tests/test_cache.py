@@ -71,17 +71,18 @@ def test_write_through_store_miss_does_not_allocate():
 
 
 def test_write_back_store_miss_allocates_dirty():
-    c = small_cache(policy=WritePolicy.WRITE_BACK)
+    c = small_cache(policy=WritePolicy.WRITE_BACK, assoc=1, sets=1)
     c.access(0x1000, True)
     assert c.probe(0x1000)
-    assert list(c.dirty_lines()) == [0x1000]
+    # the allocated line is dirty: evicting it writes it back
+    assert c.access(0x1040, False).writeback_line == 0x1000
 
 
 def test_write_through_never_dirty():
-    c = small_cache(policy=WritePolicy.WRITE_THROUGH)
+    c = small_cache(policy=WritePolicy.WRITE_THROUGH, assoc=1, sets=1)
     c.access(0x1000, False)
     c.access(0x1000, True)
-    assert list(c.dirty_lines()) == []
+    assert c.access(0x1040, False).writeback_line is None
 
 
 def test_dirty_eviction_reports_writeback():

@@ -102,7 +102,7 @@ def test_store_deduplicates_on_key(tmp_path):
     trial = small_spec().expand()[0]
     store.append_trial(fake_result(trial, strikes=1).to_record())
     store.append_trial(fake_result(trial, strikes=9).to_record())
-    records = store.trial_records()
+    records = list(store.iter_trials())
     assert len(records) == 1 and records[0]["strikes"] == 1  # first wins
 
 
@@ -114,7 +114,7 @@ def test_store_tolerates_torn_final_line(tmp_path):
     store.append_trial(fake_result(trial).to_record())
     with open(path, "a") as fh:
         fh.write('{"kind": "trial", "cel')  # killed mid-write
-    assert len(store.trial_records()) == 1
+    assert len(list(store.iter_trials())) == 1
 
 
 def test_store_mid_file_garbage_is_corruption(tmp_path):
@@ -126,7 +126,7 @@ def test_store_mid_file_garbage_is_corruption(tmp_path):
         fh.write(json.dumps(fake_result(
             small_spec().expand()[0]).to_record()) + "\n")
     with pytest.raises(StoreCorruption):
-        store.trial_records()
+        list(store.iter_trials())
 
 
 def test_store_repair_truncates_torn_line(tmp_path):
@@ -149,7 +149,7 @@ def test_store_repair_completes_newline_less_record(tmp_path):
     with open(path, "a") as fh:
         fh.write(json.dumps(dict(record, kind="trial")))  # no newline
     assert store.repair() is True
-    assert len(store.trial_records()) == 1
+    assert len(list(store.iter_trials())) == 1
 
 
 # ---------------------------------------------------------------------------

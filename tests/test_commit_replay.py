@@ -12,7 +12,6 @@ from collections import Counter
 
 import pytest
 
-from repro.core import Core
 from repro.core import pipeline as pipeline_mod
 from repro.core.pipeline import Pipeline
 from repro.core.rob import ROBEntry
@@ -20,6 +19,7 @@ from repro.faults.injector import FaultInjector
 from repro.isa import golden
 from repro.isa.golden import StepInfo
 from repro.isa.instructions import Instruction, Opcode
+from repro.redundancy import BaselineSystem
 from repro.reunion.system import ReunionSystem
 from repro.schemes import get, protected_schemes
 from repro.unsync.system import UnSyncSystem
@@ -43,9 +43,9 @@ def _force_always(*pipelines):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_single_core_reuse_equals_always(workload):
     program = load_workload(workload)
-    r_reuse = Core(program).run()
-    always = Core(program)
-    _force_always(always.pipeline)
+    r_reuse = BaselineSystem(program).run()
+    always = BaselineSystem(program)
+    _force_always(*always.pipelines)
     r_always = always.run()
     assert r_reuse.cycles == r_always.cycles
     assert r_reuse.instructions == r_always.instructions
@@ -71,7 +71,7 @@ def test_reuse_matches_golden_across_workloads():
     for workload in WORKLOADS:
         program = load_workload(workload)
         gold = golden.run(program, max_instructions=2_000_000)
-        res = Core(program).run()
+        res = BaselineSystem(program).run()
         assert res.instructions == gold.instructions, workload
         assert res.state.regs == gold.state.regs, workload
         assert res.state.mem == gold.state.mem, workload
@@ -146,7 +146,7 @@ def test_injected_run_is_deterministic():
 # ---------------------------------------------------------------------------
 def test_crosscheck_raises_on_divergence():
     program = load_workload("fibonacci")
-    pipe = Core(program).pipeline
+    pipe = BaselineSystem(program).pipelines[0]
     ins = Instruction(Opcode.ADDI, rd=1, rs1=0, imm=5)
     entry = ROBEntry(0, ins, 0, result=5, branch_target=4)
     honest = StepInfo(ins=ins, pc=0, next_pc=4, result=5)
@@ -158,10 +158,10 @@ def test_crosscheck_raises_on_divergence():
 
 def test_periodic_crosscheck_runs_in_reuse_mode():
     program = load_workload("checksum")
-    core = Core(program)
-    pipe = core.pipeline
+    system = BaselineSystem(program)
+    pipe = system.pipelines[0]
     pipe.crosscheck_interval = 8
     pipe._crosscheck_countdown = 8
-    res = core.run()  # would raise if any periodic re-execution diverged
+    res = system.run()  # would raise if any periodic re-execution diverged
     gold = golden.run(program)
     assert res.state.regs == gold.state.regs

@@ -61,13 +61,13 @@ def test_file_roundtrip(tmp_path):
 
 
 def test_loaded_config_runs(tmp_path, sum_loop):
-    from repro.core import Core
     from repro.isa import golden
+    from repro.redundancy import BaselineSystem
     path = tmp_path / "narrow.json"
     save(SystemConfig(core=CoreConfig(
         fetch_width=2, dispatch_width=2, issue_width=2, commit_width=2)),
         path)
-    res = Core(sum_loop, config=load(path)).run()
+    res = BaselineSystem(sum_loop, config=load(path)).run()
     assert res.state.mem == golden.run(sum_loop).state.mem
 
 

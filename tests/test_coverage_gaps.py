@@ -4,14 +4,12 @@ eviction traffic and pair-system bookkeeping."""
 
 import pytest
 
-from repro.core import Core
-from repro.core.config import CoreConfig, SystemConfig
 from repro.isa import assemble, golden
 from repro.mem.bus import Bus
 from repro.mem.cache import CacheConfig, WritePolicy
 from repro.mem.hierarchy import MemPort
 from repro.mem.l2 import SharedL2
-from repro.redundancy.pair import DualCoreSystem
+from repro.redundancy.pair import BaselineSystem, DualCoreSystem
 from repro.redundancy.stats import WriteBuffer
 
 
@@ -35,9 +33,8 @@ join:
     bne r1, r0, loop
     halt
 """
-    core = Core(assemble(src))
-    res = core.run()
-    assert res.stats.fetch_redirects > 20
+    res = BaselineSystem(assemble(src)).run()
+    assert res.core_stats[0].fetch_redirects > 20
     gold = golden.run(assemble(src))
     assert res.state.regs == gold.state.regs
 
@@ -57,7 +54,7 @@ sub:
 result: .word 0
 """
     prog = assemble(src)
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.state.read_mem(prog.labels["result"], 4) == 10
 
 
@@ -67,16 +64,16 @@ def test_jr_through_btb_warms_up():
     for _ in range(30):
         src_lines.append("    jal sub")
     src_lines += ["    halt", "sub:", "    addi r10, r10, 1", "    jr ra"]
-    core = Core(assemble("\n".join(src_lines)))
-    res = core.run()
+    system = BaselineSystem(assemble("\n".join(src_lines)))
+    system.run()
     # late calls predict the return correctly: redirect count well below
     # the call count
-    assert core.pipeline.predictor.mispredicts < 30
+    assert system.pipelines[0].predictor.mispredicts < 30
 
 
 def test_fetch_past_program_end_halts():
     prog = assemble("addi r1, r0, 1")  # no explicit halt
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.instructions == 1
 
 
@@ -140,8 +137,12 @@ def test_dual_core_result_uses_slowest(sum_loop):
     assert res.scheme == "pair"
 
 
+class _TwoEntryWriteBuffer(WriteBuffer):
+    capacity = 2
+
+
 def test_write_buffer_mechanics():
-    wb = WriteBuffer(capacity=2)
+    wb = _TwoEntryWriteBuffer()
     wb.push(0, 0x100, 1, 4)
     wb.push(1, 0x104, 2, 4)
     assert wb.full and not wb.can_accept()
@@ -152,7 +153,7 @@ def test_write_buffer_mechanics():
 
 def test_write_buffer_drains_oldest_first_while_the_bus_accepts():
     bus, l2 = Bus(width_bytes=8), SharedL2()
-    wb = WriteBuffer(capacity=2)
+    wb = _TwoEntryWriteBuffer()
     wb.push(0, 0x1000, 1, 4)
     wb.push(1, 0x2000, 2, 4)
     # one 12-byte entry holds the 8-byte bus for two cycles: the younger
@@ -167,24 +168,9 @@ def test_write_buffer_drains_oldest_first_while_the_bus_accepts():
     assert bus.stats.transactions == 2
 
 
-def test_write_buffer_validation():
-    with pytest.raises(ValueError):
-        WriteBuffer(capacity=0)
-
-
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
-def test_core_reuses_supplied_memport(sum_loop):
-    bus = Bus()
-    l2 = SharedL2()
-    port = MemPort(bus, l2)
-    core = Core(sum_loop, memport=port)
-    assert core.mem is port
-    core.run()
-    assert port.stats.ifetches > 0
-
-
 def test_ipc_zero_before_running(sum_loop):
     from repro.redundancy.stats import RunResult
     from repro.isa.golden import ArchState
@@ -197,7 +183,6 @@ def test_ipc_zero_before_running(sum_loop):
 
 def test_halt_only_program_on_all_schemes():
     prog = assemble("halt")
-    from repro.redundancy.pair import BaselineSystem
     from repro.reunion.system import ReunionSystem
     from repro.unsync.system import UnSyncSystem
     for cls in (BaselineSystem, UnSyncSystem, ReunionSystem):

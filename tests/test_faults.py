@@ -67,18 +67,6 @@ def test_sermodel_saturates_below_65nm():
     assert m45.per_instruction == pytest.approx(m90.per_instruction)
 
 
-def test_sermodel_expectations():
-    m = SERModel(per_instruction=1e-6)
-    assert m.errors_expected(1_000_000) == pytest.approx(1.0)
-    assert m.mean_instructions_between_errors() == pytest.approx(1e6)
-    assert m.probability_of_at_least_one(1_000_000) == pytest.approx(
-        1 - math.exp(-1), rel=1e-6)
-
-
-def test_sermodel_zero_rate():
-    assert SERModel(0.0).mean_instructions_between_errors() == math.inf
-
-
 def test_break_even_function():
     # advantage 0.05 cyc/instr, penalty 50 cyc/error -> 1e-3 errors/instr
     assert break_even_ser(0.05, 50) == pytest.approx(1e-3)

@@ -12,11 +12,13 @@ from repro.hwcost.components import (
     forwarding_datapath, mips_core, unsync_detection_blocks,
 )
 from repro.hwcost.die import ManyCore, TABLE3_PROCESSORS, project_die, table3
-from repro.hwcost.redundancy_cost import (
-    reunion_pair_cost, unprotected_cost, unsync_pair_cost,
-)
 from repro.hwcost.synthesis import synthesize, table2
 from repro.hwcost.tech import TECH_65NM
+from repro.schemes import get
+
+
+def system_cost(scheme):
+    return get(scheme).system_cost()
 
 
 def within(actual, expected, rel=0.01):
@@ -97,8 +99,8 @@ def test_protection_bit_accounting_direction():
     assert m.protection_bits(Protection.NONE) == 0
     assert m.protection_bits(Protection.PARITY) == m.n_lines
     assert m.protection_bits(Protection.SECDED) == m.data_bits // 8
-    assert (m.raw_area_delta_fraction(Protection.PARITY)
-            < m.raw_area_delta_fraction(Protection.SECDED))
+    assert (m.protection_bits(Protection.PARITY)
+            < m.protection_bits(Protection.SECDED))
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +172,21 @@ def test_larger_fi_costs_more_csb_area():
 # ---------------------------------------------------------------------------
 def test_unsync_pair_cheaper_than_reunion_pair():
     """The paper's comparison at the replica-group level."""
-    uns = unsync_pair_cost()
-    reu = reunion_pair_cost()
+    uns = system_cost("unsync")
+    reu = system_cost("reunion")
     assert uns.total_area_um2 < reu.total_area_um2
     assert uns.total_power_w < reu.total_power_w
 
 
 def test_cost_ordering():
-    assert unprotected_cost().total_area_um2 \
-        < unsync_pair_cost().total_area_um2 \
-        < reunion_pair_cost().total_area_um2
+    assert system_cost("baseline").total_area_um2 \
+        < system_cost("unsync").total_area_um2 \
+        < system_cost("reunion").total_area_um2
 
 
 def test_core_counts():
-    assert unprotected_cost().n_cores == 1
-    assert unsync_pair_cost().n_cores == 2
+    assert system_cost("baseline").n_cores == 1
+    assert system_cost("unsync").n_cores == 2
 
 
 # ---------------------------------------------------------------------------

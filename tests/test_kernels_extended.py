@@ -6,8 +6,8 @@ the test, so these pin the kernels' *algorithms*, not just determinism.
 
 import pytest
 
-from repro.core import Core
 from repro.isa import golden
+from repro.redundancy import BaselineSystem
 from repro.workloads import load_kernel
 
 
@@ -69,7 +69,7 @@ def test_crc8_table_driven():
 def test_extended_kernels_pipeline_equivalence(name):
     prog = load_kernel(name)
     gold = golden.run(prog, max_instructions=500_000)
-    res = Core(prog).run(max_cycles=2_000_000)
+    res = BaselineSystem(prog).run(max_cycles=2_000_000)
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
     assert res.instructions == gold.instructions

@@ -7,15 +7,15 @@ the golden interpreter's.
 
 import pytest
 
-from repro.core import Core
 from repro.core.config import CoreConfig, SystemConfig
 from repro.isa import assemble, golden
+from repro.redundancy import BaselineSystem
 from repro.workloads import KERNELS, load_benchmark, load_kernel
 
 
 def assert_matches_golden(program):
     gold = golden.run(program, max_instructions=2_000_000)
-    res = Core(program).run()
+    res = BaselineSystem(program).run()
     assert res.instructions == gold.instructions
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
@@ -42,13 +42,13 @@ def test_fixture_kernels_match_golden(sum_loop, trap_loop, store_burst):
 
 def test_empty_program():
     prog = assemble("halt")
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.instructions == 0
 
 
 def test_program_without_halt_stops_at_end():
     prog = assemble("nop\nnop")
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.instructions == 2
 
 
@@ -56,7 +56,7 @@ def test_program_without_halt_stops_at_end():
 # timing sanity
 # ---------------------------------------------------------------------------
 def test_ipc_bounded_by_width(dot_product):
-    res = Core(dot_product).run()
+    res = BaselineSystem(dot_product).run()
     assert 0 < res.ipc <= CoreConfig().commit_width
 
 
@@ -64,7 +64,7 @@ def test_dependent_chain_is_serial():
     # 100 dependent adds: IPC must be ~1 regardless of 4-wide issue
     body = "\n".join("    add r1, r1, r2" for _ in range(100))
     prog = assemble(f"main:\n    li r2, 1\n{body}\n    halt")
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.ipc < 1.4
 
 
@@ -81,19 +81,21 @@ loop:
     bne r1, r0, loop
     halt
 """)
-    res = Core(prog).run()
+    res = BaselineSystem(prog).run()
     assert res.ipc > 2.0
 
 
 def test_smaller_rob_is_not_faster(sum_loop):
-    big = Core(sum_loop, config=SystemConfig(core=CoreConfig(rob_entries=128))).run()
-    small = Core(sum_loop, config=SystemConfig(core=CoreConfig(rob_entries=8))).run()
+    big = BaselineSystem(sum_loop, config=SystemConfig(
+        core=CoreConfig(rob_entries=128))).run()
+    small = BaselineSystem(sum_loop, config=SystemConfig(
+        core=CoreConfig(rob_entries=8))).run()
     assert small.cycles >= big.cycles
 
 
 def test_narrow_commit_hurts(sum_loop):
-    wide = Core(sum_loop).run()
-    narrow = Core(sum_loop, config=SystemConfig(
+    wide = BaselineSystem(sum_loop).run()
+    narrow = BaselineSystem(sum_loop, config=SystemConfig(
         core=CoreConfig(commit_width=1, fetch_width=1, dispatch_width=1,
                         issue_width=1))).run()
     assert narrow.cycles > wide.cycles
@@ -102,7 +104,8 @@ def test_narrow_commit_hurts(sum_loop):
 def test_div_latency_visible():
     fast = assemble("main:\n" + "    add r1, r1, r2\n" * 20 + "    halt")
     slow = assemble("main:\n" + "    div r1, r1, r2\n" * 20 + "    halt")
-    assert Core(slow).run().cycles > Core(fast).run().cycles + 100
+    assert BaselineSystem(slow).run().cycles > \
+        BaselineSystem(fast).run().cycles + 100
 
 
 def test_mispredict_penalty_costs_cycles():
@@ -120,96 +123,94 @@ even:
     bne r1, r0, loop
     halt
 """
-    res = Core(assemble(src)).run()
-    assert res.mispredict_rate > 0.05  # alternating direction defeats bimodal
+    system = BaselineSystem(assemble(src))
+    system.run()
+    # alternating direction defeats bimodal
+    assert system.pipelines[0].predictor.mispredict_rate() > 0.05
 
 
 def test_cycle_budget_overrun_raises():
     prog = assemble("main:\n    nop\n    halt")
-    core = Core(prog)
+    system = BaselineSystem(prog)
     with pytest.raises(RuntimeError):
-        core.run(max_cycles=1)
+        system.run(max_cycles=1)
 
 
 # ---------------------------------------------------------------------------
 # stall accounting
 # ---------------------------------------------------------------------------
 def test_rob_stall_counted_with_tiny_rob(sum_loop):
-    core = Core(sum_loop, config=SystemConfig(core=CoreConfig(rob_entries=4)))
-    core.run()
-    assert core.pipeline.stats.dispatch_stall_rob > 0
+    res = BaselineSystem(sum_loop, config=SystemConfig(
+        core=CoreConfig(rob_entries=4))).run()
+    assert res.core_stats[0].dispatch_stall_rob > 0
 
 
 def test_lsq_stall_counted_with_tiny_lsq(store_burst):
-    core = Core(store_burst, config=SystemConfig(core=CoreConfig(lsq_entries=2)))
-    core.run()
-    assert core.pipeline.stats.dispatch_stall_lsq > 0
+    res = BaselineSystem(store_burst, config=SystemConfig(
+        core=CoreConfig(lsq_entries=2))).run()
+    assert res.core_stats[0].dispatch_stall_lsq > 0
 
 
 def test_stats_committed_excludes_halt(sum_loop):
     gold = golden.run(sum_loop)
-    res = Core(sum_loop).run()
-    assert res.stats.committed == gold.instructions
+    res = BaselineSystem(sum_loop).run()
+    assert res.core_stats[0].committed == gold.instructions
 
 
 def test_serializing_committed_counted(trap_loop):
-    res = Core(trap_loop).run()
-    assert res.stats.serializing_committed == 30
+    res = BaselineSystem(trap_loop).run()
+    assert res.core_stats[0].serializing_committed == 30
 
 
 def test_store_load_counts(sum_loop):
-    res = Core(sum_loop).run()
-    assert res.stats.stores_committed == 51
-    assert res.stats.loads_committed == 50
+    stats = BaselineSystem(sum_loop).run().core_stats[0]
+    assert stats.stores_committed == 51
+    assert stats.loads_committed == 50
 
 
 # ---------------------------------------------------------------------------
 # flush / adopt (recovery primitives)
 # ---------------------------------------------------------------------------
 def test_flush_resets_to_committed_point(sum_loop):
-    core = Core(sum_loop)
-    for now in range(60):
-        core.step(now)
-    committed_before = core.pipeline.stats.committed
-    snapshot = core.pipeline.committed_state.snapshot()
-    dropped = core.pipeline.flush_pipeline()
+    system = BaselineSystem(sum_loop)
+    pipe = system.pipelines[0]
+    for _ in range(60):
+        system.step()
+    committed_before = pipe.stats.committed
+    snapshot = pipe.committed_state.snapshot()
+    dropped = pipe.flush_pipeline()
     assert dropped >= 0
-    assert core.pipeline.committed_state.snapshot() == snapshot
-    assert core.pipeline._next_seq == committed_before
+    assert pipe.committed_state.snapshot() == snapshot
+    assert pipe._next_seq == committed_before
     # run to completion after the flush: still correct
-    now = 60
-    while not core.done:
-        core.step(now)
-        now += 1
+    system.run()
     gold = golden.run(sum_loop)
-    assert core.pipeline.committed_state.regs == gold.state.regs
-    assert core.pipeline.committed_state.mem == gold.state.mem
+    assert pipe.committed_state.regs == gold.state.regs
+    assert pipe.committed_state.mem == gold.state.mem
 
 
 def test_adopt_state_copies_architectural_point(sum_loop):
-    a = Core(sum_loop, name="a")
-    b = Core(sum_loop, name="b")
-    for now in range(80):
-        a.step(now)
+    a = BaselineSystem(sum_loop, name="a")
+    b = BaselineSystem(sum_loop, name="b")
+    pa, pb = a.pipelines[0], b.pipelines[0]
+    for _ in range(80):
+        a.step()
     # b adopts a's committed state mid-run
-    b.pipeline.flush_pipeline()
-    b.pipeline.adopt_state(a.pipeline)
-    assert b.pipeline.committed_state.snapshot() == \
-        a.pipeline.committed_state.snapshot()
-    assert b.pipeline.stats.committed == a.pipeline.stats.committed
-    now = 80
-    while not b.done:
-        b.step(now)
-        now += 1
+    pb.flush_pipeline()
+    pb.adopt_state(pa)
+    assert pb.committed_state.snapshot() == pa.committed_state.snapshot()
+    assert pb.stats.committed == pa.stats.committed
+    b.run()
     gold = golden.run(sum_loop)
-    assert b.pipeline.committed_state.regs == gold.state.regs
-    assert b.pipeline.committed_state.mem == gold.state.mem
+    assert pb.committed_state.regs == gold.state.regs
+    assert pb.committed_state.mem == gold.state.mem
 
 
 def test_frozen_core_makes_no_progress(sum_loop):
-    core = Core(sum_loop)
-    core.pipeline.frozen_until = 50
-    for now in range(50):
-        core.step(now)
-    assert core.pipeline.stats.committed == 0
-    assert core.pipeline.stats.cycles == 50
+    system = BaselineSystem(sum_loop)
+    pipe = system.pipelines[0]
+    pipe.frozen_until = 50
+    for _ in range(50):
+        system.step()
+    assert pipe.stats.committed == 0
+    assert pipe.stats.cycles == 50

@@ -14,10 +14,10 @@ timing machinery leak into architectural results.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import Core
 from repro.core.config import CoreConfig, SystemConfig
 from repro.isa import golden
 from repro.isa.assembler import assemble
+from repro.redundancy import BaselineSystem
 from repro.schemes import available, get
 
 # registers the generator uses freely (r1 is the loop counter, r20 the
@@ -97,7 +97,7 @@ _settings = settings(max_examples=40, deadline=None,
 @given(random_program())
 def test_core_matches_golden_on_random_programs(program):
     gold = golden.run(program, max_instructions=100_000)
-    res = Core(program).run(max_cycles=500_000)
+    res = BaselineSystem(program).run(max_cycles=500_000)
     assert res.instructions == gold.instructions
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
@@ -110,7 +110,7 @@ def test_narrow_core_matches_golden(program):
         fetch_width=1, dispatch_width=1, issue_width=1, commit_width=1,
         rob_entries=8, iq_entries=4, lsq_entries=4))
     gold = golden.run(program, max_instructions=100_000)
-    res = Core(program, config=cfg).run(max_cycles=1_000_000)
+    res = BaselineSystem(program, config=cfg).run(max_cycles=1_000_000)
     assert res.state.regs == gold.state.regs
     assert res.state.mem == gold.state.mem
 

@@ -145,12 +145,13 @@ def test_groupmap_out_of_order_extension_rejected():
         g.assign(5)
 
 
-def test_groupmap_last_seq_of():
+def test_groupmap_seals_a_group_at_its_last_seq():
     g = GroupMap(interval=3)
     for s in range(6):
         g.assign(s)
-    assert g.last_seq_of(0) == 2
-    assert g.last_seq_of(1) == 5
+    # seq 5 fills group 1, which seals with it, before any seq 6 arrives
+    assert g.size(0) == 3 and g.size(1) == 3
+    assert g.groups_closed == 2
 
 
 def test_groupmap_cut_before_on_empty_group_is_noop():

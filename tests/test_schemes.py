@@ -439,25 +439,29 @@ def test_meek_empty_check_queue_strike_is_masked(loop):
 # hwcost + CLI integration
 # ---------------------------------------------------------------------------
 def test_hwcost_entries_reflect_scheme_structure():
-    from repro.hwcost.redundancy_cost import (
-        meek_pair_cost, reptfd_pair_cost, unprotected_cost, unsync_pair_cost,
-    )
-    base = unprotected_cost()
-    reptfd = reptfd_pair_cost()
-    meek = meek_pair_cost()
+    base = get("baseline").system_cost()
+    reptfd = get("reptfd").system_cost()
+    meek = get("meek").system_cost()
     # RepTFD pays two full cores plus a FIFO — a bit over 2x
     assert reptfd.total_area_um2 > 2 * base.total_area_um2
     # MEEK's fractional checker is the sub-2x replication point
     assert base.total_area_um2 < meek.total_area_um2 \
         < 2 * base.total_area_um2
-    assert meek.total_area_um2 < unsync_pair_cost().total_area_um2
+    assert meek.total_area_um2 < get("unsync").system_cost().total_area_um2
 
 
-def test_registry_system_cost_matches_hwcost_library():
-    from repro.hwcost.redundancy_cost import meek_pair_cost
+def test_registry_system_cost_rolls_up_hwcost_components():
+    from repro.hwcost.components import cb_array
+    from repro.hwcost.synthesis import synthesize
+    from repro.schemes.meek import (
+        CHECK_ENTRY_BITS, CHECK_QUEUE_ENTRIES, CHECKER_CORE_FRACTION,
+    )
     cost = get("meek").system_cost()
     assert cost.scheme == "meek"
-    assert cost.total_area_um2 == meek_pair_cost().total_area_um2
+    core = synthesize("mips").total_area_um2
+    queue = cb_array(CHECK_QUEUE_ENTRIES, entry_bits=CHECK_ENTRY_BITS)
+    assert cost.total_area_um2 == pytest.approx(
+        core * (1 + CHECKER_CORE_FRACTION) + queue.area_um2)
     assert get("baseline").system_cost().n_cores == 1
 
 

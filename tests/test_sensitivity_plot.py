@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.plot import bar_chart, line_chart
+from repro.harness.plot import line_chart
 from repro.harness.sensitivity import KNOBS, elasticity, sweep
 from repro.workloads import load_kernel
 
@@ -70,20 +70,6 @@ def test_dram_latency_hurts():
 # ---------------------------------------------------------------------------
 # charts
 # ---------------------------------------------------------------------------
-def test_bar_chart_scales_to_biggest():
-    out = bar_chart(["a", "bb"], [0.1, -0.2], width=20)
-    lines = out.splitlines()
-    assert lines[1].count("#") == 20          # the biggest |value|
-    assert lines[0].count("#") == 10
-    assert "+10.0%" in lines[0] and "-20.0%" in lines[1]
-
-
-def test_bar_chart_empty_and_mismatch():
-    assert bar_chart([], []) == "(no data)"
-    with pytest.raises(ValueError):
-        bar_chart(["a"], [1.0, 2.0])
-
-
 def test_line_chart_renders_all_series():
     out = line_chart({"up": [(0, 0), (1, 1)], "down": [(0, 1), (1, 0)]},
                      title="T", width=30, height=8)

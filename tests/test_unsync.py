@@ -32,7 +32,7 @@ def test_cb_fifo_order():
     cb.push(cb_entry(0))
     cb.push(cb_entry(1))
     assert cb.pop().seq == 0
-    assert cb.head().seq == 1
+    assert cb.pop().seq == 1
 
 
 def test_cb_rejects_out_of_order_push():
