@@ -171,6 +171,13 @@ def test_write_buffer_drains_oldest_first_while_the_bus_accepts():
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
+def test_baseline_core_fetches_through_its_system_port(sum_loop):
+    system = BaselineSystem(sum_loop)
+    assert system.pipelines[0].mem is system.ports[0]
+    system.run()
+    assert system.ports[0].stats.ifetches > 0
+
+
 def test_ipc_zero_before_running(sum_loop):
     from repro.redundancy.stats import RunResult
     from repro.isa.golden import ArchState

@@ -465,6 +465,35 @@ def test_registry_system_cost_rolls_up_hwcost_components():
     assert get("baseline").system_cost().n_cores == 1
 
 
+#: (area um^2, power W) of each scheme's ``system_cost()`` at the default
+#: 65 nm node and at 90 nm, as priced before the descriptors rolled up
+#: their own costs. Moving the arithmetic must not move a bit of a total.
+PINNED_SYSTEM_COSTS = {
+    "unsync": ("unsync", 2, (627321.1197081283, 3.3483495666046514),
+               (978179.3754440538, 3.3483495666046514)),
+    "reunion": ("reunion", 2, (705199.9989350983, 4.161308),
+                (1083324.0170192348, 4.169104010470992)),
+    "reptfd": ("reptfd", 2, (657454.72768, 2.403592106934547),
+               (1007828.2432, 2.408505558912063)),
+    "meek": ("meek", 2, (416979.372992, 1.5562292623255816),
+             (644449.15808, 1.5562292623255816)),
+    "baseline": ("unprotected", 1, (291953.36384, 1.1913500000000001),
+                 (466930.1216, 1.1913500000000001)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYSTEM_COSTS))
+def test_system_cost_is_bit_equal_to_pinned_pricing(name):
+    from repro.hwcost.tech import TECH_65NM, TECH_90NM
+    from repro.schemes import SchemeSystemCost
+    label, n_cores, at_65nm, at_90nm = PINNED_SYSTEM_COSTS[name]
+    for tech, (area, power) in ((None, at_65nm), (TECH_65NM, at_65nm),
+                                (TECH_90NM, at_90nm)):
+        assert get(name).system_cost(tech) == SchemeSystemCost(
+            scheme=label, n_cores=n_cores, total_area_um2=area,
+            total_power_w=power, self_correcting=False)
+
+
 def test_campaign_summary_hwcost_section(tmp_path):
     spec = CampaignSpec(schemes=("unsync", "meek"), workloads=("fibonacci",),
                         sers=(0.002,), trials=2, batch=2)
