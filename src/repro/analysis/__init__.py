@@ -12,7 +12,11 @@ Entry points::
 
     python -m repro lint                  # gate the tree (exit 1 on findings)
     python -m repro lint --format json    # machine-readable report
-    python -m repro lint --write-baseline # accept current findings as legacy
+    python -m repro lint --changed        # report files changed vs HEAD
+
+A finding is either fixed or silenced where it stands: an inline
+``# simlint: off=CODE`` pragma with its reason, or a ``per-path-ignore``
+entry in ``[tool.simlint]``. Nothing else accepts a finding.
 
 Rule catalogue: see ``repro.analysis.rules`` (SIM1xx determinism,
 SIM2xx hot path, SIM3xx multiprocessing hygiene, SIM4xx exception
@@ -21,7 +25,6 @@ discipline) and the "Static analysis" section of the README.
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig, load_config
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (
@@ -43,7 +46,6 @@ from repro.analysis.runner import (
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "EXIT_CLEAN",
     "EXIT_FINDINGS",
     "EXIT_INTERNAL_ERROR",

@@ -3,21 +3,19 @@
 Example::
 
     [tool.simlint]
-    paths = ["src/repro"]
-    exclude = []
-    baseline = "simlint-baseline.json"
+    paths = ["pkg"]
+    # confine the hot-path rule to one package of a test tree
+    rule-paths = { SIM201 = ["pkg/hot/"] }
 
     [tool.simlint.per-path-ignore]
-    # harness timing and the progress ticker legitimately read wall-clock
-    "src/repro/harness/" = ["SIM101"]
-
-    [tool.simlint.rule-paths]
-    # hot-path rules only apply to the cycle-level simulator packages
-    SIM201 = ["src/repro/core/", "src/repro/mem/", ...]
+    # the harness measures wall-clock time; that is its job
+    "pkg/harness/" = ["SIM101"]
 
 ``per-path-ignore`` maps a path prefix to rule codes ignored under it;
 ``rule-paths`` restricts a rule to run only under the given prefixes
-(absent entry = everywhere). Codes in either table may be prefixes —
+(absent entry = everywhere) and overrides that rule's entry in
+:data:`DEFAULT_RULE_PATHS`, which states the packages each scoped rule
+polices in this repo. Codes in either table may be prefixes —
 ``"SIM1"`` matches every SIM1xx rule, ``"SIM"`` matches all.
 """
 
@@ -32,16 +30,19 @@ try:  # py3.11+; on older interpreters config falls back to defaults
 except ImportError:  # pragma: no cover
     tomllib = None  # type: ignore[assignment]
 
-#: packages whose per-cycle structures the SIM2xx hot-path rules police
+#: packages whose per-cycle records the SIM201 ``__slots__`` rule
+#: polices; config/result objects elsewhere are one-per-run
 HOT_PACKAGES: Tuple[str, ...] = (
     "src/repro/core/",
     "src/repro/mem/",
     "src/repro/isa/",
     "src/repro/unsync/",
     "src/repro/reunion/",
+    "src/repro/schemes/",
 )
 
-#: packages where per-trial state copies are the hot path (SIM106)
+#: packages where per-trial state copies are the differential-replay
+#: hot path (SIM106); deepcopy elsewhere is merely slow
 COPY_PACKAGES: Tuple[str, ...] = (
     "src/repro/campaign/",
     "src/repro/checkpoint/",
@@ -76,8 +77,6 @@ class LintConfig:
 
     root: Path
     paths: Tuple[str, ...] = ("src/repro",)
-    exclude: Tuple[str, ...] = ()
-    baseline: Optional[str] = "simlint-baseline.json"
     per_path_ignore: Mapping[str, Tuple[str, ...]] = \
         field(default_factory=dict)
     rule_paths: Mapping[str, Tuple[str, ...]] = \
@@ -132,7 +131,7 @@ def load_config(root: Path,
         return LintConfig(root=root)
     if not isinstance(table, dict):
         raise LintConfigError("[tool.simlint] must be a table")
-    known = {"paths", "exclude", "baseline", "per-path-ignore", "rule-paths"}
+    known = {"paths", "per-path-ignore", "rule-paths"}
     unknown = sorted(set(table) - known)
     if unknown:
         raise LintConfigError(
@@ -141,13 +140,6 @@ def load_config(root: Path,
     kwargs: Dict[str, Any] = {"root": root}
     if "paths" in table:
         kwargs["paths"] = _str_tuple(table["paths"], "paths")
-    if "exclude" in table:
-        kwargs["exclude"] = _str_tuple(table["exclude"], "exclude")
-    if "baseline" in table:
-        baseline = table["baseline"]
-        if baseline is not None and not isinstance(baseline, str):
-            raise LintConfigError("baseline must be a string path")
-        kwargs["baseline"] = baseline
     if "per-path-ignore" in table:
         kwargs["per_path_ignore"] = _path_table(
             table["per-path-ignore"], "per-path-ignore")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Union
 
 
@@ -12,9 +12,6 @@ class Finding:
 
     Ordering is (path, line, col, code, message) so that any collection
     of findings sorts into one canonical, byte-stable report order.
-    ``line_text`` (the stripped source line) is carried for baseline
-    fingerprinting but excluded from ordering and equality so that a
-    finding's identity does not depend on incidental whitespace.
     """
 
     path: str
@@ -22,7 +19,6 @@ class Finding:
     col: int
     code: str
     message: str
-    line_text: str = field(default="", compare=False)
 
     def render(self) -> str:
         # columns are 0-based in ast; print 1-based like every other linter

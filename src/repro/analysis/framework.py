@@ -94,23 +94,17 @@ def _statement_anchors(tree: ast.Module) -> Dict[int, FrozenSet[int]]:
 class FileContext:
     """Everything a rule may look at for one file."""
 
-    __slots__ = ("path", "source", "lines", "tree", "imports",
-                 "suppressions", "_anchors")
+    __slots__ = ("path", "source", "tree", "imports", "suppressions",
+                 "_anchors")
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.source = source
-        self.lines: List[str] = source.splitlines()
         self.tree = tree
         self.imports: Dict[str, str] = _build_import_map(tree)
         self.suppressions = Suppressions(source)
         self._anchors: Dict[int, FrozenSet[int]] = \
             _statement_anchors(tree)
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def finding_suppressed(self, finding: Finding) -> bool:
         """Pragma check for one finding, statement-span aware."""
@@ -153,8 +147,7 @@ class Rule:
         lineno = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return Finding(path=ctx.path, line=lineno, col=col,
-                       code=self.code, message=message,
-                       line_text=ctx.line_text(lineno))
+                       code=self.code, message=message)
 
 
 class ProjectRule(Rule):
@@ -162,7 +155,7 @@ class ProjectRule(Rule):
 
     Whole-program rules see every file, the symbol table and the call
     graph at once; their findings still anchor to one (path, line) and
-    go through the same pragma / path-scoping / baseline machinery as
+    go through the same pragma / path-scoping machinery as
     per-file findings. ``check`` is intentionally inert so a
     ProjectRule mixed into a per-file battery contributes nothing
     twice.
@@ -176,15 +169,11 @@ class ProjectRule(Rule):
         raise NotImplementedError
 
 
-def parse_error_finding(path: str, source: str,
-                        exc: SyntaxError) -> Finding:
+def parse_error_finding(path: str, exc: SyntaxError) -> Finding:
     lineno = exc.lineno or 1
     col = max(0, (exc.offset or 1) - 1)
-    lines = source.splitlines()
-    text = lines[lineno - 1].strip() if 1 <= lineno <= len(lines) else ""
     return Finding(path=path, line=lineno, col=col, code=PARSE_ERROR_CODE,
-                   message=f"file does not parse: {exc.msg}",
-                   line_text=text)
+                   message=f"file does not parse: {exc.msg}")
 
 
 def parse_context(source: str, path: str) -> "FileContext | Finding":
@@ -193,7 +182,7 @@ def parse_context(source: str, path: str) -> "FileContext | Finding":
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return parse_error_finding(path, source, exc)
+        return parse_error_finding(path, exc)
     except ValueError as exc:  # e.g. source with null bytes
         return Finding(path=path, line=1, col=0, code=PARSE_ERROR_CODE,
                        message=f"file does not parse: {exc}")

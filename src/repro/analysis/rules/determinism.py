@@ -396,9 +396,9 @@ class DeepcopyOnHotState(Rule):
     restores) it is an order-of-magnitude tax, and it silently drags in
     whatever the graph happens to reach (telemetry sinks, bus/L2
     cross-references, bound RNGs), decoupling the copy's meaning from
-    the snapshot protocol's. Scoped (via ``[tool.simlint.rule-paths]``)
-    to the campaign and checkpoint packages, where per-trial copies are
-    the hot path.
+    the snapshot protocol's. Scoped (by ``COPY_PACKAGES`` in
+    :mod:`repro.analysis.config`) to the campaign and checkpoint
+    packages, where per-trial copies are the hot path.
     """
 
     code: ClassVar[str] = "SIM106"

@@ -59,10 +59,11 @@ def _declares_slots(cls: ast.ClassDef) -> bool:
 class SlotsOnHotRecords(Rule):
     """SIM201: per-cycle record classes must declare ``__slots__``.
 
-    Applies (via ``rule-paths`` scoping) to the cycle-level simulator
-    packages only. A "record" is recognised by name shape — ``*Entry``,
-    ``*Record``, ``*Info``, ... — on classes with no explicit bases
-    (slots through an unslotted base would be ineffective anyway).
+    Applies (by ``HOT_PACKAGES`` in :mod:`repro.analysis.config`) to
+    the cycle-level simulator packages only. A "record" is recognised
+    by name shape — ``*Entry``, ``*Record``, ``*Info``, ... — on
+    classes with no explicit bases (slots through an unslotted base
+    would be ineffective anyway).
     """
 
     code: ClassVar[str] = "SIM201"

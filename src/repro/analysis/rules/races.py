@@ -31,7 +31,6 @@ class SharedStateRace(ProjectRule):
     def check_project(self,
                       project: ProjectContext) -> Iterator[Finding]:
         for report in find_races(project):
-            ctx = project.files.get(report.path)
             writes = "; ".join(
                 f"{site.method}() [{report.path}:{site.lineno}] "
                 f"in {domain} domain"
@@ -44,8 +43,5 @@ class SharedStateRace(ProjectRule):
                 f"{len(report.domains)} concurrency domains "
                 f"({', '.join(report.domains)}) without a common "
                 f"lock: {writes}")
-            anchor = report.anchor
-            line_text = ctx.line_text(anchor.lineno) if ctx else ""
-            yield Finding(path=report.path, line=anchor.lineno, col=0,
-                          code=self.code, message=message,
-                          line_text=line_text)
+            yield Finding(path=report.path, line=report.anchor.lineno,
+                          col=0, code=self.code, message=message)

@@ -1,13 +1,16 @@
-"""Tree walking, baseline filtering, and report rendering for simlint.
+"""Tree walking and report rendering for simlint.
 
 Exit-code contract (the CI gate keys off it):
 
-* ``0`` — clean: no non-baselined findings;
-* ``1`` — findings: at least one new finding (including SIM001 parse
+* ``0`` — clean: no findings;
+* ``1`` — findings: at least one finding (including SIM001 parse
   failures — an unparseable file is a *finding*, never a crash);
 * ``2`` — internal error: simlint itself failed (bad config, rule bug,
-  unreadable baseline). CI treats this as infrastructure failure, not
+  missing lint path). CI treats this as infrastructure failure, not
   as "the tree is dirty".
+
+A finding is silenced only by an inline ``# simlint: off=CODE`` pragma
+with its reason, or by a ``per-path-ignore`` entry in the config.
 
 Both renderers are deterministic: findings sort canonically, JSON is
 ``sort_keys=True`` with no timestamps, so identical trees produce
@@ -18,12 +21,11 @@ from __future__ import annotations
 
 import json
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.config import LintConfig, LintConfigError, load_config
 from repro.analysis.findings import Finding
 from repro.analysis.framework import (FileContext, LintInternalError,
@@ -40,11 +42,8 @@ EXIT_INTERNAL_ERROR = 2
 class LintReport:
     """Outcome of one lint run over a tree."""
 
-    findings: List[Finding]          # new (non-baselined), sorted
-    baselined: int = 0               # findings matched by the baseline
+    findings: List[Finding]          # sorted
     files: int = 0                   # files scanned
-    #: every finding before baseline filtering (for --write-baseline)
-    all_findings: List[Finding] = field(default_factory=list)
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -62,8 +61,7 @@ def iter_lint_files(config: LintConfig,
                     paths: Sequence[str] = ()) -> List[Path]:
     """Deterministically ordered ``.py`` files under the configured roots.
 
-    Explicit ``paths`` (from the CLI) override the configured ones but
-    still honour ``exclude``.
+    Explicit ``paths`` (from the CLI) override the configured ones.
     """
     roots = [config.root / p for p in (paths or config.paths)]
     files: List[Path] = []
@@ -74,17 +72,10 @@ def iter_lint_files(config: LintConfig,
             files.extend(root.rglob("*.py"))
         else:
             raise LintInternalError(f"lint path does not exist: {root}")
-    out = []
-    seen = set()
-    for f in files:
-        rel = _rel_posix(f, config.root)
-        if rel in seen:
-            continue
-        seen.add(rel)
-        if any(part in rel for part in config.exclude):
-            continue
-        out.append(f)
-    return sorted(out, key=lambda f: _rel_posix(f, config.root))
+    by_rel: Dict[str, Path] = {}
+    for f in files:  # overlapping roots name a file once
+        by_rel.setdefault(_rel_posix(f, config.root), f)
+    return [by_rel[rel] for rel in sorted(by_rel)]
 
 
 def _rel_posix(path: Path, root: Path) -> str:
@@ -96,9 +87,8 @@ def _rel_posix(path: Path, root: Path) -> str:
 
 def lint_tree(config: LintConfig,
               paths: Sequence[str] = (),
-              rules: Iterable[Rule] = ALL_RULES,
-              baseline: Optional[Baseline] = None) -> LintReport:
-    """Lint the configured tree and apply the baseline filter.
+              rules: Iterable[Rule] = ALL_RULES) -> LintReport:
+    """Lint the configured tree.
 
     Every file parses exactly once into a
     :class:`~repro.analysis.framework.FileContext`; the per-file rules
@@ -107,12 +97,7 @@ def lint_tree(config: LintConfig,
     chains even when the CLI was pointed at a subset of paths).
     """
     rules = tuple(rules)
-    if baseline is None:
-        if config.baseline is not None:
-            baseline = Baseline.load(config.root / config.baseline)
-        else:
-            baseline = Baseline.empty()
-    all_findings: List[Finding] = []
+    findings: List[Finding] = []
     contexts: Dict[str, FileContext] = {}
     files = iter_lint_files(config, paths)
     for path in files:
@@ -120,20 +105,18 @@ def lint_tree(config: LintConfig,
         try:
             source = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            all_findings.append(Finding(
+            findings.append(Finding(
                 path=rel, line=1, col=0, code="SIM001",
                 message=f"file is unreadable: {exc}"))
             continue
         parsed = parse_context(source, rel)
         if isinstance(parsed, Finding):
-            all_findings.append(parsed)
+            findings.append(parsed)
             continue
         contexts[rel] = parsed
-        all_findings.extend(run_file_rules(parsed, rules, config))
-    all_findings.extend(run_project_rules(contexts, rules, config))
-    new, baselined = baseline.filter(all_findings)
-    return LintReport(findings=new, baselined=baselined,
-                      files=len(files), all_findings=sorted(all_findings))
+        findings.extend(run_file_rules(parsed, rules, config))
+    findings.extend(run_project_rules(contexts, rules, config))
+    return LintReport(findings=sorted(findings), files=len(files))
 
 
 def changed_paths(root: Path, ref: str) -> Set[str]:
@@ -168,8 +151,7 @@ def filter_to_paths(report: LintReport,
     lives in a changed file)."""
     return LintReport(
         findings=[f for f in report.findings if f.path in keep],
-        baselined=report.baselined, files=report.files,
-        all_findings=report.all_findings)
+        files=report.files)
 
 
 def render_text(report: LintReport) -> str:
@@ -178,11 +160,9 @@ def render_text(report: LintReport) -> str:
                        for code, n in sorted(report.counts.items()))
     if report.findings:
         lines.append(f"{len(report.findings)} finding(s) [{counts}] in "
-                     f"{report.files} file(s), "
-                     f"{report.baselined} baselined")
+                     f"{report.files} file(s)")
     else:
-        lines.append(f"clean: {report.files} file(s), "
-                     f"{report.baselined} baselined finding(s)")
+        lines.append(f"clean: {report.files} file(s)")
     return "\n".join(lines)
 
 
@@ -190,7 +170,6 @@ def render_json(report: LintReport) -> str:
     doc = {
         "version": 1,
         "files": report.files,
-        "baselined": report.baselined,
         "counts": report.counts,
         "findings": [f.to_dict() for f in report.findings],
     }
@@ -253,9 +232,6 @@ _RENDERERS = {
 def run_lint_cli(paths: Sequence[str],
                  fmt: str,
                  root: Optional[str] = None,
-                 baseline_path: Optional[str] = None,
-                 no_baseline: bool = False,
-                 write_baseline: bool = False,
                  changed: Optional[str] = None,
                  stdout=None) -> int:
     """Back end of ``repro lint`` — returns the process exit code."""
@@ -263,38 +239,20 @@ def run_lint_cli(paths: Sequence[str],
     out = stdout if stdout is not None else sys.stdout
     try:
         config = load_config(Path(root) if root else Path.cwd())
-        if baseline_path is not None or no_baseline:
-            config = LintConfig(
-                root=config.root, paths=config.paths,
-                exclude=config.exclude,
-                baseline=None if no_baseline else baseline_path,
-                per_path_ignore=config.per_path_ignore,
-                rule_paths=config.rule_paths)
         report = lint_tree(config, paths)
-        if write_baseline:
-            target = config.baseline or "simlint-baseline.json"
-            fresh = Baseline.from_findings(report.all_findings)
-            stale = Baseline.load(config.root / target) \
-                .stale_versus(fresh)
-            fresh.write(config.root / target)
-            print(f"wrote {target}: {len(report.all_findings)} "
-                  f"finding(s) accepted as baseline, "
-                  f"{stale} stale entries removed", file=out)
-            return EXIT_CLEAN
         if changed is not None:
             report = filter_to_paths(
                 report, changed_paths(config.root, changed))
         out.write(_RENDERERS[fmt](report))
         return report.exit_code
-    except (LintConfigError, BaselineError, LintInternalError) as exc:
+    except (LintConfigError, LintInternalError) as exc:
         print(f"simlint internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 
 
 def self_check() -> Tuple[LintReport, LintConfig]:
-    """Lint ``src/repro/analysis`` itself with an empty baseline."""
+    """Lint ``src/repro/analysis`` itself with every rule everywhere."""
     here = Path(__file__).resolve().parent
     config = LintConfig(root=here.parent.parent.parent, rule_paths={})
-    report = lint_tree(config, paths=("src/repro/analysis",),
-                       baseline=Baseline.empty())
+    report = lint_tree(config, paths=("src/repro/analysis",))
     return report, config

@@ -607,7 +607,7 @@ class TaintEngine:
                 key = (ctx.path, lineno, col, code, message)
                 out.setdefault(key, Finding(
                     path=ctx.path, line=lineno, col=col, code=code,
-                    message=message, line_text=ctx.line_text(lineno)))
+                    message=message))
         self._findings = sorted(out.values())
         return self._findings
 

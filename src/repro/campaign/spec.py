@@ -17,8 +17,8 @@ independent of interruptions and worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.schemes import protected_schemes
 
@@ -69,7 +69,7 @@ class CampaignSpec:
     #: from a technology node)
     sers: Tuple[float, ...]
     #: seeded trials per cell
-    trials: int
+    trials: int = 50
     seed_base: int = 0
     #: sequential early stopping: a cell stops once the Wilson CI on its
     #: SDC proportion has half-width <= this (None = run every trial)
@@ -85,6 +85,8 @@ class CampaignSpec:
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "workloads", tuple(self.workloads))
         object.__setattr__(self, "sers", tuple(float(s) for s in self.sers))
+        for name in ("trials", "seed_base", "batch"):  # JSON may say 4.0
+            object.__setattr__(self, name, int(getattr(self, name)))
         # a live registry view: the unprotected baseline is never a
         # target, and a scheme registered later is campaignable at once
         protected = protected_schemes()
@@ -93,6 +95,13 @@ class CampaignSpec:
                 raise CampaignError(
                     f"scheme {scheme!r} cannot take fault injection "
                     f"(choose from {protected})")
+        from repro.workloads import workload_names
+        known = workload_names()
+        for name in self.workloads:
+            if name not in known:
+                raise CampaignError(
+                    f"unknown workload {name!r} (try one of "
+                    f"{', '.join(known)})")
         if not self.schemes or not self.workloads or not self.sers:
             raise CampaignError("campaign grid has an empty axis")
         if any(s < 0 for s in self.sers):
@@ -155,31 +164,25 @@ class CampaignSpec:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
-    # -- JSON round-trip (the store header) ---------------------------------
-    def to_dict(self) -> Dict:
-        return {
-            "schemes": list(self.schemes),
-            "workloads": list(self.workloads),
-            "sers": list(self.sers),
-            "trials": self.trials,
-            "seed_base": self.seed_base,
-            "ci_halfwidth": self.ci_halfwidth,
-            "batch": self.batch,
-            "fault_model": self.fault_model,
-            "watchdog_cycles": self.watchdog_cycles,
-        }
+    # -- JSON round-trip (store header, journal, service submission) --------
+    def to_dict(self) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
-    def from_dict(cls, data: Dict) -> "CampaignSpec":
+    def from_dict(cls, data: Dict[str, Any]) -> "CampaignSpec":
+        """The one decoder of a spec record (store header, journal entry,
+        service submission): an absent field takes the dataclass default
+        and an unknown one is rejected."""
+        names = sorted(f.name for f in fields(cls))
+        unknown = sorted(set(data) - set(names))
+        if unknown:
+            raise CampaignError(f"unknown spec field(s) {unknown} "
+                                f"(spec fields: {names})")
         try:
-            return cls(schemes=tuple(data["schemes"]),
-                       workloads=tuple(data["workloads"]),
-                       sers=tuple(data["sers"]),
-                       trials=int(data["trials"]),
-                       seed_base=int(data.get("seed_base", 0)),
-                       ci_halfwidth=data.get("ci_halfwidth"),
-                       batch=int(data.get("batch", 25)),
-                       fault_model=data.get("fault_model", "standard"),
-                       watchdog_cycles=data.get("watchdog_cycles"))
-        except KeyError as exc:
-            raise CampaignError(f"spec record missing field {exc}") from exc
+            return cls(**data)
+        except TypeError as exc:  # an absent axis, or "trials": null
+            raise CampaignError(f"malformed spec record: {exc}") from exc

@@ -411,12 +411,15 @@ def _cmd_trace_run(args) -> int:
 
 
 def _cmd_metrics_summarize(args) -> int:
+    from repro.campaign import CampaignError
     from repro.telemetry.summary import summarize_path
     try:
         summary = summarize_path(args.path)
     except FileNotFoundError:
         raise SystemExit(f"error: no metrics snapshot or campaign store "
                          f"at {args.path!r}")
+    except CampaignError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.json:
         import json
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -511,16 +514,9 @@ def _cmd_campaign_run(args) -> int:
         # horizons; accelerated sampling is the standard move
         sers += [SERModel.at_node(n).per_cycle(ipc=args.ipc) * args.accel
                  for n in args.node]
-    from repro.workloads import workload_names
     try:
         if not sers:
             raise CampaignError("give at least one --ser rate or --node")
-        known = workload_names()
-        for name in args.workloads:
-            if name not in known:
-                raise CampaignError(
-                    f"unknown workload {name!r} (try one of "
-                    f"{', '.join(known)})")
         spec = CampaignSpec(schemes=tuple(args.schemes),
                             workloads=tuple(args.workloads),
                             sers=tuple(sers), trials=args.trials,
@@ -644,9 +640,6 @@ def _cmd_lint(args) -> int:
                            title="simlint rule catalogue"))
         return 0
     return run_lint_cli(paths=args.paths, fmt=args.format, root=args.root,
-                        baseline_path=args.baseline,
-                        no_baseline=args.no_baseline,
-                        write_baseline=args.write_baseline,
                         changed=args.changed)
 
 
@@ -881,12 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", default=None, metavar="DIR",
                    help="project root holding pyproject.toml "
                         "(default: cwd)")
-    p.add_argument("--baseline", default=None, metavar="FILE.json",
-                   help="override the configured baseline file")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="report every finding, baseline ignored")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="accept all current findings as the new baseline")
     p.add_argument("--rules", action="store_true",
                    help="print the rule catalogue and exit")
     p.set_defaults(fn=_cmd_lint)

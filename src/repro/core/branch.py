@@ -73,6 +73,3 @@ class BimodalPredictor:
 
     def record_mispredict(self) -> None:
         self.mispredicts += 1
-
-    def mispredict_rate(self) -> float:
-        return self.mispredicts / self.lookups if self.lookups else 0.0

@@ -167,7 +167,6 @@ class Pipeline:
         self._fetch_blocked_on: Optional[int] = None
         self._next_seq = 0
         self._halt_fetched = False
-        self._halt_seq: Optional[int] = None
         #: seq -> in-flight ROB entry, for wake-up and redirect checks
         self._inflight: Dict[int, ROBEntry] = {}
         #: architectural register -> seq of last in-flight producer
@@ -577,7 +576,6 @@ class Pipeline:
                 info = StepInfo(ins=ins, pc=oracle.pc,
                                 next_pc=oracle.pc, is_halt=True)
                 buf.append(_Fetched(self._next_seq, info, fetch_done))
-                self._halt_seq = self._next_seq
                 self._next_seq += 1
                 self._halt_fetched = True
                 return
@@ -645,7 +643,6 @@ class Pipeline:
         self._reg_producer.clear()
         self._fetch_blocked_on = None
         self._halt_fetched = False
-        self._halt_seq = None
         # restart the oracle from the committed point; sequence numbers
         # restart there too (commit is in-order, so the next instruction's
         # seq equals the committed count), keeping replays seq-identical.

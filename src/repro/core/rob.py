@@ -55,7 +55,6 @@ class ROBEntry:
     store_value: Optional[int] = None
     branch_taken: bool = False
     branch_target: int = 0
-    mispredicted: bool = False
     #: Reunion: index of the fingerprint group this entry belongs to
     fp_group: int = -1
 

@@ -71,18 +71,6 @@ class CacheModel:
     def tag_bits(self) -> int:
         return self.n_lines * self.tag_bits_per_line
 
-    def protection_bits(self, protection: Protection) -> int:
-        """Extra storage bits the protection scheme adds."""
-        if protection is Protection.PARITY:
-            # 1 parity bit per cache line (Sec VI-A-1: "1 parity bit for a
-            # 256 bit cache-line" — per line-segment; one per line here,
-            # the coarsest variant the paper quotes area for)
-            return self.n_lines
-        if protection is Protection.SECDED:
-            # (72, 64) Hamming: 8 check bits per 64 data bits
-            return self.data_bits // 64 * 8
-        return 0
-
     # -- physical layer ----------------------------------------------------
     def area_mm2(self, protection: Protection = Protection.NONE) -> float:
         """Cache area in mm² (protection applied as the paper's net ratio)."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 @dataclass
 class BusStats:
     transactions: int = 0
-    busy_cycles: int = 0
     wait_cycles: int = 0
 
 
@@ -52,7 +51,6 @@ class Bus:
         self.stats.wait_cycles += start - now
         self._free_at = start + duration
         self.stats.transactions += 1
-        self.stats.busy_cycles += duration
         return self._free_at
 
     def try_request(self, now: int, duration: int) -> int:

@@ -77,8 +77,6 @@ class AccessResult:
     #: line address (addr with offset bits cleared) of any evicted dirty
     #: line (write-back policy only) that must be written downstream.
     writeback_line: Optional[int] = None
-    #: True when a miss allocated a line.
-    allocated: bool = False
 
 
 class Cache:
@@ -167,7 +165,7 @@ class Cache:
                         dirty=is_write and self._write_back)
         ways.append(new_line)
         return AccessResult(hit=False, latency=self._hit_latency,
-                            writeback_line=writeback, allocated=True)
+                            writeback_line=writeback)
 
     # -- inventory --------------------------------------------------------
     def resident_lines(self) -> Iterator[int]:
@@ -198,13 +196,6 @@ class Cache:
                     line.valid = False
                     n += 1
         return n
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = self.writebacks = 0

@@ -25,8 +25,6 @@ class MemPortStats:
     ifetches: int = 0
     loads: int = 0
     stores: int = 0
-    l1i_miss: int = 0
-    l1d_miss: int = 0
     mshr_stall_cycles: int = 0
 
 
@@ -169,7 +167,6 @@ class MemPort:
         result = self.icache.access(pc, is_write=False)
         latency += result.latency
         if not result.hit:
-            self.stats.l1i_miss += 1
             if self._events is not None:
                 self._note_miss(now)
             latency += self._refill(self.icache, pc, now + latency,
@@ -187,7 +184,6 @@ class MemPort:
         result = self.dcache.access(addr, is_write=False)
         latency += result.latency
         if not result.hit:
-            self.stats.l1d_miss += 1
             if self._events is not None:
                 self._note_miss(now)
             latency += self._refill(self.dcache, addr, now + latency,
@@ -209,7 +205,6 @@ class MemPort:
         result = self.dcache.access(addr, is_write=True)
         latency += result.latency
         if not result.hit and self.dcache.config.allocates_on_write:
-            self.stats.l1d_miss += 1
             if self._events is not None:
                 self._note_miss(now)
             latency += self._refill(self.dcache, addr, now + latency,

@@ -9,16 +9,14 @@ as a structural hazard on the memory unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(slots=True)
 class _Entry:
     line_addr: int
     ready_cycle: int
-    #: number of merged requests (statistics only)
-    merged: int = 0
 
 
 class MSHRFile:
@@ -62,9 +60,7 @@ class MSHRFile:
         Merging into an existing entry always succeeds and never consumes
         capacity.
         """
-        entry = self._entries.get(line_addr)
-        if entry is not None:
-            entry.merged += 1
+        if line_addr in self._entries:
             self.merges += 1
             return True
         if self.full:

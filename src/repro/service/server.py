@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+from dataclasses import fields
 from typing import Dict, Optional, Tuple
 
 from repro.campaign.engine import summarize_store
@@ -52,47 +53,26 @@ MAX_BODY_BYTES = 1 << 20
 
 #: fields a submission body may carry besides the CampaignSpec ones
 _SUBMIT_FIELDS = frozenset({"workers"})
-_SPEC_FIELDS = frozenset({"schemes", "workloads", "sers", "trials",
-                          "seed_base", "ci_halfwidth", "batch",
-                          "fault_model", "watchdog_cycles"})
 
 
 def spec_from_request(data: Dict) -> CampaignSpec:
     """Build a validated :class:`CampaignSpec` from a submission body.
 
-    Unknown fields and unknown workloads are rejected with the same
-    actionable messages the CLI gives, so a 400 response tells the
-    client exactly what to fix.
+    The body is a spec record plus the service-only ``workers`` field;
+    :meth:`CampaignSpec.from_dict` decodes it, so a 400 response carries
+    the same message the CLI and a store header would give.
     """
     if not isinstance(data, dict):
         raise CampaignError("submission body must be a JSON object")
-    unknown = set(data) - _SPEC_FIELDS - _SUBMIT_FIELDS
+    spec_fields = {f.name for f in fields(CampaignSpec)}
+    unknown = set(data) - spec_fields - _SUBMIT_FIELDS
     if unknown:
         raise CampaignError(
             f"unknown submission field(s) {sorted(unknown)} (spec "
-            f"fields: {sorted(_SPEC_FIELDS)}; service fields: "
+            f"fields: {sorted(spec_fields)}; service fields: "
             f"{sorted(_SUBMIT_FIELDS)})")
-    for required in ("schemes", "workloads", "sers"):
-        if not data.get(required):
-            raise CampaignError(f"submission needs a non-empty "
-                                f"{required!r} list")
-    from repro.workloads import workload_names
-    known = workload_names()
-    for name in data["workloads"]:
-        if name not in known:
-            raise CampaignError(
-                f"unknown workload {name!r} (try one of "
-                f"{', '.join(known)})")
-    return CampaignSpec(
-        schemes=tuple(data["schemes"]),
-        workloads=tuple(data["workloads"]),
-        sers=tuple(float(s) for s in data["sers"]),
-        trials=int(data.get("trials", 50)),
-        seed_base=int(data.get("seed_base", 0)),
-        ci_halfwidth=data.get("ci_halfwidth"),
-        batch=int(data.get("batch", 25)),
-        fault_model=data.get("fault_model", "standard"),
-        watchdog_cycles=data.get("watchdog_cycles"))
+    return CampaignSpec.from_dict(
+        {k: v for k, v in data.items() if k not in _SUBMIT_FIELDS})
 
 
 class CampaignService:

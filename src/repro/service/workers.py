@@ -49,7 +49,7 @@ import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
                     TypeVar)
 
@@ -75,23 +75,6 @@ ABANDONED = "abandoned"
 WITHDRAWN = "withdrawn"
 
 
-def trial_to_wire(trial: TrialSpec) -> Dict:
-    """JSON-safe encoding of a :class:`TrialSpec` for the worker API."""
-    wire: Dict = {"scheme": trial.scheme, "workload": trial.workload,
-                  "ser": trial.ser, "seed": trial.seed,
-                  "fault_model": trial.fault_model}
-    if trial.watchdog_cycles is not None:
-        wire["watchdog_cycles"] = trial.watchdog_cycles
-    return wire
-
-
-def trial_from_wire(wire: Dict) -> TrialSpec:
-    return TrialSpec(scheme=wire["scheme"], workload=wire["workload"],
-                     ser=float(wire["ser"]), seed=int(wire["seed"]),
-                     fault_model=wire.get("fault_model", "standard"),
-                     watchdog_cycles=wire.get("watchdog_cycles"))
-
-
 @dataclass
 class Lease:
     """One claimable slice of a wave (all trials share a cell)."""
@@ -113,7 +96,6 @@ class Lease:
 class WorkerInfo:
     worker_id: str
     name: str
-    registered_at: float
     last_seen: float
     leases: Set[str] = field(default_factory=set)
 
@@ -165,10 +147,9 @@ class LeaseBroker:
         """Register a worker; returns its id and protocol intervals."""
         with self._cv:
             worker_id = f"w{next(self._worker_seq):04d}"
-            now = self.clock()
             self._workers[worker_id] = WorkerInfo(
                 worker_id=worker_id, name=name or worker_id,
-                registered_at=now, last_seen=now)
+                last_seen=self.clock())
             self.ever_registered = True
             self._cv.notify_all()
             return {"worker_id": worker_id,
@@ -251,7 +232,7 @@ class LeaseBroker:
                 return {"lease_id": lease.lease_id,
                         "job_id": lease.job_id,
                         "ttl": self.lease_ttl,
-                        "trials": [trial_to_wire(t) for t in lease.trials]}
+                        "trials": [asdict(t) for t in lease.trials]}
             return None
 
     def complete(self, worker_id: str, lease_id: str,
@@ -672,7 +653,7 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
             if idle_deadline is not None:
                 idle_deadline = clock() + max_idle  # type: ignore[operator]
             lease_id = payload["lease_id"]
-            trials = [trial_from_wire(w) for w in payload["trials"]]
+            trials = [TrialSpec(**w) for w in payload["trials"]]
             with held_lock:
                 held.add(lease_id)
             records: List[Dict] = []

@@ -14,6 +14,7 @@ Both reduce to one dict shape so the CLI renders them uniformly.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict
 
 
@@ -35,39 +36,35 @@ def summarize_snapshot(doc: Dict) -> Dict:
 
 
 def summarize_store(path: str) -> Dict:
-    """Sum the per-trial metric rollups of a campaign store per cell.
+    """Per-cell and total metric sums of a campaign store, read from the
+    campaign aggregate (:attr:`CellAggregate.metrics`).
 
     Only integral counters ever enter trial records (see
     ``campaign.trial``), so sums are exact and order-independent.
     """
-    from repro.campaign.store import ResultStore
+    from repro.campaign.engine import summarize_store as aggregate_store
 
-    store = ResultStore(path)
-    cells: Dict[str, Dict[str, int]] = {}
-    trials: Dict[str, int] = {}
+    summary = aggregate_store(path)
+    cells = summary.cells
     totals: Dict[str, int] = {}
-    n = 0
-    for record in store.iter_trials():
-        n += 1
-        cell = record["cell"]
-        trials[cell] = trials.get(cell, 0) + 1
-        per_cell = cells.setdefault(cell, {})
-        for name, value in record.get("metrics", {}).items():
-            value = int(value)
-            per_cell[name] = per_cell.get(name, 0) + value
+    for cell in cells.values():
+        for name, value in cell["metrics"].items():
             totals[name] = totals.get(name, 0) + value
     return {
         "kind": "campaign",
-        "trials": n,
-        "cells": {c: {"trials": trials[c],
-                      "metrics": dict(sorted(m.items()))}
-                  for c, m in sorted(cells.items())},
+        "trials": summary.totals["trials"],
+        "cells": {c: {"trials": cells[c]["trials"],
+                      "metrics": cells[c]["metrics"]}
+                  for c in sorted(cells)},
         "totals": dict(sorted(totals.items())),
     }
 
 
 def summarize_path(path: str) -> Dict:
-    """Auto-detect the input shape and summarise."""
+    """Auto-detect the input shape and summarise; a missing ``path``
+    raises :class:`FileNotFoundError`."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
     if path.endswith(".jsonl"):
         return summarize_store(path)
     with open(path) as fh:

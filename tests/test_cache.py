@@ -132,19 +132,14 @@ def test_invalidate_all():
     assert c.resident_count() == 0
 
 
-def test_stats_and_miss_rate():
+def test_hit_and_miss_counters():
     c = small_cache()
     c.access(0, False)
     c.access(0, False)
     c.access(0, False)
     assert (c.hits, c.misses) == (2, 1)
-    assert c.miss_rate() == pytest.approx(1 / 3)
     c.reset_stats()
-    assert c.accesses == 0
-
-
-def test_miss_rate_empty():
-    assert small_cache().miss_rate() == 0.0
+    assert (c.hits, c.misses) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

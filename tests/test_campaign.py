@@ -76,6 +76,27 @@ def test_spec_json_roundtrip():
         json.loads(json.dumps(spec.to_dict()))) == spec
 
 
+def test_spec_rejects_unknown_workload():
+    with pytest.raises(CampaignError, match="unknown workload 'nope'"):
+        small_spec(workloads=("fibonacci", "nope"))
+
+
+def test_spec_from_dict_rejects_unknown_key_and_defaults_absent_ones():
+    record = small_spec().to_dict()
+    with pytest.raises(CampaignError, match=r"unknown spec field\(s\) "
+                                            r"\['labels'\]"):
+        CampaignSpec.from_dict(dict(record, labels="traced"))
+    with pytest.raises(CampaignError, match="sers"):
+        CampaignSpec.from_dict({k: v for k, v in record.items()
+                                if k != "sers"})
+    bare = CampaignSpec.from_dict({"schemes": ["unsync"],
+                                   "workloads": ["fibonacci"],
+                                   "sers": [0.01]})
+    assert bare == CampaignSpec(schemes=("unsync",),
+                                workloads=("fibonacci",), sers=(0.01,))
+    assert bare.trials == 50 and bare.batch == 25
+
+
 def test_cell_id_format():
     assert cell_id("unsync", "sha", 1e-4) == "unsync/sha/0.0001"
 

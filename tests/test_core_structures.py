@@ -218,11 +218,11 @@ def test_btb_capacity_fifo():
     assert p.predict_target(0x8) == 3
 
 
-def test_mispredict_rate():
+def test_predictor_counts_lookups_and_mispredicts():
     p = BimodalPredictor(64)
     p.predict(0)
     p.record_mispredict()
-    assert p.mispredict_rate() == 1.0
+    assert (p.lookups, p.mispredicts) == (1, 1)
 
 
 def test_predictor_entries_power_of_two():

@@ -94,15 +94,6 @@ def test_cache_power_matches_paper():
     within(m.power_w(Protection.SECDED) * 1e3, 42.15, rel=0.005)
 
 
-def test_protection_bit_accounting_direction():
-    m = CacheModel()
-    assert m.protection_bits(Protection.NONE) == 0
-    assert m.protection_bits(Protection.PARITY) == m.n_lines
-    assert m.protection_bits(Protection.SECDED) == m.data_bits // 8
-    assert (m.protection_bits(Protection.PARITY)
-            < m.protection_bits(Protection.SECDED))
-
-
 # ---------------------------------------------------------------------------
 # Table II roll-up
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""simlint: rule battery, pragma/baseline/config mechanics, CLI gate.
+"""simlint: rule battery, pragma/config mechanics, CLI gate.
 
 Each rule gets positive + negative fixture snippets; the two historical
 determinism bugs (the ``id()``-keyed baseline cache and the unsorted
@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis import (
     ALL_RULES,
-    Baseline,
     LintConfig,
     check_source,
     lint_tree,
@@ -23,7 +22,6 @@ from repro.analysis import (
     render_json,
     rule_catalogue,
 )
-from repro.analysis.baseline import BaselineError
 from repro.analysis.config import LintConfigError
 from repro.analysis.framework import LintInternalError, Rule
 from repro.analysis.runner import (
@@ -781,7 +779,7 @@ class TestParseFailure:
 
 
 # ---------------------------------------------------------------------------
-# config / baseline / tree mechanics (on synthetic trees)
+# config / tree mechanics (on synthetic trees)
 # ---------------------------------------------------------------------------
 
 DIRTY = ("import time\n"
@@ -802,38 +800,35 @@ class TestConfig:
     def test_defaults_without_pyproject(self, tmp_path):
         config = load_config(tmp_path)
         assert config.paths == ("src/repro",)
-        assert config.baseline == "simlint-baseline.json"
 
     def test_per_path_ignore(self, tmp_path):
         make_tree(tmp_path, (
-            "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n"
+            "[tool.simlint]\npaths = ['pkg']\n"
             "[tool.simlint.'per-path-ignore']\n"
             "'pkg/timing/' = ['SIM101']\n"
         ), {"pkg/timing/clock.py": DIRTY, "pkg/sim/model.py": DIRTY})
         config = load_config(tmp_path)
-        report = lint_tree(config, baseline=Baseline.empty())
+        report = lint_tree(config)
         assert [f.path for f in report.findings] == ["pkg/sim/model.py"]
 
     def test_rule_code_prefix_matching(self, tmp_path):
         make_tree(tmp_path, (
-            "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n"
+            "[tool.simlint]\npaths = ['pkg']\n"
             "[tool.simlint.'per-path-ignore']\n"
             "'pkg/' = ['SIM1']\n"
         ), {"pkg/model.py": DIRTY})
-        report = lint_tree(load_config(tmp_path),
-                           baseline=Baseline.empty())
+        report = lint_tree(load_config(tmp_path))
         assert report.findings == []
 
     def test_rule_paths_scope(self, tmp_path):
         record = ("from dataclasses import dataclass\n"
                   "@dataclass\nclass HotEntry:\n    seq: int\n")
         make_tree(tmp_path, (
-            "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n"
+            "[tool.simlint]\npaths = ['pkg']\n"
             "[tool.simlint.'rule-paths']\n"
             "SIM201 = ['pkg/hot/']\n"
         ), {"pkg/hot/a.py": record, "pkg/cold/b.py": record})
-        report = lint_tree(load_config(tmp_path),
-                           baseline=Baseline.empty())
+        report = lint_tree(load_config(tmp_path))
         assert [f.path for f in report.findings] == ["pkg/hot/a.py"]
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -842,43 +837,25 @@ class TestConfig:
         with pytest.raises(LintConfigError):
             load_config(tmp_path)
 
-
-class TestBaseline:
-    def test_filter_budget_and_surplus(self, tmp_path):
-        make_tree(tmp_path,
-                  "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n",
-                  {"pkg/model.py": DIRTY})
-        config = load_config(tmp_path)
-        report = lint_tree(config, baseline=Baseline.empty())
-        assert len(report.findings) == 1
-        baseline = Baseline.from_findings(report.findings)
-        baseline.write(tmp_path / "b.json")
-        # baselined: clean
-        report2 = lint_tree(config)
-        assert report2.findings == [] and report2.baselined == 1
-        # a *second* identical violation exceeds the budget
-        (tmp_path / "pkg" / "model.py").write_text(
-            DIRTY + "def again():\n    return time.time()\n")
-        report3 = lint_tree(config)
-        assert len(report3.findings) == 1 and report3.baselined == 1
-
-    def test_line_number_insensitive(self, tmp_path):
-        make_tree(tmp_path,
-                  "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n",
-                  {"pkg/model.py": DIRTY})
-        config = load_config(tmp_path)
-        baseline = Baseline.from_findings(
-            lint_tree(config, baseline=Baseline.empty()).findings)
-        baseline.write(tmp_path / "b.json")
-        # shift the finding down two lines; fingerprint still matches
-        (tmp_path / "pkg" / "model.py").write_text("# hdr\n# hdr\n" + DIRTY)
-        report = lint_tree(config)
-        assert report.findings == [] and report.baselined == 1
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        (tmp_path / "b.json").write_text("{\"nope\": 1}")
-        with pytest.raises(BaselineError):
-            Baseline.load(tmp_path / "b.json")
+    def test_repo_rule_scoping(self):
+        """The packages each scoped rule polices in this repo, resolved
+        from the config defaults plus ``pyproject.toml``."""
+        config = load_config(REPO_ROOT)
+        service = ("src/repro/service/",)
+        assert config.rule_paths == {
+            "SIM201": ("src/repro/core/", "src/repro/mem/",
+                       "src/repro/isa/", "src/repro/unsync/",
+                       "src/repro/reunion/", "src/repro/schemes/"),
+            "SIM106": ("src/repro/campaign/", "src/repro/checkpoint/"),
+            "SIM107": service,
+            "SIM109": service,
+            "SIM601": service,
+        }
+        assert config.per_path_ignore == {
+            "src/repro/harness/bench.py": ("SIM101",),
+            "src/repro/campaign/progress.py": ("SIM101",),
+            "src/repro/service/": ("SIM101",),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -888,20 +865,19 @@ class TestBaseline:
 def cli_tree(tmp_path, source=DIRTY):
     return make_tree(
         tmp_path,
-        "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n",
+        "[tool.simlint]\npaths = ['pkg']\n",
         {"pkg/model.py": source})
 
 
 class TestCLI:
-    def test_exit_findings_then_clean_after_write_baseline(self, tmp_path):
-        root = str(cli_tree(tmp_path))
-        assert cli_main(["lint", "--root", root]) == EXIT_FINDINGS
-        assert cli_main(["lint", "--root", root,
-                         "--write-baseline"]) == EXIT_CLEAN
-        assert cli_main(["lint", "--root", root]) == EXIT_CLEAN
-        # --no-baseline resurfaces everything
-        assert cli_main(["lint", "--root", root,
-                         "--no-baseline"]) == EXIT_FINDINGS
+    def test_exit_findings_then_clean_after_justified_pragma(self,
+                                                             tmp_path):
+        root = cli_tree(tmp_path)
+        assert cli_main(["lint", "--root", str(root)]) == EXIT_FINDINGS
+        (root / "pkg" / "model.py").write_text(DIRTY.replace(
+            "time.time()",
+            "time.time()  # simlint: off=SIM101 — display-only latency"))
+        assert cli_main(["lint", "--root", str(root)]) == EXIT_CLEAN
 
     def test_text_format(self, tmp_path, capsys):
         root = str(cli_tree(tmp_path))
@@ -914,11 +890,18 @@ class TestCLI:
         assert cli_main(["lint", "--root", root]) == EXIT_FINDINGS
         assert "SIM001" in capsys.readouterr().out
 
-    def test_internal_error_exit_2(self, tmp_path):
-        root = cli_tree(tmp_path)
-        (root / "b.json").write_text("not json at all")
+    @pytest.mark.parametrize("key", ["checks = 1", "baseline = 'b.json'",
+                                     "exclude = ['pkg/model.py']"])
+    def test_internal_error_exit_2(self, tmp_path, capsys, key):
+        """An unknown ``[tool.simlint]`` key is simlint's failure, not a
+        finding. No key accepts a finding or skips its file: a finding
+        is fixed, or silenced by a pragma or ``per-path-ignore``."""
+        root = make_tree(tmp_path,
+                         f"[tool.simlint]\npaths = ['pkg']\n{key}\n",
+                         {"pkg/model.py": DIRTY})
         assert cli_main(["lint", "--root",
                          str(root)]) == EXIT_INTERNAL_ERROR
+        assert "unknown [tool.simlint] key" in capsys.readouterr().err
 
     def test_missing_path_exit_2(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
@@ -950,7 +933,7 @@ class TestCLI:
 
 class TestRealTree:
     def test_repo_lints_clean(self):
-        """The shipped tree has no non-baselined findings (the CI gate)."""
+        """The shipped tree has no findings (the CI gate)."""
         config = load_config(REPO_ROOT)
         report = lint_tree(config)
         assert report.findings == [], "\n".join(

@@ -5,8 +5,8 @@ over a synthetic package (cycle, re-export, aliased import), the
 inter-procedural taint engine (every kind, sanitizers, param flow,
 chain rendering), the committed historical-bug fixtures under
 ``tests/data/taint_fixtures``, the service-tier race lint's domain
-inference, statement-span pragma anchoring, the ``--write-baseline``
-prune notice, byte-stable SARIF, and diff-aware ``--changed`` mode.
+inference, statement-span pragma anchoring, byte-stable SARIF, and
+diff-aware ``--changed`` mode.
 """
 
 import json
@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis import (
     ALL_RULES,
-    Baseline,
     LintConfig,
     check_source,
     lint_tree,
@@ -327,8 +326,8 @@ class TestTaintChainRendering:
 
 def lint_fixtures():
     config = LintConfig(root=REPO_ROOT, paths=(FIXTURE_DIR,),
-                        baseline=None, rule_paths={})
-    return lint_tree(config, baseline=Baseline.empty())
+                        rule_paths={})
+    return lint_tree(config)
 
 
 class TestHistoricalBugFixtures:
@@ -493,7 +492,7 @@ class TestSharedStateRace:
 
     def test_real_service_tier_is_clean(self):
         config = LintConfig(root=REPO_ROOT)
-        report = lint_tree(config, baseline=Baseline.empty())
+        report = lint_tree(config)
         races = [f for f in report.findings if f.code == "SIM601"]
         assert races == [], "\n".join(f.render() for f in races)
 
@@ -558,7 +557,7 @@ class TestStatementSpanPragmas:
 
 
 # ---------------------------------------------------------------------------
-# --write-baseline prune notice + round trip
+# synthetic trees for the SARIF and --changed tests
 # ---------------------------------------------------------------------------
 
 TWO_CLOCKS = ("import time\n"
@@ -574,43 +573,12 @@ ONE_CLOCK = ("import time\n"
 
 def make_tree(tmp_path, files):
     (tmp_path / "pyproject.toml").write_text(
-        "[tool.simlint]\npaths = ['pkg']\nbaseline = 'b.json'\n")
+        "[tool.simlint]\npaths = ['pkg']\n")
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
     return tmp_path
-
-
-class TestWriteBaselinePrune:
-    def test_prune_notice_and_shrink(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"pkg/m.py": TWO_CLOCKS})
-        cli_main(["lint", "--root", str(root), "--write-baseline"])
-        out = capsys.readouterr().out
-        assert "2 finding(s) accepted" in out
-        assert "0 stale entries removed" in out
-        (root / "pkg" / "m.py").write_text(ONE_CLOCK)
-        cli_main(["lint", "--root", str(root), "--write-baseline"])
-        out = capsys.readouterr().out
-        assert "1 finding(s) accepted" in out
-        assert "1 stale entries removed" in out
-        doc = json.loads((root / "b.json").read_text())
-        assert sum(e["count"] for e in doc["entries"]) == 1
-
-    def test_rewrite_is_byte_stable(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"pkg/m.py": TWO_CLOCKS})
-        cli_main(["lint", "--root", str(root), "--write-baseline"])
-        first = (root / "b.json").read_bytes()
-        cli_main(["lint", "--root", str(root), "--write-baseline"])
-        assert (root / "b.json").read_bytes() == first
-        assert "0 stale entries removed" in capsys.readouterr().out
-
-    def test_load_write_round_trip(self, tmp_path):
-        root = make_tree(tmp_path, {"pkg/m.py": TWO_CLOCKS})
-        cli_main(["lint", "--root", str(root), "--write-baseline"])
-        first = (root / "b.json").read_bytes()
-        Baseline.load(root / "b.json").write(root / "b.json")
-        assert (root / "b.json").read_bytes() == first
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +646,7 @@ class TestChangedMode:
                                                  capsys):
         (git_tree / "pkg" / "edited.py").write_text(ONE_CLOCK)
         code = run_lint_cli(paths=(), fmt="text", root=str(git_tree),
-                            no_baseline=True, changed="HEAD")
+                            changed="HEAD")
         out = capsys.readouterr().out
         assert code == EXIT_FINDINGS
         assert "pkg/edited.py:3" in out
@@ -688,14 +656,14 @@ class TestChangedMode:
                                                         capsys):
         # stable.py has a finding, but nothing changed vs HEAD
         code = run_lint_cli(paths=(), fmt="text", root=str(git_tree),
-                            no_baseline=True, changed="HEAD")
+                            changed="HEAD")
         capsys.readouterr()
         assert code == EXIT_CLEAN
 
     def test_untracked_files_count_as_changed(self, git_tree, capsys):
         (git_tree / "pkg" / "fresh.py").write_text(ONE_CLOCK)
         code = run_lint_cli(paths=(), fmt="text", root=str(git_tree),
-                            no_baseline=True, changed="HEAD")
+                            changed="HEAD")
         out = capsys.readouterr().out
         assert code == EXIT_FINDINGS
         assert "pkg/fresh.py:3" in out
@@ -705,7 +673,6 @@ class TestChangedMode:
         root = make_tree(tmp_path, {"pkg/m.py": ONE_CLOCK})
         env_isolated = str(root)
         code = run_lint_cli(paths=(), fmt="text", root=env_isolated,
-                            no_baseline=True,
                             changed="HEAD~987654321")
         capsys.readouterr()
         assert code == EXIT_INTERNAL_ERROR
@@ -717,8 +684,8 @@ class TestChangedMode:
 
 def test_render_sarif_unit_stability():
     config = LintConfig(root=REPO_ROOT, paths=(FIXTURE_DIR,),
-                        baseline=None, rule_paths={})
-    first = render_sarif(lint_tree(config, baseline=Baseline.empty()))
-    second = render_sarif(lint_tree(config, baseline=Baseline.empty()))
+                        rule_paths={})
+    first = render_sarif(lint_tree(config))
+    second = render_sarif(lint_tree(config))
     assert first == second
     assert first.endswith("\n")

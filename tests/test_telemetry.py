@@ -1,6 +1,7 @@
 """Tests for repro.telemetry: metrics, events, Chrome export, wiring."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,6 +282,43 @@ def test_summarize_path_autodetects(tmp_path, checksum):
     snap_path.write_text(json.dumps(tel.metrics.snapshot()))
     s = summarize_path(str(snap_path))
     assert s["kind"] == "snapshot" and s["counters"]
+
+
+def test_summarize_store_sums_each_cells_trial_metrics():
+    """``metrics summarize STORE``: per-cell and total sums of the trial
+    records' metrics, cells in sorted order."""
+    path = Path(__file__).parent / "data" / \
+        "golden_unsync_reunion_adversarial.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    trials = [r for r in records if r["kind"] == "trial"]
+    cells, totals = {}, {}
+    for r in trials:
+        cell = cells.setdefault(r["cell"], {"trials": 0, "metrics": {}})
+        cell["trials"] += 1
+        for name, value in r["metrics"].items():
+            cell["metrics"][name] = cell["metrics"].get(name, 0) + value
+            totals[name] = totals.get(name, 0) + value
+    s = summarize_path(str(path))
+    assert s["kind"] == "campaign" and s["trials"] == len(trials)
+    assert list(s["cells"]) == sorted(cells)
+    assert s["cells"] == cells and s["totals"] == totals
+    assert totals  # the fixture's trials do carry metrics
+
+
+@pytest.mark.parametrize("name", ["gone.jsonl", "gone.json"])
+def test_cli_metrics_summarize_missing_path(tmp_path, name):
+    from repro.cli import main
+    with pytest.raises(SystemExit, match="no metrics snapshot or "
+                                         "campaign store at"):
+        main(["metrics", "summarize", str(tmp_path / name)])
+
+
+def test_cli_metrics_summarize_rejects_a_file_that_is_neither(tmp_path):
+    from repro.cli import main
+    path = tmp_path / "other.json"
+    path.write_text('{"answer": 42}\n')
+    with pytest.raises(SystemExit, match="not a spec header"):
+        main(["metrics", "summarize", str(path)])
 
 
 def test_cli_trace_run_and_metrics_summarize(tmp_path, capsys):

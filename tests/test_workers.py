@@ -3,6 +3,7 @@ worker loop over HTTP, chaos injection, and the byte-identity of
 distributed stores against direct local runs."""
 
 import asyncio
+import dataclasses
 import json
 import random
 import threading
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, TrialResult
+from repro.campaign import CampaignSpec, TrialResult, TrialSpec
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import ExecutionReport
 from repro.campaign.snapshot import CACHE
@@ -19,11 +20,10 @@ from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal
 from repro.service.scheduler import DONE, JobScheduler
-from repro.service.server import CampaignService
-from repro.service.workers import (ABANDONED, CLAIMED, PENDING,
-                                   LeaseBroker, WaveDispatcher,
-                                   WorkerClient, run_worker,
-                                   trial_from_wire, trial_to_wire)
+from repro.campaign.store import ResultStore
+from repro.service.server import CampaignService, spec_from_request
+from repro.service.workers import (ABANDONED, PENDING, Lease, LeaseBroker,
+                                   WaveDispatcher, WorkerClient, run_worker)
 
 
 def small_spec(**overrides):
@@ -63,7 +63,7 @@ def broker_worker(broker, stop, runner=fast_runner, name="t"):
         if lease is None:
             time.sleep(0.005)
             continue
-        records = [runner(trial_from_wire(w)).to_record()
+        records = [runner(TrialSpec(**w)).to_record()
                    for w in lease["trials"]]
         broker.complete(worker_id, lease["lease_id"], records)
 
@@ -74,8 +74,34 @@ def broker_worker(broker, stop, runner=fast_runner, name="t"):
 def test_trial_wire_round_trip():
     for trial in wire_trials(small_spec(fault_model="adversarial",
                                         watchdog_cycles=5000)):
-        wire = json.loads(json.dumps(trial_to_wire(trial)))
-        assert trial_from_wire(wire) == trial
+        wire = json.loads(json.dumps(dataclasses.asdict(trial)))
+        assert TrialSpec(**wire) == trial
+
+
+def test_spec_with_every_field_set_survives_every_decoder(tmp_path):
+    """Store header, service submission and lease wire all decode a
+    spec (and its trials) that sets every field off its default."""
+    spec = CampaignSpec(schemes=("reptfd", "meek"),
+                        workloads=("checksum", "sha"), sers=(0.002, 0.0),
+                        trials=3, seed_base=11, ci_halfwidth=0.2, batch=2,
+                        fault_model="adversarial", watchdog_cycles=7000)
+    for f in dataclasses.fields(CampaignSpec):
+        assert getattr(spec, f.name) != f.default, f.name
+    record = json.loads(json.dumps(spec.to_dict()))
+    assert CampaignSpec.from_dict(record) == spec
+    store = ResultStore(str(tmp_path / "s.jsonl"))
+    store.create(spec)
+    assert store.load_spec() == spec
+    assert spec_from_request(dict(record, workers=2)) == spec
+
+    trials = spec.expand()
+    for f in dataclasses.fields(TrialSpec):
+        assert any(getattr(t, f.name) != f.default for t in trials), f.name
+    broker = LeaseBroker(lease_ttl=10.0)
+    worker_id = broker.register()["worker_id"]
+    broker.offer([Lease(lease_id="L1", job_id="j", trials=trials)])
+    payload = json.loads(json.dumps(broker.claim(worker_id)))
+    assert [TrialSpec(**w) for w in payload["trials"]] == trials
 
 
 # ---------------------------------------------------------------------------
@@ -86,11 +112,10 @@ def test_broker_register_claim_complete():
     broker = LeaseBroker(lease_ttl=10.0, clock=clock)
     worker_id = broker.register("alpha")["worker_id"]
     trials = wire_trials(small_spec())
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j", trials=trials)])
     lease = broker.claim(worker_id)
     assert lease["lease_id"] == "L1"
-    assert [trial_from_wire(w) for w in lease["trials"]] == trials
+    assert [TrialSpec(**w) for w in lease["trials"]] == trials
     assert broker.claim(worker_id) is None  # queue drained
     records = [fast_runner(t).to_record() for t in trials]
     assert broker.complete(worker_id, "L1", records) is True
@@ -112,7 +137,6 @@ def test_heartbeat_renews_lease_and_liveness():
     clock = FakeClock()
     broker = LeaseBroker(lease_ttl=10.0, clock=clock)
     worker_id = broker.register()["worker_id"]
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j",
                         trials=wire_trials(small_spec())[:1])])
     broker.claim(worker_id)
@@ -133,7 +157,6 @@ def test_expired_lease_requeues_and_late_complete_is_first_wins():
     dead = broker.register("dead")["worker_id"]
     heir = broker.register("heir")["worker_id"]
     trials = wire_trials(small_spec())[:2]
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j", trials=trials)])
     broker.claim(dead)
     clock.now += 6.0
@@ -155,7 +178,6 @@ def test_lease_abandoned_after_requeue_budget():
     clock = FakeClock()
     broker = LeaseBroker(lease_ttl=5.0, max_requeues=2, clock=clock)
     worker_id = broker.register()["worker_id"]
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j",
                         trials=wire_trials(small_spec())[:1])])
     for _ in range(2):
@@ -177,12 +199,11 @@ def test_lease_abandoned_after_requeue_budget():
 def test_withdraw_skips_done_leases():
     broker = LeaseBroker(lease_ttl=5.0)
     worker_id = broker.register()["worker_id"]
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j",
                         trials=wire_trials(small_spec())[:1])])
     lease = broker.claim(worker_id)
     broker.complete(worker_id, "L1",
-                    [fast_runner(trial_from_wire(w)).to_record()
+                    [fast_runner(TrialSpec(**w)).to_record()
                      for w in lease["trials"]])
     assert broker.withdraw(["L1"]) == []
 
@@ -289,10 +310,9 @@ def test_dispatcher_results_deduplicate_on_cell_seed(tmp_path):
     broker = LeaseBroker(lease_ttl=10.0)
     trials = wire_trials(small_spec())
     worker_id = broker.register()["worker_id"]
-    from repro.service.workers import Lease
     broker.offer([Lease(lease_id="L1", job_id="j", trials=trials)])
     lease = broker.claim(worker_id)
-    records = [fast_runner(trial_from_wire(w)).to_record()
+    records = [fast_runner(TrialSpec(**w)).to_record()
                for w in lease["trials"]]
     assert broker.complete(worker_id, "L1", records) is True
     assert broker.complete(worker_id, "L1", records) is False
