@@ -202,8 +202,8 @@ def run_campaign(spec: CampaignSpec,
 
     ``runner`` runs one trial. The default fast-forwards each trial
     from a cached fault-free prefix (:mod:`repro.campaign.snapshot`),
-    and before each pooled wave the coordinator builds the prefixes the
-    wave lacks, so forked workers inherit them.
+    and before each pooled wave the coordinator builds them as far as
+    the wave's trials share them, so forked workers inherit them.
     :func:`~repro.campaign.trial.run_trial` re-simulates from cycle 0
     and writes the same bytes; tests pass it as the reference, and a
     store begun with one runner may be resumed with the other.

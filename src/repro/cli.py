@@ -164,7 +164,7 @@ def _cmd_fig4(args) -> int:
 
 
 def _cmd_fig5(args) -> int:
-    from repro.harness.experiments import FIG5_GRID, fig5_fi_latency
+    from repro.harness.experiments import fig5_fi_latency
     benches = args.benchmarks or ["ammp", "galgel"]
     points = fig5_fi_latency(benchmarks=benches)
     by_cfg = defaultdict(dict)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem.cache import AccessResult, Cache, CacheConfig, WritePolicy
+from repro.mem.cache import Cache, CacheConfig, WritePolicy
 
 
 def small_cache(policy=WritePolicy.WRITE_THROUGH, assoc=2, sets=4,

@@ -7,7 +7,7 @@ from repro.core.branch import BimodalPredictor
 from repro.core.config import CoreConfig, SystemConfig
 from repro.core.iq import IssueQueue
 from repro.core.lsq import LSQ
-from repro.core.rob import EntryState, ROB, ROBEntry
+from repro.core.rob import ROB, ROBEntry
 from repro.isa.instructions import Instruction, Opcode
 
 

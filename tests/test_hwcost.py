@@ -9,7 +9,7 @@ import pytest
 from repro.hwcost.cacti import CacheModel, Protection
 from repro.hwcost.components import (
     CSB_CELL_UM2, REGFILE_CELL_UM2, cb_array, crc_generator, csb_array,
-    forwarding_datapath, mips_core, unsync_detection_blocks,
+    forwarding_datapath,
 )
 from repro.hwcost.die import ManyCore, TABLE3_PROCESSORS, project_die, table3
 from repro.hwcost.synthesis import synthesize, table2

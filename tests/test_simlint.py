@@ -969,7 +969,7 @@ class TestExternalToolchain:
         import sys
         proc = subprocess.run(
             [sys.executable, "-m", "ruff", "check",
-             "src/repro/analysis", "src/repro/campaign"],
+             "src/repro/analysis", "src/repro/campaign", "src/repro/service"],
             cwd=REPO_ROOT, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -979,6 +979,6 @@ class TestExternalToolchain:
         import sys
         proc = subprocess.run(
             [sys.executable, "-m", "mypy",
-             "src/repro/analysis", "src/repro/campaign"],
+             "src/repro/analysis", "src/repro/campaign", "src/repro/service"],
             cwd=REPO_ROOT, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr

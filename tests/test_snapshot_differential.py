@@ -16,6 +16,10 @@ reference). That decomposes into
 * the coordinator building each prefix once per campaign, pool workers
   inheriting it, and a failed warm-up build falling back to the lazy
   per-worker build;
+* the reach: a warm-up builds each prefix only as far as two of its
+  wave's trials share it, a trial striking past it restores from its
+  newest epoch, a later wave that shares more extends it from there,
+  and only a prefix built to its end serves a cached verdict;
 * whole campaigns: serial/parallel differential stores equal to the
   full-replay store, byte for byte.
 """
@@ -29,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import snapshot
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import execute_trials
 from repro.campaign.snapshot import (
@@ -36,7 +41,9 @@ from repro.campaign.snapshot import (
     DEFAULT_INTERVAL,
     PrefixSnapshotCache,
     peek_first_strike,
+    prefix_key,
     run_trial_differential,
+    shared_reach,
 )
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import ResultStore
@@ -49,6 +56,7 @@ from repro.checkpoint.snapshot import (
 from repro.checkpoint.store import CheckpointStore
 from repro.faults.injector import FaultInjector
 from repro.isa.memory import PAGE_SIZE, CowPagedMemory, PagedMemory
+from repro.redundancy.pair import DualCoreSystem
 from repro.schemes import get as get_scheme
 from repro.schemes import protected_schemes
 from repro.workloads import load_workload
@@ -339,13 +347,13 @@ def record_builds(monkeypatch, log, fail_first=None):
     ``fail_first`` raises instead of building."""
     real = PrefixSnapshotCache._build
 
-    def build(self, trial):
+    def build(self, trial, *args):
         first = trial.scheme not in {scheme for scheme, _, _ in builds(log)}
         with open(log, "a") as fh:
             fh.write(f"{trial.scheme} {trial.workload} {os.getpid()}\n")
         if trial.scheme == fail_first and first:
             raise RuntimeError("injected prefix build failure")
-        return real(self, trial)
+        return real(self, trial, *args)
 
     monkeypatch.setattr(PrefixSnapshotCache, "_build", build)
 
@@ -438,3 +446,230 @@ def test_interrupt_during_warm_up_propagates(monkeypatch, cold_cache):
     with pytest.raises(KeyboardInterrupt):
         cold_cache.warm(wave, workers=2)
     assert not cold_cache._prefixes
+
+
+# ---------------------------------------------------------------------------
+# the reach: each prefix built only as far as its wave's trials share it
+# ---------------------------------------------------------------------------
+#: a capture interval that puts several epochs inside checksum's run
+#: (608 cycles fault-free under UnSync)
+SHORT_INTERVAL = 64
+
+
+def checksum_trial(seed, ser=1e-3, scheme="unsync"):
+    return TrialSpec(scheme=scheme, workload="checksum", ser=ser, seed=seed)
+
+
+def record_steps(monkeypatch, log):
+    """Log ``scheme cycle`` for every cycle a chassis system steps, in
+    any process (MEEK steps itself, so these tests leave it out)."""
+    real = DualCoreSystem.step
+
+    def step(self):
+        with open(log, "a") as fh:
+            fh.write(f"{self.scheme} {self.now}\n")
+        real(self)
+
+    monkeypatch.setattr(DualCoreSystem, "step", step)
+
+
+def steps(log, scheme):
+    if not log.exists():
+        return []
+    return [int(cycle) for name, cycle in
+            (line.split() for line in log.read_text().splitlines())
+            if name == scheme]
+
+
+def epochs(prefix):
+    return [checkpoint.cycle for checkpoint in prefix.ring]
+
+
+def assert_same_ring(prefix, straight, program):
+    """Same epochs, memory images and interval, and every epoch restores
+    to a replica that runs like the straight build's. (The pickle
+    streams themselves may differ: a restored system holds its own
+    copies of strings the original shared with code constants.)"""
+    assert epochs(prefix) == epochs(straight)
+    assert prefix.interval == straight.interval
+    for ours, theirs in zip(prefix.ring, straight.ring):
+        assert ours.state.mems == theirs.state.mems
+        assert _final_state(restore_system(ours.state, program).run()) == \
+            _final_state(restore_system(theirs.state, program).run())
+
+
+@pytest.mark.parametrize("firsts, reach", [
+    ([], 0), ([391], 0), ([None], 0),
+    ([144, 391], 144), ([391, 144, 271], 271),
+    ([None, 300], 300), ([300, None, None], None),
+])
+def test_shared_reach_is_the_latest_strike_two_trials_reach(firsts, reach):
+    assert shared_reach(firsts) == reach
+
+
+def test_warm_stops_each_prefix_at_the_last_epoch_before_the_reach(
+        tmp_path, monkeypatch):
+    # first strikes 144, 271, 269 and 391, all inside the 608-cycle run:
+    # two of them reach 271, only seed 7 reaches 391
+    wave = [checksum_trial(seed) for seed in (1, 3, 4, 7)]
+    reach = shared_reach([peek_first_strike(t) for t in wave])
+    assert reach == 271
+    log = tmp_path / "steps.log"
+    record_steps(monkeypatch, log)
+    cache = PrefixSnapshotCache(interval=SHORT_INTERVAL)
+    cache.warm(wave, workers=2)  # one key: built in the calling process
+    key = prefix_key(wave[0])
+    prefix = cache._prefixes[key]
+    last = reach // SHORT_INTERVAL * SHORT_INTERVAL
+    assert 0 < last < reach
+    assert epochs(prefix) == list(range(0, last + 1, SHORT_INTERVAL))
+    assert prefix.final_cycle == last
+    # no cycle past the last epoch at or before the reach, none twice
+    assert steps(log, "unsync") == list(range(last))
+    assert not prefix.complete
+    assert prefix.result is None and prefix.hang is None
+    # seed 7 restores from the newest epoch and steps the rest itself
+    for trial in wave:
+        assert cache.run(trial).to_record() == run_trial(trial).to_record()
+    assert cache._prefixes[key] is prefix
+    assert epochs(prefix) == list(range(0, last + 1, SHORT_INTERVAL))
+
+
+#: perfbench's strike-early grids at seed base 0. Every first strike of
+#: adversarial's one wave precedes the first 1,024-cycle capture; on
+#: midrun one trial per key strikes past it, so a warm-up that built
+#: every epoch some trial restores from would step all 8 keys first
+EARLY_GRIDS = {
+    "adversarial": CampaignSpec(
+        schemes=("unsync", "reunion", "reptfd", "meek"),
+        workloads=("sha", "qsort"), sers=(4e-3,), trials=3, batch=3,
+        fault_model="adversarial", watchdog_cycles=8000),
+    "midrun": CampaignSpec(
+        schemes=("unsync", "reunion", "reptfd", "meek"),
+        workloads=("bzip2", "mcf"), sers=(2e-3,), trials=3, batch=3,
+        watchdog_cycles=6000),
+}
+
+
+@pytest.mark.parametrize("grid", list(EARLY_GRIDS))
+def test_seed_0_grid_warms_with_only_the_epoch_0_snapshot(grid):
+    spec = EARLY_GRIDS[grid]
+    wave = [t for cell in spec.cells() for t in spec.batches(*cell)[0]]
+    latest = max(peek_first_strike(t) for t in wave)
+    assert (latest >= DEFAULT_INTERVAL) == (grid == "midrun")
+    cache = PrefixSnapshotCache()
+    cache.warm(wave, workers=2)
+    assert len(cache._prefixes) == 8
+    for prefix in cache._prefixes.values():
+        assert epochs(prefix) == [0]
+        assert not prefix.complete
+
+
+@pytest.mark.parametrize("schemes", [("unsync",), ("unsync", "reptfd")],
+                         ids=["in-process", "build-pool"])
+def test_a_later_wave_extends_the_prefix_from_its_newest_epoch(
+        tmp_path, monkeypatch, schemes):
+    log = tmp_path / "steps.log"
+    record_steps(monkeypatch, log)
+    cache = PrefixSnapshotCache(interval=SHORT_INTERVAL)
+    waves = [
+        # first strikes 144 and 271: two trials share up to 144
+        [checksum_trial(seed, scheme=s) for s in schemes for seed in (1, 3)],
+        # 269 and 391: two share up to 269, more than the first wave
+        [checksum_trial(seed, scheme=s) for s in schemes for seed in (4, 7)],
+        # two that never strike within the run: extends to the end
+        [checksum_trial(seed, ser=1e-12, scheme=s)
+         for s in schemes for seed in (0, 1)],
+    ]
+    newest = []
+    for wave in waves:
+        cache.warm(wave, workers=2)
+        newest.append(cache._prefixes[prefix_key(wave[0])].final_cycle)
+    assert newest[0] < newest[1] < newest[2]
+    stepped = {scheme: steps(log, scheme) for scheme in schemes}
+    program = load_workload("checksum")
+    for scheme in schemes:
+        trial = checksum_trial(0, ser=1e-12, scheme=scheme)
+        extended = cache._prefixes[prefix_key(trial)]
+        assert extended.complete
+        # each cycle stepped once: every wave resumed where the last
+        # stopped, and no wave stepped a cycle again
+        assert stepped[scheme] == list(range(extended.final_cycle))
+        straight = PrefixSnapshotCache(interval=SHORT_INTERVAL).prefix(trial)
+        assert_same_ring(extended, straight, program)
+        assert extended.final_cycle == straight.final_cycle
+        assert _final_state(extended.result) == _final_state(straight.result)
+
+
+#: trials against a reunion checksum prefix warmed for the strikes of
+#: seeds 1 and 7 (cycles 144 and 391: epochs 0, 64 and 128): one
+#: striking before the next capture was due, one after it, and one
+#: unstruck within the run
+PAST_THE_REACH = {
+    "before-next-capture": checksum_trial(2, ser=0.02, scheme="reunion"),
+    "after-next-capture": checksum_trial(3, scheme="reunion"),
+    "unstruck": checksum_trial(0, ser=1e-12, scheme="reunion"),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_THE_REACH))
+def test_a_strike_past_a_partial_prefix_is_never_served_a_cached_verdict(
+        case):
+    head = checksum_trial(1, scheme="reunion")
+    cache = PrefixSnapshotCache(interval=SHORT_INTERVAL)
+    cache.warm([head, checksum_trial(7, scheme="reunion")], workers=2)
+    prefix = cache._prefixes[prefix_key(head)]
+    assert not prefix.complete and prefix.final_cycle > 0
+    ring = epochs(prefix)
+    next_capture = prefix.final_cycle + SHORT_INTERVAL
+    run_end = PrefixSnapshotCache().prefix(
+        PAST_THE_REACH["unstruck"]).final_cycle
+    trial = PAST_THE_REACH[case]
+    first = peek_first_strike(trial)
+    # every case strikes past the reach and past the newest epoch
+    assert first > peek_first_strike(head)
+    assert (first < next_capture) == (case == "before-next-capture")
+    assert (first >= run_end) == (case == "unstruck")
+    assert cache.run(trial).to_record() == run_trial(trial).to_record()
+    # restored from the newest epoch: the prefix is neither extended nor
+    # replaced
+    assert cache._prefixes[prefix_key(head)] is prefix
+    assert epochs(prefix) == ring and not prefix.complete
+
+
+def test_warm_peeks_no_trial_of_a_complete_prefix(monkeypatch):
+    cache = PrefixSnapshotCache()
+    trial = TrialSpec(scheme="unsync", workload="fibonacci", ser=1e-6,
+                      seed=0)
+    assert cache.prefix(trial).complete
+    peeked = []
+    monkeypatch.setattr(snapshot, "peek_first_strike", peeked.append)
+    cache.warm([replace(trial, seed=seed) for seed in range(3)], workers=2)
+    assert peeked == []
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scheme=st.sampled_from(SCHEMES),
+       workload=st.sampled_from(["fibonacci", "checksum"]),
+       seeds=st.lists(st.integers(min_value=0, max_value=2 ** 20),
+                      min_size=1, max_size=3, unique=True),
+       ser=st.sampled_from([0.02, 0.005, 1e-3]),
+       later_seed=st.integers(min_value=0, max_value=2 ** 20),
+       later_ser=st.sampled_from([0.005, 1e-3, 1e-9]),
+       fault_model=st.sampled_from(["standard", "adversarial"]),
+       interval=st.sampled_from([16, 64, 256]))
+def test_trials_from_warm_built_partial_prefixes_equal_full_trials(
+        scheme, workload, seeds, ser, later_seed, later_ser, fault_model,
+        interval):
+    # a watchdog keeps livelocked recoveries short (one for all: the
+    # watchdog is part of the prefix key)
+    wave = [TrialSpec(scheme=scheme, workload=workload, ser=ser, seed=seed,
+                      fault_model=fault_model, watchdog_cycles=20_000)
+            for seed in seeds]
+    cache = PrefixSnapshotCache(interval=interval)
+    cache.warm(wave, workers=2)  # one key: built in the calling process
+    # the wave's own trials, then one that may strike past the reach
+    later = replace(wave[0], seed=later_seed, ser=later_ser)
+    for trial in wave + [later]:
+        assert cache.run(trial).to_record() == run_trial(trial).to_record()
