@@ -9,8 +9,8 @@ package turns the repo's single-run primitives (``faults.injector``,
 * :class:`CampaignSpec` — the trial grid and its deterministic expansion;
 * :class:`ResultStore` — append-only JSONL, keyed by (cell, seed), so an
   interrupted campaign resumes by skipping completed trials;
-* :func:`execute_trials` — process-pool fan-out with per-job timeouts,
-  one retry, and graceful degradation to serial execution;
+* :func:`execute_trials` — process-pool fan-out with one retry and
+  graceful degradation to serial execution;
 * :class:`Aggregator` — streaming SDC/DUE/recovery proportions with
   Wilson confidence intervals and sequential early stopping;
 * :class:`ProgressTracker` / :class:`Ticker` — trials/sec, per-cell ETA

@@ -29,7 +29,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    TextIO,
     Tuple,
     Union,
 )
@@ -182,9 +181,7 @@ def as_store(store_or_path) -> ResultStore:
 def run_campaign(spec: CampaignSpec,
                  store_path,
                  workers: Optional[int] = None,
-                 timeout: Optional[float] = None,
                  runner=run_trial_differential,
-                 progress_stream: Optional[TextIO] = None,
                  ticker_enabled: Optional[bool] = None,
                  should_stop: Optional[Callable[[], bool]] = None,
                  executor: Optional[Callable[..., List[TrialResult]]]
@@ -244,7 +241,7 @@ def run_campaign(spec: CampaignSpec,
     completed = _preload(store, aggregator)
 
     tracker = ProgressTracker(planned=spec.total_trials)
-    ticker = Ticker(tracker, stream=progress_stream, enabled=ticker_enabled)
+    ticker = Ticker(tracker, enabled=ticker_enabled)
     cells = spec.cells()
     for cell_axes in cells:
         cid = cell_id(*cell_axes)
@@ -288,11 +285,10 @@ def run_campaign(spec: CampaignSpec,
             if warm is not None and wave_workers > 1:
                 warm(wave, wave_workers)
             wave_report = ExecutionReport()
-            exec_fn(wave, workers=workers, timeout=timeout,
-                    runner=runner, on_result=on_result,
-                    report=wave_report)
+            exec_fn(wave, workers=workers, runner=runner,
+                    on_result=on_result, report=wave_report)
             tracker.absorb(wave_report.worker_failures, wave_report.retries,
-                           wave_report.timeouts, wave_report.crashes)
+                           wave_report.crashes)
             if wave_report.degraded_to_serial:
                 workers = 1  # the pool is gone; stay serial from here on
     finally:

@@ -1,11 +1,11 @@
-"""Trial fan-out: process pool with timeouts, retry, serial fallback.
+"""Trial fan-out: process pool with retry and serial fallback.
 
 The executor never decides *what* to run — the engine hands it a wave of
 :class:`TrialSpec` and it returns one :class:`TrialResult` per trial, in
 submission order. Failure policy:
 
-* a trial that raises (or times out) in a worker is retried **once**,
-  in-process, where the full traceback is visible;
+* a trial that raises in a worker is retried **once**, in-process,
+  where the full traceback is visible;
 * a second failure records the trial as a ``CRASH`` outcome (traceback
   attached) instead of aborting the grid — one pathological seed costs
   one data point, not the campaign;
@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -37,7 +36,6 @@ class ExecutionReport:
 
     worker_failures: int = 0
     retries: int = 0
-    timeouts: int = 0
     #: trials recorded as CRASH after failing their run AND the retry
     crashes: int = 0
     degraded_to_serial: bool = False
@@ -83,7 +81,6 @@ def _execute_serial(trials: Sequence[TrialSpec],
 
 def execute_trials(trials: Sequence[TrialSpec],
                    workers: Optional[int] = None,
-                   timeout: Optional[float] = None,
                    runner: Callable[[TrialSpec], TrialResult]
                    = run_trial_differential,
                    on_result: Optional[Callable[[TrialResult], None]] = None,
@@ -93,8 +90,7 @@ def execute_trials(trials: Sequence[TrialSpec],
 
     ``on_result`` fires in the wave's original order as results are
     collected (the engine appends to the store and ticks progress from
-    it). ``timeout`` bounds each job's wait in seconds; a timed-out job
-    is counted and retried in-process like any other failure.
+    it).
     """
     if report is None:
         report = ExecutionReport()
@@ -112,7 +108,7 @@ def execute_trials(trials: Sequence[TrialSpec],
         futures = [pool.submit(runner, t) for t in trials]
         for index, (trial, future) in enumerate(zip(trials, futures)):
             try:
-                result = future.result(timeout=timeout)
+                result = future.result()
             except BrokenProcessPool as exc:
                 # pool is unusable: absorb the failure and finish the
                 # remainder of the wave serially
@@ -127,10 +123,6 @@ def execute_trials(trials: Sequence[TrialSpec],
                                        on_result)
                 results.extend(rest)
                 return results
-            except FutureTimeout as exc:
-                report.timeouts += 1
-                abandoned = True  # the stuck worker may never return
-                result = _retry(trial, runner, exc, report)
             except Exception as exc:
                 result = _retry(trial, runner, exc, report)
             results.append(result)
@@ -145,6 +137,4 @@ def execute_trials(trials: Sequence[TrialSpec],
         abandoned = True
         raise
     finally:
-        # after a timeout a worker may still be wedged on the old job;
-        # don't block campaign shutdown on it
         pool.shutdown(wait=not abandoned, cancel_futures=abandoned)

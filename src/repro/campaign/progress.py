@@ -28,7 +28,6 @@ class ProgressTracker:
         self.skipped_early_stop = 0
         self.worker_failures = 0
         self.retries = 0
-        self.timeouts = 0
         self.crashes = 0
         self.cells_total = 0
         self.cells_finished = 0
@@ -63,10 +62,9 @@ class ProgressTracker:
         self.cells_finished += 1
 
     def absorb(self, worker_failures: int, retries: int,
-               timeouts: int, crashes: int = 0) -> None:
+               crashes: int = 0) -> None:
         self.worker_failures += worker_failures
         self.retries += retries
-        self.timeouts += timeouts
         self.crashes += crashes
 
     # -- derived ------------------------------------------------------------
@@ -118,7 +116,6 @@ class ProgressTracker:
             "trials_per_second": self.trials_per_second,
             "worker_failures": self.worker_failures,
             "retries": self.retries,
-            "timeouts": self.timeouts,
             "crashes": self.crashes,
             "cells": {cell: {"done": done, "planned": planned,
                              "eta_seconds": self.cell_eta_seconds(cell)}
@@ -134,14 +131,15 @@ class Ticker:
     redirections stay clean; pass ``enabled=True`` to force.
     """
 
+    #: seconds between redraws
+    interval = 0.5
+
     def __init__(self, tracker: ProgressTracker,
                  stream: Optional[TextIO] = None,
-                 interval: float = 0.5,
                  enabled: Optional[bool] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.tracker = tracker
         self.stream = stream if stream is not None else sys.stderr
-        self.interval = interval
         self._clock = clock
         self._last = -float("inf")
         if enabled is None:

@@ -61,15 +61,12 @@ class _TrialContext:
     workloads stay resident.
     """
 
-    __slots__ = ("programs", "cap")
+    __slots__ = ("programs",)
 
-    #: workloads kept unless a context overrides it
-    DEFAULT_CAP = 8
+    #: workloads kept
+    cap = 8
 
-    def __init__(self, cap: Optional[int] = None) -> None:
-        if cap is not None and cap < 1:
-            raise ValueError("memo cap must be at least 1")
-        self.cap = cap if cap is not None else self.DEFAULT_CAP
+    def __init__(self) -> None:
         self.programs: "OrderedDict[str, object]" = OrderedDict()
 
     def program(self, workload: str):

@@ -49,10 +49,12 @@ PagePool = Dict[bytes, bytes]
 class SnapshotUnsupported(RuntimeError):
     """The system holds state the snapshot layer cannot serialize.
 
-    Raised instead of a bare ``PicklingError`` so the campaign layer can
-    fall back to full re-execution for exotic systems (externally
-    supplied gates holding file handles, tracers, ...) without guessing
-    at pickle internals.
+    Raised instead of a bare ``PicklingError`` so the failure names the
+    system, not pickle internals (externally supplied gates holding file
+    handles, tracers, ...). Nothing catches it: a campaign's warm-up
+    leaves that prefix key cold, each trial of the key raises it while
+    building the prefix, and the executor records every such trial as a
+    ``CRASH`` after its one retry.
     """
 
 

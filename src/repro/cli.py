@@ -504,15 +504,19 @@ def _campaign_interrupted(store_arg: str) -> int:
     return 130
 
 
+#: factor on every ``campaign run --node`` rate: real SERs
+#: (~1e-17/instruction) produce no strikes in simulable horizons, so
+#: accelerated sampling is the standard move
+NODE_ACCELERATION = 1e12
+
+
 def _cmd_campaign_run(args) -> int:
     import signal
     from repro.campaign import CampaignError, CampaignSpec, run_campaign
     sers = [float(s) for s in (args.ser or [])]
     if args.node:
         from repro.faults.ser import SERModel
-        # real SERs (~1e-17/instruction) produce no strikes in simulable
-        # horizons; accelerated sampling is the standard move
-        sers += [SERModel.at_node(n).per_cycle(ipc=args.ipc) * args.accel
+        sers += [SERModel.at_node(n).per_cycle() * NODE_ACCELERATION
                  for n in args.node]
     try:
         if not sers:
@@ -528,7 +532,7 @@ def _cmd_campaign_run(args) -> int:
         old_term = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
         try:
             summary = run_campaign(
-                spec, args.store, workers=args.workers, timeout=args.timeout,
+                spec, args.store, workers=args.workers,
                 ticker_enabled=True if args.progress else None)
         except KeyboardInterrupt:
             return _campaign_interrupted(args.store)
@@ -550,7 +554,7 @@ def _cmd_campaign_resume(args) -> int:
         old_term = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
         try:
             summary = run_campaign(
-                spec, store, workers=args.workers, timeout=args.timeout,
+                spec, store, workers=args.workers,
                 ticker_enabled=True if args.progress else None)
         except KeyboardInterrupt:
             return _campaign_interrupted(args.store)
@@ -585,7 +589,6 @@ def _cmd_serve(args) -> int:
                      max_concurrent=args.max_concurrent,
                      workers=args.workers,
                      journal_path=args.journal,
-                     stream_interval=args.stream_interval,
                      lease_ttl=args.lease_ttl,
                      expect_workers=args.expect_workers,
                      worker_wait=args.worker_wait, chaos=args.chaos)
@@ -737,8 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _campaign_exec(cp):
         cp.add_argument("--workers", type=int, default=None,
                         help="process-pool size (1 = serial; default: CPUs)")
-        cp.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                        help="per-trial timeout; timed-out trials retry once")
         cp.add_argument("--progress", action="store_true",
                         help="force the live stderr ticker (default: only "
                              "on a TTY)")
@@ -757,11 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="RATE", help="per-cycle strike rates")
     cp.add_argument("--node", nargs="*", type=int, default=None,
                     metavar="NM", help="derive a rate from a technology "
-                                       "node via SERModel (accelerated)")
-    cp.add_argument("--ipc", type=float, default=1.0,
-                    help="IPC assumed by the --node conversion")
-    cp.add_argument("--accel", type=float, default=1e12,
-                    help="acceleration factor applied to --node rates")
+                                       "node via SERModel, accelerated "
+                                       "1e12x")
     cp.add_argument("--trials", type=int, default=50,
                     help="seeded trials per (scheme, workload, SER) cell")
     cp.add_argument("--seed-base", type=int, default=0)
@@ -811,9 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="job journal path (default: DATA_DIR/"
                         "journal.jsonl); a restarted server re-adopts "
                         "its non-terminal jobs")
-    p.add_argument("--stream-interval", type=float, default=1.0,
-                   metavar="SEC",
-                   help="seconds between dashboard SSE pushes")
     p.add_argument("--lease-ttl", type=float, default=10.0, metavar="SEC",
                    help="distributed worker lease TTL; heartbeats renew "
                         "at TTL/3, an expired lease is requeued "

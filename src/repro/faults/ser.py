@@ -34,6 +34,11 @@ BREAK_EVEN_SER = 1.29e-3
 HOURS_TO_SECONDS = 3600.0
 FIT_HOURS = 1e9
 
+#: clock frequency and IPC at which :class:`SERModel` converts a node's
+#: FIT rate into a per-instruction (and per-cycle) strike probability
+FREQUENCY_HZ = 2e9
+IPC = 1.0
+
 
 def scale_fit(fit_at_prev: float, ratio: float = FIT_130NM / FIT_180NM) -> float:
     """One technology-node step of the exponential SER trend.
@@ -75,9 +80,9 @@ class SERModel:
     _TREND_NODES = (180, 130, 90)
 
     @classmethod
-    def at_node(cls, node_nm: int, frequency_hz: float = 2e9,
-                ipc: float = 1.0) -> "SERModel":
-        """Model for a technology node following the paper's extrapolation.
+    def at_node(cls, node_nm: int) -> "SERModel":
+        """Model for a technology node following the paper's extrapolation,
+        at :data:`FREQUENCY_HZ` and :data:`IPC`.
 
         180 nm and 130 nm use the published FITs; 90 nm extrapolates the
         exponential ratio; 65 nm and below saturate at the 90 nm value
@@ -89,24 +94,22 @@ class SERModel:
             fit = FIT_130NM
         else:
             fit = scale_fit(FIT_130NM)  # 90 nm extrapolation
-        per_ins = fit_to_per_instruction(fit, frequency_hz, ipc)
+        per_ins = fit_to_per_instruction(fit, FREQUENCY_HZ, IPC)
         if node_nm <= 65:
             # saturation: clamp to the 90 nm value
             per_ins = min(per_ins, fit_to_per_instruction(
-                scale_fit(FIT_130NM), frequency_hz, ipc))
+                scale_fit(FIT_130NM), FREQUENCY_HZ, IPC))
         return cls(per_instruction=per_ins)
 
-    def per_cycle(self, ipc: float = 1.0) -> float:
-        """Per-clock-cycle strike probability at a given IPC.
+    def per_cycle(self) -> float:
+        """Per-clock-cycle strike probability at :data:`IPC`.
 
         :class:`repro.faults.injector.FaultInjector` takes its rate per
         cycle, so this is the bridge from the paper's per-instruction
         operating points to the injector (and the campaign engine's
         ``--node`` option).
         """
-        if ipc <= 0:
-            raise ValueError("ipc must be positive")
-        return self.per_instruction * ipc
+        return self.per_instruction * IPC
 
 
 def break_even_ser(error_free_advantage_cycles: float,

@@ -41,14 +41,15 @@ class Fig4Row:
     unsync_overhead: float
 
 
-def fig4_serializing(benchmarks: Sequence[str] = FIG4_DEFAULT,
-                     fingerprint_interval: int = 10) -> List[Fig4Row]:
-    """Reunion vs UnSync overhead per benchmark at FI=10 (Figure 4)."""
+def fig4_serializing(benchmarks: Sequence[str] = FIG4_DEFAULT
+                     ) -> List[Fig4Row]:
+    """Reunion vs UnSync overhead per benchmark at
+    :class:`~repro.reunion.check_stage.ReunionParams`' default FI=10
+    (Figure 4)."""
     rows = []
-    params = ReunionParams(fingerprint_interval=fingerprint_interval)
     for name in benchmarks:
         program = load_benchmark(name)
-        cmp = compare_schemes(program, reunion_params=params)
+        cmp = compare_schemes(program)
         ser = (cmp.baseline.core_stats[0].serializing_committed
                / max(1, cmp.baseline.instructions))
         rows.append(Fig4Row(
@@ -190,6 +191,10 @@ def break_even_analysis(benchmark: str = "bzip2") -> BreakEven:
     The break-even SER is where expected recovery cost eats the
     advantage.
     """
+    # imported here: every campaign imports this package, and hwcost
+    # would lengthen each campaign CLI's start-up
+    from repro.hwcost.components import CB_ENTRIES
+
     program = load_benchmark(benchmark)
     cmp = compare_schemes(program)
     adv_cycles = (cmp.reunion.cycles - cmp.unsync.cycles) / cmp.baseline.instructions
@@ -198,7 +203,7 @@ def break_even_analysis(benchmark: str = "bzip2") -> BreakEven:
     penalties = {}
     for mode in ("copy", "invalidate"):
         plan = RecoveryCostModel(l1_restore=mode).plan(
-            stall_cycles=5, l1_resident_lines=256, cb_entries=10)
+            stall_cycles=5, l1_resident_lines=256, cb_entries=CB_ENTRIES)
         penalties[mode] = max(1.0, plan.total_cycles - reunion_rollback)
     return BreakEven(
         measured_advantage_cycles_per_instruction=adv_cycles,

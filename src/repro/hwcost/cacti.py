@@ -78,12 +78,10 @@ class CacheModel:
         base_um2 = base_bits * self.tech.sram_cell_um2 * (1 + _PERIPHERY_FACTOR)
         return base_um2 * _AREA_FACTOR[protection] / 1e6
 
-    def power_w(self, protection: Protection = Protection.NONE,
-                accesses_per_second: float = None) -> float:
-        """Cache power in W at the synthesis frequency (one access/cycle
-        unless ``accesses_per_second`` is given)."""
-        if accesses_per_second is None:
-            accesses_per_second = self.tech.frequency_hz
+    def power_w(self, protection: Protection = Protection.NONE) -> float:
+        """Cache power in W at the synthesis frequency (one access per
+        cycle)."""
         scale = self.size_bytes / (32 * 1024)  # leakage scales with size
-        base = _ACCESS_ENERGY_J * accesses_per_second + _LEAKAGE_W * scale
+        base = (_ACCESS_ENERGY_J * self.tech.frequency_hz
+                + _LEAKAGE_W * scale)
         return base * _POWER_FACTOR[protection]

@@ -57,6 +57,8 @@ FIFO_CELL_UM2 = REGFILE_CELL_UM2 - PORT_INCREMENT_UM2 * 0.75  # ~5.85
 CSB_ENTRY_BITS = 66
 #: CB entry width: 32b address + 32b data + 2b tag/valid.
 CB_ENTRY_BITS = 66
+#: CB depth at Table II's synthesis point.
+CB_ENTRIES = 10
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,8 @@ def csb_array(entries: int = 17, entry_bits: int = CSB_ENTRY_BITS) -> Component:
     return Component("csb", area, power)
 
 
-def cb_array(entries: int = 10, entry_bits: int = CB_ENTRY_BITS) -> Component:
+def cb_array(entries: int = CB_ENTRIES,
+             entry_bits: int = CB_ENTRY_BITS) -> Component:
     """UnSync's Communication Buffer: a plain 1R1W FIFO.
 
     Table II anchors: 0.00387 mm² and 0.77258 mW at 10 entries.

@@ -16,6 +16,7 @@ from repro.hwcost.components import (
     mips_core, unsync_detection_blocks,
 )
 from repro.hwcost.tech import TECH_65NM, TechNode
+from repro.reunion.check_stage import ReunionParams
 from repro.reunion.csb import csb_entries_for
 
 
@@ -53,20 +54,17 @@ class CoreCosts:
         return self.total_power_w / base.total_power_w - 1.0
 
 
-def synthesize(scheme: str,
-               tech: TechNode = TECH_65NM,
-               fingerprint_interval: int = 10,
-               comparison_latency: int = 6,
-               cb_entries: int = 10,
-               l1: Optional[CacheModel] = None) -> CoreCosts:
+def synthesize(scheme: str, tech: TechNode = TECH_65NM) -> CoreCosts:
     """Cost one core configuration.
 
     ``scheme``: ``"mips"`` (baseline), ``"reunion"``, or ``"unsync"``.
     Reunion's CSB is sized with the paper's rule
     (:func:`repro.reunion.csb.csb_entries_for`: FI + latency + 1 = 17 at
-    the FI=10 / 6-cycle synthesis point).
+    :class:`~repro.reunion.check_stage.ReunionParams`' default FI=10 /
+    6-cycle synthesis point); UnSync's CB has
+    :data:`~repro.hwcost.components.CB_ENTRIES` entries.
     """
-    l1 = l1 or CacheModel(tech=tech)
+    l1 = CacheModel(tech=tech)
     base = mips_core(tech)
     if scheme == "mips":
         return CoreCosts(
@@ -80,8 +78,9 @@ def synthesize(scheme: str,
             components=[base],
         )
     if scheme == "reunion":
-        entries = csb_entries_for(fingerprint_interval, comparison_latency)
-        csb = csb_array(entries=entries)
+        point = ReunionParams()
+        csb = csb_array(entries=csb_entries_for(point.fingerprint_interval,
+                                                point.comparison_latency))
         crc = crc_generator(tech)
         fwd = forwarding_datapath()
         parts = [base, csb, crc, fwd]
@@ -97,7 +96,7 @@ def synthesize(scheme: str,
         )
     if scheme == "unsync":
         detect = unsync_detection_blocks()
-        cb = cb_array(entries=cb_entries)
+        cb = cb_array()
         parts = [base, detect]
         return CoreCosts(
             name="UnSync",

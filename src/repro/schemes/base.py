@@ -101,7 +101,8 @@ class ResilienceScheme:
         :mod:`repro.checkpoint.snapshot`); a scheme holding state that
         must not — or cannot — be pickled overrides this hook. Raises
         :class:`~repro.checkpoint.snapshot.SnapshotUnsupported` when the
-        system cannot participate (callers fall back to full replay).
+        system cannot participate; a campaign then records every trial
+        of that scheme and workload as a ``CRASH``.
         """
         from repro.checkpoint.snapshot import capture_system
         return capture_system(system, system.program, pool=pool,

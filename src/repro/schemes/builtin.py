@@ -72,7 +72,7 @@ class UnSyncScheme(ResilienceScheme):
     def event_energy(self, metrics, tech):
         from repro.hwcost.components import cb_array
         # one CB access ~ one cycle of CB power
-        per_access = cb_array(10).power_w * (1.0 / tech.frequency_hz)
+        per_access = cb_array().power_w * (1.0 / tech.frequency_hz)
         return {
             "cb_traffic": per_access * (metrics["unsync.cb.pushes"]
                                         + metrics["unsync.cb.drains"]),

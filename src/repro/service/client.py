@@ -64,6 +64,9 @@ def request_json(host: str, port: int, timeout: float, method: str,
 class ServiceClient:
     """Talks JSON to one ``repro serve`` instance."""
 
+    #: seconds between status polls in :meth:`wait`
+    poll_interval = 0.2
+
     def __init__(self, host: str = "127.0.0.1", port: int = 8765,
                  timeout: float = 30.0) -> None:
         self.host = host
@@ -98,8 +101,7 @@ class ServiceClient:
     def metrics(self) -> Dict:
         return self._request("GET", "/api/metrics")
 
-    def wait(self, job_id: str, *, timeout: float = 300.0,
-             poll_interval: float = 0.2) -> Dict:
+    def wait(self, job_id: str, *, timeout: float = 300.0) -> Dict:
         """Poll until the job reaches a final state; returns its status."""
         deadline = time.monotonic() + timeout
         while True:
@@ -110,4 +112,4 @@ class ServiceClient:
                 raise ServiceError(
                     408, f"job {job_id} still {status['state']!r} "
                     f"after {timeout:.0f}s")
-            time.sleep(poll_interval)
+            time.sleep(self.poll_interval)

@@ -71,15 +71,15 @@ class JobJournal:
     def lock_path(self) -> str:
         return self.path + ".lock"
 
-    def acquire_lock(self, *,
-                     stale_after: float = STALE_LOCK_SECONDS) -> None:
+    def acquire_lock(self) -> None:
         """Take exclusive ownership of this journal or raise.
 
         Raises :class:`JournalLocked` if another *live* process holds
         the lock. A stale lock (holder pid no longer exists, or no pid
-        and older than ``stale_after``) is broken and re-taken; the
-        ``O_EXCL`` create arbitrates the resulting race — exactly one
-        contender wins, the other sees the fresh live lock and raises.
+        and older than :data:`STALE_LOCK_SECONDS`) is broken and
+        re-taken; the ``O_EXCL`` create arbitrates the resulting race —
+        exactly one contender wins, the other sees the fresh live lock
+        and raises.
         """
         if self._locked:
             return
@@ -91,7 +91,7 @@ class JobJournal:
                              os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
                 holder = self._read_lock()
-                if holder is None or self._lock_stale(holder, stale_after):
+                if holder is None or self._lock_stale(holder):
                     try:
                         os.unlink(self.lock_path)
                     except FileNotFoundError:
@@ -126,7 +126,7 @@ class JobJournal:
             return None  # vanished or garbled: treated as stale
         return data if isinstance(data, dict) else None
 
-    def _lock_stale(self, holder: Dict, stale_after: float) -> bool:
+    def _lock_stale(self, holder: Dict) -> bool:
         pid = holder.get("pid")
         if isinstance(pid, int):
             if pid == os.getpid():
@@ -142,7 +142,7 @@ class JobJournal:
             return False
         created = holder.get("created")
         if isinstance(created, (int, float)):
-            return time.time() - created > stale_after
+            return time.time() - created > STALE_LOCK_SECONDS
         return True
 
     # -- writing ------------------------------------------------------------

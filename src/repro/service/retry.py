@@ -90,15 +90,13 @@ def call_with_retry(
     policy: RetryPolicy = HTTP_RETRY,
     rng: Optional[random.Random] = None,
     retry_on: Optional[Callable[[BaseException], bool]] = None,
-    on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
 ) -> T:
     """Call ``fn`` under ``policy``; return its value or raise.
 
     ``retry_on`` (a predicate over the raised exception) overrides the
-    policy's ``retryable`` type tuple when given. ``on_retry(attempt,
-    exc, delay)`` fires before each backoff sleep. Non-retryable
+    policy's ``retryable`` type tuple when given. Non-retryable
     exceptions propagate unchanged; exhausting attempts or the budget
     raises :class:`RetryError` chained to the last failure. The
     schedule is deterministic under a seeded ``rng`` (default:
@@ -128,8 +126,6 @@ def call_with_retry(
                 f"retry budget ({policy.budget}s) exhausted after "
                 f"{attempt + 1} attempt(s): {last!r}",
                 last, attempt + 1) from last
-        if on_retry is not None:
-            on_retry(attempt + 1, last, wait)
         if wait > 0.0:
             sleep(wait)
     assert last is not None

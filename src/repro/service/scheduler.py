@@ -2,10 +2,12 @@
 
 Submitted grids become :class:`Job` objects multiplexed over the
 existing campaign engine — each running job executes
-:func:`repro.campaign.engine.run_campaign` in a worker thread, which in
-turn fans trials across the process pool exactly as the CLI does. The
-scheduler therefore *wraps* the executor rather than forking it: it
-decides only which grid runs next, with
+:func:`repro.campaign.engine.run_campaign` in a worker thread, whose
+:class:`~repro.service.workers.WaveDispatcher` leases each wave to the
+distributed workers or, when none is live, fans it across the process
+pool exactly as the CLI does. The scheduler therefore *wraps* the
+executor rather than forking it: it decides only which grid runs next,
+with
 
 * **FIFO admission** — the oldest queued job starts whenever fewer than
   ``max_concurrent`` jobs are running;
@@ -36,7 +38,8 @@ from typing import Callable, Deque, Dict, List, Optional
 
 from repro.campaign.aggregate import Aggregator
 from repro.campaign.engine import run_campaign
-from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.campaign.snapshot import run_trial_differential
+from repro.campaign.spec import CampaignError, CampaignSpec, TrialSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.trial import TrialResult
 from repro.harness.statistics import wilson_interval
@@ -107,12 +110,13 @@ class JobScheduler:
     """
 
     def __init__(self, data_dir, *,
+                 journal: JobJournal,
+                 broker: LeaseBroker,
                  max_concurrent: int = 1,
-                 journal: Optional[JobJournal] = None,
-                 runner: Optional[Callable] = None,
+                 runner: Callable[[TrialSpec], TrialResult]
+                 = run_trial_differential,
                  metrics: Optional[MetricsRegistry] = None,
                  default_workers: Optional[int] = None,
-                 broker: Optional[LeaseBroker] = None,
                  expect_workers: int = 0,
                  worker_wait: float = 10.0) -> None:
         if max_concurrent <= 0:
@@ -128,8 +132,7 @@ class JobScheduler:
         self.worker_wait = worker_wait
         self._jobs: Dict[str, Job] = {}
         self._seq = itertools.count(1)
-        self._numbers = itertools.count(
-            journal.next_job_number() if journal is not None else 1)
+        self._numbers = itertools.count(journal.next_job_number())
         self._tasks: Dict[str, "asyncio.Task[None]"] = {}
         self._wake: Optional[asyncio.Event] = None
         self._stopping = False
@@ -163,7 +166,7 @@ class JobScheduler:
         with self._lock:
             self._jobs[job_id] = job
         self.metrics.counter("service.jobs.submitted").inc()
-        if self.journal is not None and journal_event:
+        if journal_event:
             self.journal.submitted(
                 job_id, spec=spec.to_dict(), store=store_path,
                 workers=workers, fingerprint=spec.fingerprint())
@@ -178,8 +181,6 @@ class JobScheduler:
         different campaign.
         """
         adopted: List[Job] = []
-        if self.journal is None:
-            return adopted
         # exclusive adoption: two servers pointed at one data dir must
         # not both resubmit (and both run) the same orphaned campaigns
         self.journal.acquire_lock()
@@ -211,8 +212,7 @@ class JobScheduler:
         if job.state == QUEUED:
             job.state = CANCELLED
             self.metrics.counter("service.jobs.cancelled").inc()
-            if self.journal is not None:
-                self.journal.cancelled(job_id)
+            self.journal.cancelled(job_id)
         else:
             job.stop_event.set()  # engine stops at next wave boundary
         self._set_wake()
@@ -298,31 +298,28 @@ class JobScheduler:
                            on_append=partial(self._on_trial, job))
 
     def _execute(self, job: Job):
-        """Worker-thread body: the unmodified campaign engine."""
-        kwargs = {}
-        if self.runner is not None:
-            kwargs["runner"] = self.runner
-        if self.broker is not None:
-            kwargs["executor"] = WaveDispatcher(
-                self.broker, job_id=job.job_id,
-                expect_workers=self.expect_workers,
-                worker_wait=self.worker_wait, metrics=self.metrics)
+        """Worker-thread body: the unmodified campaign engine, its waves
+        fanned out by a :class:`WaveDispatcher` (which runs a wave in
+        this process whenever no worker is live)."""
+        dispatcher = WaveDispatcher(
+            self.broker, job_id=job.job_id,
+            expect_workers=self.expect_workers,
+            worker_wait=self.worker_wait, metrics=self.metrics)
         return run_campaign(
             job.spec, self._make_store(job), workers=job.workers,
-            should_stop=job.stop_event.is_set, **kwargs)
+            runner=self.runner, should_stop=job.stop_event.is_set,
+            executor=dispatcher)
 
     async def _run_job(self, job: Job) -> None:
         self.metrics.counter("service.jobs.started").inc()
-        if self.journal is not None:
-            self.journal.started(job.job_id)
+        self.journal.started(job.job_id)
         try:
             summary = await asyncio.to_thread(self._execute, job)
         except Exception:
             job.state = FAILED
             job.error = traceback.format_exc()[-2000:]
             self.metrics.counter("service.jobs.failed").inc()
-            if self.journal is not None:
-                self.journal.failed(job.job_id, job.error)
+            self.journal.failed(job.job_id, job.error)
         else:
             progress = summary.progress or {}
             remaining = progress.get("planned_trials", 0) \
@@ -332,8 +329,7 @@ class JobScheduler:
             if job.cancel_requested:
                 job.state = CANCELLED
                 self.metrics.counter("service.jobs.cancelled").inc()
-                if self.journal is not None:
-                    self.journal.cancelled(job.job_id)
+                self.journal.cancelled(job.job_id)
             elif remaining > 0:
                 # a drain stopped the engine at a wave boundary; the
                 # journal keeps the job non-terminal for re-adoption
@@ -342,8 +338,7 @@ class JobScheduler:
                 job.state = DONE
                 job.summary = summary.stats_dict()
                 self.metrics.counter("service.jobs.completed").inc()
-                if self.journal is not None:
-                    self.journal.finished(job.job_id)
+                self.journal.finished(job.job_id)
         finally:
             self._tasks.pop(job.job_id, None)
             self._set_wake()
@@ -386,6 +381,5 @@ class JobScheduler:
                     self._tasks[job.job_id] = asyncio.create_task(
                         self._run_job(job))
         finally:
-            if self.journal is not None:
-                self.journal.release_lock()
+            self.journal.release_lock()
             self._stopped.set()

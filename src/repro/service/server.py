@@ -82,13 +82,15 @@ class CampaignService:
     a thread); :func:`serve` wraps it with signal handling for the CLI.
     """
 
+    #: seconds between dashboard SSE pushes
+    stream_interval = 1.0
+
     def __init__(self, scheduler: JobScheduler, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 stream_interval: float = 1.0, chaos=None) -> None:
+                 chaos=None) -> None:
         self.scheduler = scheduler
         self.host = host
         self.port = port
-        self.stream_interval = stream_interval
         self.chaos = chaos
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional["asyncio.Task[None]"] = None
@@ -151,7 +153,10 @@ class CampaignService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                length = int(value.strip())
+                value = value.strip()
+                if not value.isdecimal():
+                    return None  # not a length: answered as a bad request
+                length = int(value)
         if length > MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
@@ -234,10 +239,6 @@ class CampaignService:
     def _worker_route(self, method: str, target: str,
                       body: bytes) -> Tuple[int, bytes, str]:
         broker = self.scheduler.broker
-        if broker is None:
-            return 404, self._json_bytes(
-                {"error": "this server has no worker tier"}), \
-                "application/json"
         if target == "/api/workers" and method == "GET":
             return 200, self._json_bytes(
                 {"workers": broker.workers_status(),
@@ -289,7 +290,14 @@ class CampaignService:
         try:
             data = json.loads(body.decode() or "{}")
             spec = spec_from_request(data)
-            job = self.scheduler.submit(spec, workers=data.get("workers"))
+            workers = data.get("workers")
+            # bool is an int subclass, and not a pool size
+            if workers is not None and (type(workers) is not int
+                                        or workers < 1):
+                raise CampaignError(
+                    f"workers must be a positive integer or null, "
+                    f"not {workers!r}")
+            job = self.scheduler.submit(spec, workers=workers)
         except (CampaignError, ValueError) as exc:
             return 400, self._json_bytes({"error": str(exc)}), \
                 "application/json"
@@ -364,7 +372,6 @@ async def _serve_async(service: CampaignService) -> None:
 def serve(*, host: str, port: int, data_dir: str,
           max_concurrent: int, workers: Optional[int],
           journal_path: Optional[str] = None,
-          stream_interval: float = 1.0,
           lease_ttl: float = 10.0,
           expect_workers: int = 0,
           worker_wait: float = 10.0,
@@ -387,7 +394,6 @@ def serve(*, host: str, port: int, data_dir: str,
         broker=broker, expect_workers=expect_workers,
         worker_wait=worker_wait)
     service = CampaignService(scheduler, host=host, port=port,
-                              stream_interval=stream_interval,
                               chaos=chaos_ctl)
     asyncio.run(_serve_async(service))
     return 0

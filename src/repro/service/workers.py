@@ -50,8 +50,7 @@ import random
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import (Callable, Dict, List, Optional, Sequence, Set, Tuple,
-                    TypeVar)
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.campaign.executor import ExecutionReport, execute_trials
 from repro.campaign.snapshot import run_trial_differential
@@ -59,10 +58,8 @@ from repro.campaign.spec import TrialSpec
 from repro.campaign.trial import TrialResult
 from repro.service.chaos import ChaosController
 from repro.service.client import ServiceError, request_json
-from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
-                                 call_with_retry)
-
-T = TypeVar("T")
+from repro.service.retry import HTTP_RETRY, RetryError, call_with_retry
+from repro.telemetry.metrics import MetricsRegistry
 
 #: lease lifecycle states
 PENDING = "pending"
@@ -104,27 +101,26 @@ class LeaseBroker:
     """Coordinator-side lease/worker state. Thread-safe.
 
     Liveness is heartbeat-driven: a worker is *live* while its last
-    heartbeat (or claim) is within ``worker_ttl``; a claimed lease whose
-    ``deadline`` (renewed by heartbeats) lapses is requeued — up to
-    ``max_requeues`` times, after which it is abandoned to the
-    dispatcher. Completions are first-wins: a late post for an
+    heartbeat (or claim) is within ``worker_ttl`` (2.5 lease TTLs); a
+    claimed lease whose ``deadline`` (renewed by heartbeats) lapses is
+    requeued — up to ``max_requeues`` times, after which it is abandoned
+    to the dispatcher. Completions are first-wins: a late post for an
     already-completed or withdrawn lease is rejected, which is what
     makes at-least-once delivery safe to deduplicate.
     """
 
+    #: expiries a lease survives before it is abandoned
+    max_requeues = 3
+
     def __init__(self, *, lease_ttl: float = 10.0,
-                 worker_ttl: Optional[float] = None,
-                 max_requeues: int = 3,
                  clock: Callable[[], float] = time.monotonic,
-                 metrics=None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if lease_ttl <= 0.0:
             raise ValueError("lease_ttl must be positive")
         self.lease_ttl = lease_ttl
-        self.worker_ttl = worker_ttl if worker_ttl is not None \
-            else 2.5 * lease_ttl
-        self.max_requeues = max_requeues
+        self.worker_ttl = 2.5 * lease_ttl
         self.clock = clock
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._cv = threading.Condition()
         self._workers: Dict[str, WorkerInfo] = {}
         self._leases: Dict[str, Lease] = {}
@@ -139,8 +135,7 @@ class LeaseBroker:
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
-        if self.metrics is not None:
-            self.metrics.counter(f"service.lease.{name}").inc(amount)
+        self.metrics.counter(f"service.lease.{name}").inc(amount)
 
     # -- worker lifecycle ---------------------------------------------------
     def register(self, name: Optional[str] = None) -> Dict:
@@ -363,18 +358,19 @@ class WaveDispatcher:
     stores are byte-identical to local ones.
     """
 
+    #: seconds between looks at a distributed wave's leases
+    poll_interval = 0.05
+
     def __init__(self, broker: LeaseBroker, *, job_id: str,
                  expect_workers: int = 0, worker_wait: float = 10.0,
-                 poll_interval: float = 0.05,
                  clock: Callable[[], float] = time.monotonic,
-                 metrics=None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.broker = broker
         self.job_id = job_id
         self.expect_workers = expect_workers
         self.worker_wait = worker_wait
-        self.poll_interval = poll_interval
         self.clock = clock
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._wave = 0
         self._waited = False
         self._local_only = False
@@ -382,7 +378,6 @@ class WaveDispatcher:
     # -- executor protocol --------------------------------------------------
     def __call__(self, trials: Sequence[TrialSpec],
                  workers: Optional[int] = None,
-                 timeout: Optional[float] = None,
                  runner: Callable[[TrialSpec], TrialResult]
                  = run_trial_differential,
                  on_result: Optional[Callable[[TrialResult], None]] = None,
@@ -394,11 +389,10 @@ class WaveDispatcher:
             return []
         self._wave += 1
         if not self._distributed_ready():
-            return execute_trials(trials, workers=workers, timeout=timeout,
-                                  runner=runner, on_result=on_result,
-                                  report=report)
-        return self._run_wave(list(trials), workers, timeout, runner,
-                              on_result, report)
+            return execute_trials(trials, workers=workers, runner=runner,
+                                  on_result=on_result, report=report)
+        return self._run_wave(list(trials), workers, runner, on_result,
+                              report)
 
     def _distributed_ready(self) -> bool:
         if self._local_only:
@@ -416,9 +410,7 @@ class WaveDispatcher:
             if not self.broker.ever_registered:
                 # nobody ever showed up: stop re-checking every wave
                 self._local_only = True
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "service.dispatch.fallback_local").inc()
+                self.metrics.counter("service.dispatch.fallback_local").inc()
         return False
 
     def _make_leases(self, trials: Sequence[TrialSpec]) -> List[Lease]:
@@ -431,7 +423,6 @@ class WaveDispatcher:
         return leases
 
     def _run_wave(self, trials: List[TrialSpec], workers: Optional[int],
-                  timeout: Optional[float],
                   runner: Callable[[TrialSpec], TrialResult],
                   on_result: Optional[Callable[[TrialResult], None]],
                   report: ExecutionReport) -> List[TrialResult]:
@@ -472,8 +463,8 @@ class WaveDispatcher:
                                    if lid not in settled]
                     local_leases.extend(self.broker.withdraw(outstanding))
                 if local_leases:
-                    self._run_local(local_leases, arrived, workers,
-                                    timeout, runner, report)
+                    self._run_local(local_leases, arrived, workers, runner,
+                                    report)
                     settled.update(lease.lease_id
                                    for lease in local_leases)
                 emitted = self._emit(trials, arrived, emitted, on_result)
@@ -488,18 +479,16 @@ class WaveDispatcher:
 
     def _run_local(self, leases: Sequence[Lease],
                    arrived: Dict[Tuple[str, int], TrialResult],
-                   workers: Optional[int], timeout: Optional[float],
+                   workers: Optional[int],
                    runner: Callable[[TrialSpec], TrialResult],
                    report: ExecutionReport) -> None:
-        if self.metrics is not None:
-            self.metrics.counter("service.dispatch.local_takeover").inc()
+        self.metrics.counter("service.dispatch.local_takeover").inc()
         remaining = [t for lease in leases for t in lease.trials
                      if t.key() not in arrived]
         if not remaining:
             return
         for result in execute_trials(remaining, workers=workers,
-                                     timeout=timeout, runner=runner,
-                                     report=report):
+                                     runner=runner, report=report):
             arrived.setdefault(result.key(), result)
 
     @staticmethod
@@ -536,14 +525,15 @@ class WorkerClient:
     re-send blindly after a 500 or a socket timeout.
     """
 
-    def __init__(self, host: str, port: int, *, timeout: float = 5.0,
-                 policy: RetryPolicy = HTTP_RETRY,
-                 rng: Optional[random.Random] = None) -> None:
+    #: socket timeout of one request, seconds
+    timeout = 5.0
+    #: retry policy of every request
+    policy = HTTP_RETRY
+
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.timeout = timeout
-        self.policy = policy
-        self.rng = rng if rng is not None else random.Random(port)
+        self.rng = random.Random(port)
 
     def _once(self, method: str, path: str,
               body: Optional[Dict]) -> Dict:
@@ -604,12 +594,10 @@ def _heartbeat_loop(client: WorkerClient, state: Dict,
 def run_worker(host: str, port: int, *, name: Optional[str] = None,
                runner: Callable[[TrialSpec], TrialResult]
                = run_trial_differential,
-               poll_interval: float = 0.2,
+               poll_interval: float = 0.5,
                max_idle: Optional[float] = None,
                chaos: Optional[ChaosController] = None,
                stop: Optional[threading.Event] = None,
-               policy: RetryPolicy = HTTP_RETRY,
-               request_timeout: float = 5.0,
                clock: Callable[[], float] = time.monotonic) -> Dict:
     """Worker main loop: register, claim leases, run trials, post results.
 
@@ -620,8 +608,7 @@ def run_worker(host: str, port: int, *, name: Optional[str] = None,
     """
     if stop is None:
         stop = threading.Event()
-    client = WorkerClient(host, port, timeout=request_timeout,
-                          policy=policy)
+    client = WorkerClient(host, port)
     session = client.register(name)
     state = {"worker_id": session["worker_id"]}
     interval = float(session.get("heartbeat_interval", 1.0))

@@ -11,7 +11,7 @@ Systems take ``telemetry=None`` (the default: disabled). Hot paths bind
 ``events`` once and use the ``if sink is not None`` idiom from
 ``core/pipeline.py``, so a disabled run pays at most a handful of
 ``None`` checks on already-cold branches; warm paths may instead go
-through :data:`NULL` whose instruments are shared no-ops.
+through :data:`NULL_REGISTRY` whose instruments are shared no-ops.
 
 Usage::
 
@@ -27,45 +27,23 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import (
     Counter, Gauge, Histogram, MetricsRegistry, NullRegistry, NULL_REGISTRY,
-    DEFAULT_BUCKETS,
 )
 
 
 class Telemetry:
     """Live telemetry: a metrics registry plus an event log."""
 
-    enabled = True
-
-    def __init__(self, events_limit: int = 200_000) -> None:
-        self.metrics = MetricsRegistry()
-        self.events: Optional[EventLog] = EventLog(limit=events_limit)
-
-
-class NullTelemetry:
-    """Disabled telemetry: no-op metrics, no event log.
-
-    ``events`` is ``None`` (not a null object) on purpose: hot paths test
-    ``if events is not None`` and skip instrumentation entirely.
-    """
-
-    enabled = False
-
     def __init__(self) -> None:
-        self.metrics = NULL_REGISTRY
-        self.events: Optional[EventLog] = None
+        self.metrics = MetricsRegistry()
+        self.events = EventLog()
 
-
-#: shared disabled-telemetry instance
-NULL = NullTelemetry()
 
 __all__ = [
-    "Telemetry", "NullTelemetry", "NULL",
+    "Telemetry",
     "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
-    "Counter", "Gauge", "Histogram", "DEFAULT_BUCKETS",
+    "Counter", "Gauge", "Histogram",
     "EventLog",
 ]

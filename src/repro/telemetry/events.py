@@ -84,10 +84,10 @@ class Event:
 class EventLog:
     """Bounded in-memory event buffer."""
 
-    def __init__(self, limit: int = 200_000) -> None:
-        if limit <= 0:
-            raise ValueError("event log limit must be positive")
-        self.limit = limit
+    #: events kept; later emissions are only counted in ``dropped``
+    limit = 200_000
+
+    def __init__(self) -> None:
         self._events: List[Event] = []
         self.dropped = 0
 

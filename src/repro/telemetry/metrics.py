@@ -21,12 +21,7 @@ serial == parallel guarantee.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-#: default histogram bucket upper bounds (cycles); chosen to resolve both
-#: single-digit stall episodes and multi-thousand-cycle recoveries.
-DEFAULT_BUCKETS: Tuple[int, ...] = (
-    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000)
+from typing import Dict, List, Tuple
 
 
 class Counter:
@@ -63,19 +58,19 @@ class Histogram:
     """Fixed-boundary histogram (cumulative-style bucket counts).
 
     ``buckets[i]`` counts observations ``<= bounds[i]``; the final bucket
-    is the implicit +inf overflow. Bounds are fixed at construction so two
-    histograms of the same metric are always mergeable.
+    is the implicit +inf overflow. Every histogram shares one set of
+    bounds, so two histograms of the same metric are always mergeable.
     """
 
-    __slots__ = ("name", "bounds", "buckets", "count", "total")
+    __slots__ = ("name", "buckets", "count", "total")
 
-    def __init__(self, name: str,
-                 bounds: Optional[Iterable[float]] = None) -> None:
+    #: bucket upper bounds (cycles), sorted; chosen to resolve both
+    #: single-digit stall episodes and multi-thousand-cycle recoveries.
+    bounds: Tuple[float, ...] = (
+        1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000)
+
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds: Tuple[float, ...] = tuple(bounds) if bounds is not None \
-            else DEFAULT_BUCKETS
-        if list(self.bounds) != sorted(self.bounds):
-            raise ValueError(f"{name}: bucket bounds must be sorted")
         self.buckets: List[int] = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -119,11 +114,10 @@ class MetricsRegistry:
             g = self._gauges[name] = Gauge(name)
         return g
 
-    def histogram(self, name: str,
-                  bounds: Optional[Iterable[float]] = None) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(name, bounds)
+            h = self._histograms[name] = Histogram(name)
         return h
 
     # -- bulk ---------------------------------------------------------------
@@ -200,8 +194,7 @@ class NullRegistry:
     def gauge(self, name: str) -> _NullGauge:
         return _NULL_GAUGE
 
-    def histogram(self, name: str,
-                  bounds: Optional[Iterable[float]] = None) -> _NullHistogram:
+    def histogram(self, name: str) -> _NullHistogram:
         return _NULL_HISTOGRAM
 
     def merge_counters(self, flat: Dict[str, float]) -> None:

@@ -422,11 +422,12 @@ def test_cli_campaign_requires_rates(tmp_path):
               "--workloads", "fibonacci"])
 
 
-def test_cli_campaign_node_rates(tmp_path, capsys):
+def test_cli_campaign_node_rates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("repro.cli.NODE_ACCELERATION", 1e11)
     store = str(tmp_path / "c.jsonl")
     rc, out = run_cli(capsys, "campaign", "run", "--store", store,
                       "--schemes", "unsync", "--workloads", "fibonacci",
-                      "--node", "90", "--accel", "1e11",
+                      "--node", "90",
                       "--trials", "2", "--workers", "1", "--json")
     assert rc == 0
     sers = json.loads(out)["spec"]["sers"]

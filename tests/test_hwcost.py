@@ -11,9 +11,11 @@ from repro.hwcost.components import (
     CSB_CELL_UM2, REGFILE_CELL_UM2, cb_array, crc_generator, csb_array,
     forwarding_datapath,
 )
+from repro.hwcost import synthesis
 from repro.hwcost.die import ManyCore, TABLE3_PROCESSORS, project_die, table3
 from repro.hwcost.synthesis import synthesize, table2
 from repro.hwcost.tech import TECH_65NM
+from repro.reunion.check_stage import ReunionParams
 from repro.schemes import get
 
 
@@ -152,9 +154,11 @@ def test_table2_rows_renderable():
     assert len(rows) == 10
 
 
-def test_larger_fi_costs_more_csb_area():
-    small = synthesize("reunion", fingerprint_interval=10)
-    big = synthesize("reunion", fingerprint_interval=50)
+def test_larger_fi_costs_more_csb_area(monkeypatch):
+    small = synthesize("reunion")
+    monkeypatch.setattr(synthesis, "ReunionParams",
+                        lambda: ReunionParams(fingerprint_interval=50))
+    big = synthesize("reunion")
     assert big.core_area_um2 > small.core_area_um2
 
 

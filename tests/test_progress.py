@@ -96,12 +96,13 @@ def test_summary_shape_and_failures_in_render():
     t.plan_cell("c", 10)
     clock.advance(2.0)
     t.update("c")
-    t.absorb(worker_failures=2, retries=1, timeouts=1)
+    t.absorb(worker_failures=2, retries=1, crashes=1)
     t.finish_cell("c")
     assert "failures 2" in t.render()
     s = t.summary()
     assert s["worker_failures"] == 2 and s["retries"] == 1
-    assert s["timeouts"] == 1
+    assert s["crashes"] == 1
+    assert "timeouts" not in s
     assert s["elapsed_seconds"] == 2.0
     assert s["cells"]["c"]["done"] == 1
 
@@ -127,7 +128,8 @@ def test_ticker_throttles_by_interval():
     clock = FakeClock()
     t = tracker(planned=10, clock=clock)
     out = io.StringIO()
-    ticker = Ticker(t, stream=out, interval=0.5, enabled=True, clock=clock)
+    ticker = Ticker(t, stream=out, enabled=True, clock=clock)
+    assert ticker.interval == 0.5
     ticker.tick()
     first = out.getvalue()
     ticker.tick()              # too soon: dropped
@@ -136,7 +138,7 @@ def test_ticker_throttles_by_interval():
     ticker.tick()
     assert len(out.getvalue()) > len(first)
     out2 = io.StringIO()
-    t2 = Ticker(t, stream=out2, interval=0.5, enabled=True, clock=clock)
+    t2 = Ticker(t, stream=out2, enabled=True, clock=clock)
     t2.tick()
     t2.tick(force=True)        # force bypasses the throttle
     assert out2.getvalue().count("\r") == 2

@@ -28,11 +28,13 @@ class Flaky:
 class FakeClock:
     def __init__(self):
         self.now = 0.0
+        self.sleeps = []
 
     def __call__(self):
         return self.now
 
     def sleep(self, seconds):
+        self.sleeps.append(seconds)
         self.now += seconds
 
 
@@ -54,15 +56,13 @@ def test_success_passthrough_no_retry():
 def test_retries_then_success():
     clock = FakeClock()
     fn = Flaky(2)
-    seen = []
     result = call_with_retry(
         fn, policy=RetryPolicy(max_attempts=4, base_delay=0.1,
                                retryable=(OSError,)),
-        rng=random.Random(7), sleep=clock.sleep, clock=clock,
-        on_retry=lambda attempt, exc, delay: seen.append(attempt))
+        rng=random.Random(7), sleep=clock.sleep, clock=clock)
     assert result == "ok"
     assert fn.calls == 3
-    assert seen == [1, 2]
+    assert len(clock.sleeps) == 2  # one backoff before each retry
 
 
 def test_non_retryable_propagates_unchanged():

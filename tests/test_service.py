@@ -5,6 +5,7 @@ re-adoption with no lost or duplicated trials."""
 import asyncio
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -14,12 +15,14 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignError, CampaignSpec, TrialResult
+from repro.service import journal as journal_mod
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal, JournalLocked
 from repro.service.scheduler import (
     CANCELLED, DONE, QUEUED, RUNNING, SUSPENDED, JobScheduler,
 )
 from repro.service.server import CampaignService, spec_from_request
+from repro.service.workers import LeaseBroker
 
 
 def small_spec(**overrides):
@@ -41,6 +44,7 @@ def fast_runner(trial):
 
 def make_scheduler(tmp_path, **kwargs):
     kwargs.setdefault("journal", JobJournal(tmp_path / "journal.jsonl"))
+    kwargs.setdefault("broker", LeaseBroker())
     kwargs.setdefault("runner", fast_runner)
     kwargs.setdefault("default_workers", 1)
     return JobScheduler(tmp_path, **kwargs)
@@ -129,7 +133,7 @@ def test_journal_lock_released_by_scheduler_run(tmp_path):
     sched2.journal.release_lock()
 
 
-def test_journal_stale_lock_is_broken(tmp_path):
+def test_journal_stale_lock_is_broken(tmp_path, monkeypatch):
     """A lock left by a dead process (or with no pid and long expired)
     must not wedge every future restart."""
     journal = JobJournal(tmp_path / "journal.jsonl")
@@ -145,8 +149,9 @@ def test_journal_stale_lock_is_broken(tmp_path):
     with open(journal.lock_path, "w") as fh:
         json.dump({"created": time.time()}, fh)
     with pytest.raises(JournalLocked):
-        journal.acquire_lock(stale_after=300.0)
-    journal.acquire_lock(stale_after=0.0)
+        journal.acquire_lock()
+    monkeypatch.setattr(journal_mod, "STALE_LOCK_SECONDS", 0.0)
+    journal.acquire_lock()
     journal.release_lock()
 
 
@@ -362,9 +367,10 @@ def test_spec_from_request_validates():
 # HTTP round-trip
 # ---------------------------------------------------------------------------
 @pytest.fixture()
-def service(tmp_path):
+def service(tmp_path, monkeypatch):
+    monkeypatch.setattr(CampaignService, "stream_interval", 0.05)
     sched = make_scheduler(tmp_path, max_concurrent=2)
-    svc = CampaignService(sched, port=0, stream_interval=0.05)
+    svc = CampaignService(sched, port=0)
     loop = asyncio.new_event_loop()
 
     def run():
@@ -412,6 +418,41 @@ def test_http_errors(service):
     with pytest.raises(ServiceError) as err:
         client._request("PUT", "/api/jobs")
     assert err.value.status == 405
+
+
+def test_http_malformed_content_length_is_a_bad_request(service):
+    svc, client = service
+    for value in ("abc", "-5"):
+        with socket.create_connection(("127.0.0.1", svc.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"POST /api/jobs HTTP/1.1\r\n"
+                         f"Content-Length: {value}\r\n\r\n".encode())
+            reply = b""
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), (value, reply)
+        assert json.loads(body) == {"error": "bad request"}
+    assert client.healthz()["ok"] is True
+
+
+def test_http_submit_rejects_bad_workers_before_journaling(service):
+    svc, client = service
+    body = {"schemes": ["unsync"], "workloads": ["fibonacci"],
+            "sers": [0.01], "trials": 2, "batch": 2}
+    for bad in ("abc", 0, -1, 1.5, True, [2]):
+        with pytest.raises(ServiceError) as err:
+            client.submit(dict(body, workers=bad))
+        assert err.value.status == 400
+        assert "workers" in err.value.message
+    assert client.jobs() == []
+    assert svc.scheduler.journal.replay() == []
+    for good in (None, 2):
+        job = client.submit(dict(body, workers=good))
+        assert client.wait(job["job_id"], timeout=30.0)["state"] == "done"
 
 
 def test_http_submit_has_no_execution_mode(service):

@@ -14,8 +14,9 @@ reference). That decomposes into
   page sharing the fast path rides on;
 * the executor returning pooled results in wave order;
 * the coordinator building each prefix once per campaign, pool workers
-  inheriting it, and a failed warm-up build falling back to the lazy
-  per-worker build;
+  inheriting it, a failed warm-up build falling back to the lazy
+  per-worker build, and a scheme that cannot snapshot crashing every
+  trial of its key;
 * the reach: a warm-up builds each prefix only as far as two of its
   wave's trials share it, a trial striking past it restores from its
   newest epoch, a later wave that shares more extends it from there,
@@ -49,6 +50,7 @@ from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import ResultStore
 from repro.campaign.trial import _TrialContext, run_trial
 from repro.checkpoint.snapshot import (
+    SnapshotUnsupported,
     capture_system,
     instruction_index,
     restore_system,
@@ -264,15 +266,14 @@ def test_cow_memory_equals_plain_memory():
 # ---------------------------------------------------------------------------
 # worker-local memo bounds
 # ---------------------------------------------------------------------------
-def test_trial_context_memos_are_lru_bounded():
-    ctx = _TrialContext(cap=2)
+def test_trial_context_memos_are_lru_bounded(monkeypatch):
+    monkeypatch.setattr(_TrialContext, "cap", 2)
+    ctx = _TrialContext()
     ctx.program("fibonacci")
     ctx.program("checksum")
     ctx.program("fibonacci")  # refresh: fibonacci is now most recent
     ctx.program("gzip")
     assert list(ctx.programs) == ["fibonacci", "gzip"]  # checksum evicted
-    with pytest.raises(ValueError):
-        _TrialContext(cap=0)
 
 
 def test_prefix_cache_is_lru_bounded():
@@ -434,6 +435,29 @@ def test_failed_warm_up_build_falls_back_to_lazy_builds(tmp_path,
     failed, *lazy = pids["reunion"]
     assert lazy and failed not in lazy
     assert str(os.getpid()) not in pids["reunion"]
+
+
+def test_unsupported_snapshot_makes_every_trial_of_its_key_a_crash(
+        tmp_path, monkeypatch, cold_cache):
+    """Nothing catches ``SnapshotUnsupported``: the warm-up leaves the
+    key cold, each of its trials raises it building the prefix, fails
+    its retry too, and is stored as a CRASH; other keys run normally."""
+    def refuse(self, system, pool=None, ins_index=None):
+        raise SnapshotUnsupported(f"cannot snapshot {type(system).__name__}")
+
+    monkeypatch.setattr(get_scheme("unsync").__class__, "snapshot", refuse)
+    store = tmp_path / "s.jsonl"
+    run_campaign(replace(THREE_KEYS, batch=4), store, workers=2)
+    assert ("unsync", "fibonacci", None) not in cold_cache._prefixes
+    outcomes = {}
+    for record in ResultStore(str(store)).iter_trials():
+        outcomes.setdefault(record["scheme"], []).append(record)
+    assert [r["outcome"] for r in outcomes["unsync"]] == ["crash"] * 8
+    assert all("SnapshotUnsupported" in r["error"]
+               for r in outcomes["unsync"])
+    for scheme in ("reunion", "reptfd"):
+        assert len(outcomes[scheme]) == 8
+        assert "crash" not in {r["outcome"] for r in outcomes[scheme]}
 
 
 def test_interrupt_during_warm_up_propagates(monkeypatch, cold_cache):

@@ -5,7 +5,6 @@ distributed stores against direct local runs."""
 import asyncio
 import dataclasses
 import json
-import random
 import threading
 import time
 
@@ -174,9 +173,10 @@ def test_expired_lease_requeues_and_late_complete_is_first_wins():
     assert broker.stats()["recovery_latency_max"] > 0.0
 
 
-def test_lease_abandoned_after_requeue_budget():
+def test_lease_abandoned_after_requeue_budget(monkeypatch):
+    monkeypatch.setattr(LeaseBroker, "max_requeues", 2)
     clock = FakeClock()
-    broker = LeaseBroker(lease_ttl=5.0, max_requeues=2, clock=clock)
+    broker = LeaseBroker(lease_ttl=5.0, clock=clock)
     worker_id = broker.register()["worker_id"]
     broker.offer([Lease(lease_id="L1", job_id="j",
                         trials=wire_trials(small_spec())[:1])])
@@ -211,7 +211,7 @@ def test_withdraw_skips_done_leases():
 # ---------------------------------------------------------------------------
 # wave dispatcher
 # ---------------------------------------------------------------------------
-def run_distributed(tmp_path, spec, n_workers=2, **dispatch_kwargs):
+def run_distributed(tmp_path, spec, n_workers=2):
     broker = LeaseBroker(lease_ttl=10.0)
     stop = threading.Event()
     threads = [threading.Thread(target=broker_worker,
@@ -219,8 +219,7 @@ def run_distributed(tmp_path, spec, n_workers=2, **dispatch_kwargs):
                for _ in range(n_workers)]
     for thread in threads:
         thread.start()
-    dispatcher = WaveDispatcher(broker, job_id="job-d",
-                                poll_interval=0.01, **dispatch_kwargs)
+    dispatcher = WaveDispatcher(broker, job_id="job-d")
     store = tmp_path / "dist.jsonl"
     try:
         summary = run_campaign(spec, store, runner=fast_runner,
@@ -232,7 +231,9 @@ def run_distributed(tmp_path, spec, n_workers=2, **dispatch_kwargs):
     return store, summary
 
 
-def test_dispatcher_store_byte_identical_to_local_run(tmp_path):
+def test_dispatcher_store_byte_identical_to_local_run(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.setattr(WaveDispatcher, "poll_interval", 0.01)
     spec = small_spec(schemes=("unsync", "reunion"), trials=6, batch=2)
     direct = tmp_path / "direct.jsonl"
     run_campaign(spec, direct, runner=fast_runner, workers=1)
@@ -241,12 +242,13 @@ def test_dispatcher_store_byte_identical_to_local_run(tmp_path):
     assert summary.progress["trials_run"] == spec.total_trials
 
 
-def test_dispatcher_local_fallback_when_no_worker_registers(tmp_path):
+def test_dispatcher_local_fallback_when_no_worker_registers(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(WaveDispatcher, "poll_interval", 0.01)
     spec = small_spec()
     broker = LeaseBroker(lease_ttl=10.0)
     dispatcher = WaveDispatcher(broker, job_id="job-f",
-                                expect_workers=2, worker_wait=0.2,
-                                poll_interval=0.01)
+                                expect_workers=2, worker_wait=0.2)
     store = tmp_path / "fallback.jsonl"
     started = time.monotonic()
     run_campaign(spec, store, runner=fast_runner, workers=1,
@@ -258,12 +260,13 @@ def test_dispatcher_local_fallback_when_no_worker_registers(tmp_path):
     assert dispatcher._local_only is True
 
 
-def test_dispatcher_opportunistic_without_expectations(tmp_path):
+def test_dispatcher_opportunistic_without_expectations(tmp_path,
+                                                      monkeypatch):
     """expect_workers=0: no one is live, waves run locally at once."""
+    monkeypatch.setattr(WaveDispatcher, "poll_interval", 0.01)
     spec = small_spec()
     broker = LeaseBroker(lease_ttl=10.0)
-    dispatcher = WaveDispatcher(broker, job_id="job-o",
-                                poll_interval=0.01)
+    dispatcher = WaveDispatcher(broker, job_id="job-o")
     store = tmp_path / "opp.jsonl"
     started = time.monotonic()
     run_campaign(spec, store, runner=fast_runner, workers=1,
@@ -272,7 +275,9 @@ def test_dispatcher_opportunistic_without_expectations(tmp_path):
     assert dispatcher._local_only is False  # workers may still join
 
 
-def test_dispatcher_survives_all_workers_dying_mid_wave(tmp_path):
+def test_dispatcher_survives_all_workers_dying_mid_wave(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(WaveDispatcher, "poll_interval", 0.02)
     spec = small_spec(trials=6, batch=3)
     broker = LeaseBroker(lease_ttl=0.15)
     worker_id = broker.register("doomed")["worker_id"]
@@ -286,8 +291,7 @@ def test_dispatcher_survives_all_workers_dying_mid_wave(tmp_path):
 
     thread = threading.Thread(target=doomed, daemon=True)
     thread.start()
-    dispatcher = WaveDispatcher(broker, job_id="job-x",
-                                poll_interval=0.02)
+    dispatcher = WaveDispatcher(broker, job_id="job-x")
     report = ExecutionReport()
     store = tmp_path / "died.jsonl"
 
@@ -432,16 +436,17 @@ def test_journal_repair_completes_newline_less_record(tmp_path):
 # HTTP worker loop end-to-end
 # ---------------------------------------------------------------------------
 @pytest.fixture()
-def worker_service(tmp_path):
+def worker_service(tmp_path, monkeypatch):
     """Service with a lease broker and NO local runner injection — the
     submitted jobs can only finish through distributed workers or the
     dispatcher's local fallback (which uses fast_runner)."""
+    monkeypatch.setattr(CampaignService, "stream_interval", 0.05)
     broker = LeaseBroker(lease_ttl=2.0)
     sched = JobScheduler(
         tmp_path, journal=JobJournal(tmp_path / "journal.jsonl"),
         runner=fast_runner, default_workers=1, broker=broker,
         expect_workers=1, worker_wait=10.0)
-    svc = CampaignService(sched, port=0, stream_interval=0.05)
+    svc = CampaignService(sched, port=0)
     loop = asyncio.new_event_loop()
 
     def run():
@@ -533,15 +538,14 @@ def test_worker_fast_forwards_from_its_prefix_cache(tmp_path,
         assert fh.read() == reference.read_bytes()
 
 
-def test_worker_client_absorbs_injected_500s(tmp_path, worker_service):
+def test_worker_client_absorbs_injected_500s(tmp_path, worker_service,
+                                            monkeypatch):
     svc, broker = worker_service
     svc.chaos = ChaosController(ChaosConfig(seed=5, http_500_rate=0.4))
     from repro.service.retry import RetryPolicy
-    client = WorkerClient(
-        "127.0.0.1", svc.port, timeout=5.0,
-        policy=RetryPolicy(max_attempts=12, base_delay=0.005,
-                           max_delay=0.02, budget=20.0),
-        rng=random.Random(0))
+    monkeypatch.setattr(WorkerClient, "policy", RetryPolicy(
+        max_attempts=12, base_delay=0.005, max_delay=0.02, budget=20.0))
+    client = WorkerClient("127.0.0.1", svc.port)
     for _ in range(5):
         session = client.register("resilient")
         assert session["worker_id"]
@@ -550,7 +554,7 @@ def test_worker_client_absorbs_injected_500s(tmp_path, worker_service):
 
 def test_worker_404_triggers_reregistration(worker_service):
     svc, broker = worker_service
-    client = WorkerClient("127.0.0.1", svc.port, timeout=5.0)
+    client = WorkerClient("127.0.0.1", svc.port)
     with pytest.raises(ServiceError) as info:
         client.claim("w-unknown")
     assert info.value.status == 404
