@@ -30,8 +30,8 @@ Correctness argument, scheme-agnostic:
 :func:`run_trial_differential` is the trial runner of every campaign,
 pool worker and ``repro worker``; :func:`~repro.campaign.trial.run_trial`
 (full replay from cycle 0) is the reference tests and CI compare its
-stores against. :data:`CACHE` is process-wide, like
-:data:`repro.campaign.trial.CONTEXT`. Before each wave of a local pooled
+stores against. :data:`CACHE` is process-wide, like the program memo
+of :func:`repro.workloads.load_workload`. Before each wave of a local pooled
 campaign the coordinator builds each prefix as far as its wave's trials
 share it (:meth:`PrefixSnapshotCache.warm`), and the wave's forked trial
 pool inherits them. An epoch only one trial restores from saves no
@@ -57,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import TrialSpec
 from repro.campaign.trial import (
-    CONTEXT,
     TrialResult,
     build_injector,
     finish_trial,
@@ -163,13 +162,11 @@ class PrefixSnapshotCache:
         #: page-interning pools, one per workload (schemes of one
         #: workload share most of their memory image content)
         self._pools: "OrderedDict[str, Dict[bytes, bytes]]" = OrderedDict()
-        self._ins_index: "OrderedDict[str, Dict[int, int]]" = OrderedDict()
 
     # -- bookkeeping --------------------------------------------------------
     def clear(self) -> None:
         self._prefixes.clear()
         self._pools.clear()
-        self._ins_index.clear()
 
     def _lru(self, memo: "OrderedDict[Any, Any]", key: Any,
              build: Callable[[], Any]) -> Any:
@@ -243,6 +240,8 @@ class PrefixSnapshotCache:
                ) -> None:
         """Cache what ``build`` returns, bound to this process's program
         and its pages interned into this process's page pool."""
+        from repro.workloads import load_workload
+
         key = prefix_key(trial)
         try:
             built = build()
@@ -252,7 +251,7 @@ class PrefixSnapshotCache:
             # executor's retry/CRASH policy classifies any failure
             self._prefixes.pop(key, None)
             return
-        built.program = CONTEXT.program(trial.workload)
+        built.program = load_workload(trial.workload)
         pool = self._lru(self._pools, trial.workload, dict)
         for checkpoint in built.ring:
             for mem in checkpoint.state.mems:
@@ -272,11 +271,11 @@ class PrefixSnapshotCache:
         from repro.harness.runner import MAX_CYCLES
         from repro.redundancy.pair import SimulationHang
         from repro.schemes import get as get_scheme
+        from repro.workloads import load_workload
 
-        program = CONTEXT.program(trial.workload)
+        program = load_workload(trial.workload)
         pool = self._lru(self._pools, trial.workload, dict)
-        ins_index = self._lru(self._ins_index, trial.workload,
-                              partial(instruction_index, program))
+        ins_index = instruction_index(program)
         desc = get_scheme(trial.scheme)
         budget = trial.watchdog_cycles if trial.watchdog_cycles is not None \
             else MAX_CYCLES

@@ -13,13 +13,17 @@ anywhere earlier is corruption and raises. Trials are keyed by
 ``(cell, seed)`` — the engine skips keys already present, and readers
 deduplicate on first occurrence so a re-run trial (its record torn, then
 rewritten) cannot double-count.
+
+:func:`repair_jsonl` and :func:`read_jsonl` are that torn-tail contract
+for any append-only JSONL file; the service's job journal
+(:mod:`repro.service.journal`) is the other file that uses them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple
 
 from repro.campaign.spec import CampaignError, CampaignSpec
 
@@ -28,7 +32,71 @@ TRIAL_KIND = "trial"
 
 
 class StoreCorruption(CampaignError):
-    """A non-final line of the store failed to parse."""
+    """A non-final line of a JSONL file failed to parse."""
+
+
+def repair_jsonl(path: str) -> bool:
+    """Truncate torn trailing data left by a killed writer.
+
+    Must run before any append to a pre-existing file: a torn final
+    line is tolerated by :func:`read_jsonl`, but appending *past* it
+    would turn it into mid-file corruption. A trailer that parses and
+    only lost its newline is completed instead of dropped; trailing
+    lines that do not parse (garbled JSON, or bytes that are not UTF-8)
+    are truncated away. Returns True if the file was modified.
+    """
+    if not os.path.exists(path):
+        return False
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = len(data)
+        changed = False
+        if data and not data.endswith(b"\n"):
+            nl = data.rfind(b"\n")
+            try:
+                json.loads(data[nl + 1:])
+            except ValueError:
+                end = nl + 1
+                changed = True
+            else:
+                fh.write(b"\n")
+                return True
+        while end > 0:
+            prev = data.rfind(b"\n", 0, end - 1)
+            line = data[prev + 1:end].strip()
+            if not line:
+                end = prev + 1
+                changed = True
+                continue
+            try:
+                json.loads(line)
+                break
+            except ValueError:
+                end = prev + 1
+                changed = True
+        if changed:
+            fh.truncate(end)
+    return changed
+
+
+def read_jsonl(path: str) -> Iterator[Any]:
+    """Every record of a JSONL file, in write order.
+
+    A torn final line (a writer killed mid-append) is dropped; a line
+    anywhere earlier that does not parse raises :class:`StoreCorruption`.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        if not line.strip():
+            continue
+        try:
+            yield json.loads(line)
+        except ValueError:
+            if i == len(lines) - 1:
+                return  # torn final line from a killed writer
+            raise StoreCorruption(
+                f"{path}:{i + 1}: unparsable non-final record")
 
 
 class ResultStore:
@@ -50,46 +118,8 @@ class ResultStore:
 
     # -- writing ------------------------------------------------------------
     def repair(self) -> bool:
-        """Truncate torn trailing data left by a killed writer.
-
-        Must run before any append to a pre-existing store: a torn final
-        line is tolerated by readers, but appending *past* it would turn
-        it into mid-file corruption. A trailer that parses and only lost
-        its newline is completed instead of dropped. Returns True if the
-        file was modified.
-        """
-        if not os.path.exists(self.path):
-            return False
-        with open(self.path, "rb+") as fh:
-            data = fh.read()
-            end = len(data)
-            changed = False
-            if data and not data.endswith(b"\n"):
-                nl = data.rfind(b"\n")
-                try:
-                    json.loads(data[nl + 1:])
-                except json.JSONDecodeError:
-                    end = nl + 1
-                    changed = True
-                else:
-                    fh.write(b"\n")
-                    return True
-            while end > 0:
-                prev = data.rfind(b"\n", 0, end - 1)
-                line = data[prev + 1:end].strip()
-                if not line:
-                    end = prev + 1
-                    changed = True
-                    continue
-                try:
-                    json.loads(line)
-                    break
-                except json.JSONDecodeError:
-                    end = prev + 1
-                    changed = True
-            if changed:
-                fh.truncate(end)
-        return changed
+        """:func:`repair_jsonl` on this store; run before appending."""
+        return repair_jsonl(self.path)
 
     def create(self, spec: CampaignSpec) -> None:
         """Start a fresh store with the spec header."""
@@ -113,22 +143,8 @@ class ResultStore:
             self.on_append(record)
 
     # -- reading ------------------------------------------------------------
-    def _records(self) -> Iterator[Dict]:
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    return  # torn final line from a killed campaign
-                raise StoreCorruption(
-                    f"{self.path}:{i + 1}: unparsable non-final record")
-
     def load_spec(self) -> CampaignSpec:
-        for record in self._records():
+        for record in read_jsonl(self.path):
             if record.get("kind") != SPEC_KIND:
                 raise StoreCorruption(
                     f"{self.path}: first record is not a spec header")
@@ -138,7 +154,7 @@ class ResultStore:
     def iter_trials(self) -> Iterator[Dict]:
         """Trial records in write order, deduplicated on (cell, seed)."""
         seen: Set[Tuple[str, int]] = set()
-        for record in self._records():
+        for record in read_jsonl(self.path):
             if record.get("kind") != TRIAL_KIND:
                 continue
             key = (record["cell"], record["seed"])

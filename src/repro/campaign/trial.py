@@ -11,7 +11,7 @@ debugging always agree.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -41,53 +41,6 @@ def classify_trial(outcomes: Dict[str, int]) -> str:
     if outcomes.get(Outcome.DETECTED_UNRECOVERABLE.value, 0):
         return "due"
     return "recovered"
-
-
-class _TrialContext:
-    """Per-worker memo of assembled programs.
-
-    A pool worker receives many trials for the same handful of workloads;
-    assembling a kernel from source on every ``load_workload`` call was
-    measurable against trials that simulate only a few thousand
-    instructions. The context lives at module level, so it persists for
-    the lifetime of the worker process, and programs are immutable
-    (``Instruction`` is frozen) so sharing one instance across trials is
-    safe.
-
-    The memo is LRU-bounded (``cap`` workloads): a long multi-workload
-    grid recycles the same worker processes for every cell, and an
-    unbounded memo grows worker RSS with every workload the grid visits.
-    Recency order is maintained on every hit, so the grid's active
-    workloads stay resident.
-    """
-
-    __slots__ = ("programs",)
-
-    #: workloads kept
-    cap = 8
-
-    def __init__(self) -> None:
-        self.programs: "OrderedDict[str, object]" = OrderedDict()
-
-    def program(self, workload: str):
-        """The assembled :class:`~repro.isa.program.Program` (memoized)."""
-        programs = self.programs
-        prog = programs.get(workload)
-        if prog is None:
-            from repro.workloads import load_workload
-            prog = load_workload(workload)
-        programs[workload] = prog
-        programs.move_to_end(workload)
-        while len(programs) > self.cap:
-            programs.popitem(last=False)
-        return prog
-
-    def clear(self) -> None:
-        self.programs.clear()
-
-
-#: the process-wide context trials and prefix builds pull programs from
-CONTEXT = _TrialContext()
 
 
 @dataclass(frozen=True)
@@ -281,8 +234,9 @@ def run_trial(trial: TrialSpec) -> TrialResult:
     """
     from repro.harness.runner import run_scheme
     from repro.redundancy.pair import SimulationHang
+    from repro.workloads import load_workload
 
-    program = CONTEXT.program(trial.workload)
+    program = load_workload(trial.workload)
     injector = build_injector(trial)
     try:
         res = run_scheme(trial.scheme, program, injector=injector,

@@ -21,8 +21,7 @@ hatch for the objects that must *not* be copied by value:
   in a per-process page pool, and restored as a
   :class:`~repro.isa.memory.CowPagedMemory` — so the epochs of one
   prefix (and every restore from them) share unchanged pages instead of
-  copying the memory image;
-* the disabled-telemetry ``NULL_REGISTRY`` singleton keeps its identity.
+  copying the memory image.
 
 Everything else — pipelines, ROBs, commit gates, CB/CSB/check-queue
 structures, injector RNG streams, telemetry counters — round-trips
@@ -40,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.isa.instructions import Instruction
 from repro.isa.memory import CowPagedMemory, PagedMemory
 from repro.isa.program import Program
-from repro.telemetry import NULL_REGISTRY
 
 #: content-interning pool type: canonical page ``bytes`` keyed by value
 PagePool = Dict[bytes, bytes]
@@ -82,10 +80,10 @@ def instruction_index(program: Program) -> Dict[int, int]:
     In-flight pipeline records (fetch buffer, ROB, issue queue) reference
     the program's ``Instruction`` objects; storing them by index keeps
     them out of the payload and re-bound to the shared program on
-    restore. Callers should memoize this per program (the campaign cache
-    does).
+    restore. It is cheap (a program has at most ~90 instructions), so
+    the prefix cache computes it once per prefix build.
     """
-    # simlint: off=SIM104 — the cache memoizes this per *live* program
+    # simlint: off=SIM104 — programs live for the process (repro.workloads)
     return {id(ins): i for i, ins in enumerate(program.instructions)}
 
 
@@ -97,7 +95,7 @@ class _SnapshotPickler(pickle.Pickler):
                  mems: List[Dict[int, bytes]]) -> None:
         super().__init__(stream, protocol=pickle.HIGHEST_PROTOCOL)
         self._program = program
-        self._ins_index = ins_index
+        self._positions = ins_index
         self._pool = pool
         self._mems = mems
         self._mem_ids: Dict[int, int] = {}
@@ -113,13 +111,11 @@ class _SnapshotPickler(pickle.Pickler):
     def persistent_id(self, obj: Any) -> Optional[Tuple[Any, ...]]:
         if obj is self._program:
             return ("program",)
-        if obj is NULL_REGISTRY:
-            return ("nullreg",)
         cls = type(obj)
         if cls is Instruction:
             # every keyed object is alive for this pickling pass (the
             # pickle memo's own id-keying contract)
-            index = self._ins_index.get(id(obj))  # simlint: off=SIM104
+            index = self._positions.get(id(obj))  # simlint: off=SIM104
             # instructions synthesized outside the program (the fetch
             # stage's out-of-range HALT) travel by value
             return None if index is None else ("ins", index)
@@ -150,8 +146,6 @@ class _SnapshotUnpickler(pickle.Unpickler):
             return self._program.instructions[pid[1]]
         if tag == "program":
             return self._program
-        if tag == "nullreg":
-            return NULL_REGISTRY
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 

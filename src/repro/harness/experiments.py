@@ -21,7 +21,7 @@ from repro.reunion.system import ReunionSystem
 from repro.unsync.comm_buffer import cb_entries_for
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig
-from repro.workloads.suites import benchmark_names, load_benchmark
+from repro.workloads import load_benchmark
 
 #: benchmarks the Figure 4/5 discussion highlights
 FIG4_DEFAULT = ("bzip2", "ammp", "galgel", "gzip", "parser", "vpr",

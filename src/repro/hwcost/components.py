@@ -91,7 +91,7 @@ def crc_generator(tech: TechNode = TECH_65NM) -> Component:
     return Component("crc_generator", area, power)
 
 
-def csb_array(entries: int = 17, entry_bits: int = CSB_ENTRY_BITS) -> Component:
+def csb_array(entries: int, entry_bits: int = CSB_ENTRY_BITS) -> Component:
     """CHECK-stage buffer: 1W + 3R ported array at 10.40 µm²/bit.
 
     The paper's sanity check: at FI=50 the CSB alone reaches 39,125 µm² —
@@ -127,9 +127,15 @@ def forwarding_datapath() -> Component:
 
     The residue of the CHECK stage once CSB and CRC are carved out; the
     paper attributes 34% extra metal wiring and the resulting load
-    capacitance to it (Sec IV-4).
+    capacitance to it (Sec IV-4). The CSB carved out is the one at
+    Table II's synthesis point, sized as ``synthesize`` sizes it.
     """
-    csb = csb_array()
+    from repro.reunion.check_stage import ReunionParams
+    from repro.reunion.csb import csb_entries_for
+
+    point = ReunionParams()
+    csb = csb_array(csb_entries_for(point.fingerprint_interval,
+                                    point.comparison_latency))
     crc = crc_generator()
     area = CHECK_STAGE_AREA_UM2 - csb.area_um2 - crc.area_um2
     # the datapaths toggle every cycle and drive long wires: they carry

@@ -14,8 +14,10 @@ Public entry points:
 * :class:`~repro.isa.instructions.Opcode` / :class:`~repro.isa.instructions.InstrClass`
 * :func:`~repro.isa.assembler.assemble` — assembly text to :class:`Program`.
 * :class:`~repro.isa.program.Program` — code + data image.
-* :func:`~repro.isa.encoding.encode` / :func:`~repro.isa.encoding.decode`
-  — 32-bit binary form, used by the fault injector to flip instruction bits.
+
+:mod:`repro.isa.encoding` holds the 32-bit binary form
+(``encode``/``decode``); nothing in the simulator uses it yet. It is
+imported from that module, not re-exported here.
 """
 
 from repro.isa.instructions import (
@@ -28,7 +30,6 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program, DataSegment
 from repro.isa.assembler import assemble, AssemblerError
-from repro.isa.encoding import encode, decode, EncodingError
 
 __all__ = [
     "Instruction",
@@ -41,7 +42,4 @@ __all__ = [
     "DataSegment",
     "assemble",
     "AssemblerError",
-    "encode",
-    "decode",
-    "EncodingError",
 ]

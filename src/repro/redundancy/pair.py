@@ -39,7 +39,7 @@ from repro.mem.hierarchy import MemPort
 from repro.mem.l2 import SharedL2
 from repro.mem.prewarm import prewarm_l2
 from repro.redundancy.stats import RunResult, WriteBuffer
-from repro.telemetry import NULL_REGISTRY, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.events import (
     FAULT_DETECTED, FAULT_DUE, FAULT_INJECTED, FAULT_MULTIBIT, FAULT_SDC,
     RECOVERY_ABORT, RECOVERY_REENTRY, WATCHDOG_TRIP,
@@ -83,12 +83,10 @@ class DualCoreSystem:
         self.name = name or program.name
         # telemetry sinks, bound before gates/ports so make_gate overrides
         # and the MemPorts can pick them up. `_ev is None` is the hot-path
-        # "disabled" test (same idiom as Pipeline.tracer); `_met` is the
-        # null registry when disabled so warm paths may call through.
+        # "disabled" test (same idiom as Pipeline.tracer); histograms go
+        # through `_observe`.
         self.telemetry = telemetry
         self._ev = telemetry.events if telemetry is not None else None
-        self._met = telemetry.metrics if telemetry is not None \
-            else NULL_REGISTRY
         self.injector = injector
         self.fault_events: List[FaultEvent] = []
         self._next_strike: Optional[Strike] = None
@@ -190,6 +188,11 @@ class DualCoreSystem:
             self.fault_events.append(event)
             self._arm_next_strike(now)
 
+    def _observe(self, histogram: str, value: float) -> None:
+        """Record ``value`` in a telemetry histogram; nothing when off."""
+        if self.telemetry is not None:
+            self.telemetry.metrics.histogram(histogram).observe(value)
+
     # -- verdicts ------------------------------------------------------------
     # With _compared and _strike_during_recovery, the only code that labels
     # a strike detected or silent (tests/test_verdict_path.py pins this);
@@ -250,12 +253,11 @@ class DualCoreSystem:
         if matured:
             self._awaiting = [(t, e) for t, e in self._awaiting
                               if progress <= t]
-            histogram = self._met.histogram(
-                f"{self.scheme}.detection.latency")
+            name = f"{self.scheme}.detection.latency"
             for event in matured:
                 event.outcome = Outcome.DETECTED_RECOVERED
                 event.detection_latency = max(0, now - event.cycle)
-                histogram.observe(event.detection_latency)
+                self._observe(name, event.detection_latency)
         return matured
 
     # -- the recovery window ---------------------------------------------------

@@ -211,7 +211,7 @@ class ReunionSystem(DualCoreSystem):
             latency = max(0, now - event.cycle)
             self._detected(now, event, latency, block=event.block,
                            group=group, latency=latency)
-            self._met.histogram("reunion.detection.latency").observe(latency)
+            self._observe("reunion.detection.latency", latency)
         del unbound[:len(compared)]
 
     # -- rollback -------------------------------------------------------------
@@ -223,7 +223,7 @@ class ReunionSystem(DualCoreSystem):
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "check", dur=penalty,
                           args={"group": group})
-        self._met.histogram("reunion.rollback.penalty").observe(penalty)
+        self._observe("reunion.rollback.penalty", penalty)
         committed = []
         for core_id, pipeline in enumerate(self.pipelines):
             pipeline.flush_pipeline()

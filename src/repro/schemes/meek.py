@@ -217,7 +217,7 @@ class MEEKSystem(DualCoreSystem):
         self.rechecks += 1
         penalty = self.recheck_penalty + len(self.check_queue)
         self._open_recovery(now, penalty, self.recheck_retry_budget)
-        self._met.histogram("meek.recheck.penalty").observe(penalty)
+        self._observe("meek.recheck.penalty", penalty)
         self.pipelines[0].flush_pipeline()
 
     # -- driving ------------------------------------------------------------

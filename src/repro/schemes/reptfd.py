@@ -236,7 +236,7 @@ class RepTFDSystem(DualCoreSystem):
         if self._ev is not None:
             self._ev.emit(ROLLBACK, now, "replay", dur=penalty,
                           args={"window": lag_window})
-        self._met.histogram("reptfd.rollback.penalty").observe(penalty)
+        self._observe("reptfd.rollback.penalty", penalty)
         for pipeline in self.pipelines:
             pipeline.flush_pipeline()
 

@@ -12,14 +12,20 @@ is not terminal (``finished``/``failed``/``cancelled``) was in flight
 when the server died; on startup the scheduler resubmits it against its
 recorded store, and the store's (cell, seed) keying guarantees the
 resumed campaign re-runs only the missing trials — no trial lost, none
-duplicated. The reader tolerates exactly one torn final line (a server
-killed mid-append), the same contract as the campaign store.
+duplicated. The file is read and repaired by the campaign store's
+:func:`~repro.campaign.store.read_jsonl` and
+:func:`~repro.campaign.store.repair_jsonl`, so a torn final line (a
+server killed mid-append) is dropped and garbage before it raises,
+exactly as for a campaign store.
 
 Adoption is exclusive: :meth:`JobJournal.acquire_lock` takes an
 ``O_CREAT | O_EXCL`` lock file next to the journal so two servers
 pointed at the same data dir cannot both re-adopt (and both restart)
 the same orphaned jobs. A lock left behind by a dead process is
-detected by pid liveness and broken automatically.
+detected by pid liveness and broken automatically. A lock that carries
+this process's own pid is live only while a journal in this process
+holds it: a server restarted under its dead predecessor's pid (pid 1 in
+a restarted container) breaks the old lock.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional, Set
+
+from repro.campaign.store import read_jsonl, repair_jsonl
 
 #: job states a journal replay can surface
 TERMINAL_EVENTS = frozenset({"finished", "failed", "cancelled"})
@@ -61,6 +69,9 @@ class JournalEntry:
 class JobJournal:
     """One service instance's job-event JSONL."""
 
+    #: lock paths the journals of this process hold
+    _held: ClassVar[Set[str]] = set()
+
     def __init__(self, path, chaos=None) -> None:
         self.path = os.fspath(path)
         self.chaos = chaos
@@ -69,7 +80,7 @@ class JobJournal:
     # -- exclusive adoption -------------------------------------------------
     @property
     def lock_path(self) -> str:
-        return self.path + ".lock"
+        return os.path.abspath(self.path) + ".lock"
 
     def acquire_lock(self) -> None:
         """Take exclusive ownership of this journal or raise.
@@ -105,6 +116,7 @@ class JobJournal:
                 json.dump({"pid": os.getpid(), "created": time.time()}, fh)
                 fh.flush()
             self._locked = True
+            JobJournal._held.add(self.lock_path)
             return
         raise JournalLocked(
             f"could not win the lock race for {self.lock_path!r}")
@@ -113,6 +125,7 @@ class JobJournal:
         if not self._locked:
             return
         self._locked = False
+        JobJournal._held.discard(self.lock_path)
         try:
             os.unlink(self.lock_path)
         except FileNotFoundError:
@@ -130,9 +143,9 @@ class JobJournal:
         pid = holder.get("pid")
         if isinstance(pid, int):
             if pid == os.getpid():
-                # another journal instance in this very process — a
-                # second scheduler, not a dead one
-                return False
+                # live only if a journal in this process holds it (a
+                # second scheduler); else a dead holder had our pid
+                return self.lock_path not in JobJournal._held
             try:
                 os.kill(pid, 0)
             except ProcessLookupError:
@@ -147,29 +160,11 @@ class JobJournal:
 
     # -- writing ------------------------------------------------------------
     def repair(self) -> bool:
-        """Heal a torn trailing append before writing after it.
-
-        A complete-but-newline-less final record gets its newline; a
-        truly torn fragment is truncated away (its event is lost, which
-        is crash-equivalent: re-adoption re-runs only missing trials).
-        Returns True if the file was modified.
-        """
-        if not os.path.exists(self.path):
-            return False
-        with open(self.path, "rb+") as fh:
-            data = fh.read()
-            if not data or data.endswith(b"\n"):
-                return False
-            cut = data.rfind(b"\n") + 1
-            try:
-                json.loads(data[cut:].decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                fh.seek(cut)
-                fh.truncate()
-            else:
-                fh.write(b"\n")
-            fh.flush()
-            return True
+        """Heal a torn trailing append before writing after it
+        (:func:`~repro.campaign.store.repair_jsonl`): a lost event is
+        crash-equivalent, since re-adoption re-runs only missing trials.
+        Returns True if the file was modified."""
+        return repair_jsonl(self.path)
 
     def record(self, event: str, job_id: str, **fields: object) -> None:
         """Durably append one state transition."""
@@ -210,25 +205,15 @@ class JobJournal:
         """Each journaled job's last state, in first-submission order.
 
         A torn final line (server killed mid-append) is dropped;
-        non-final garbage raises, mirroring the campaign store's
-        corruption contract. Keys a record carries beyond the ones read
-        here are ignored, so journals from older versions still replay.
+        non-final garbage raises
+        :class:`~repro.campaign.store.StoreCorruption` (a ``ValueError``).
+        Keys a record carries beyond the ones read here are ignored, so
+        journals from older versions still replay.
         """
         if not os.path.exists(self.path):
             return []
-        with open(self.path) as fh:
-            lines = fh.read().splitlines()
         jobs: Dict[str, JournalEntry] = {}
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break  # torn final line from a killed server
-                raise ValueError(
-                    f"{self.path}:{i + 1}: unparsable journal record")
+        for record in read_jsonl(self.path):
             event = record.get("event")
             job_id = record.get("job_id")
             if not job_id:

@@ -20,7 +20,10 @@ Rollups for the dashboard are fed by the store's ``on_append`` observer:
 every durable trial record also updates a per-job
 :class:`~repro.campaign.aggregate.Aggregator` and the service
 :class:`~repro.telemetry.metrics.MetricsRegistry` under a lock, so the
-SSE stream reads a consistent snapshot without touching any file.
+SSE stream reads a consistent snapshot without touching any file. A
+re-adopted job's aggregate starts from the trials its store already
+holds, so it counts every trial of the job, not only this server's;
+the service's trial counters and trials/sec window count only new ones.
 """
 
 from __future__ import annotations
@@ -73,12 +76,18 @@ class Job:
     error: Optional[str] = None
     #: deterministic portion of the final summary (DONE jobs only)
     summary: Optional[Dict] = None
-    #: live aggregate fed by the store's on_append observer
+    #: live aggregate: the store's trials when the job started, then
+    #: every trial its store's on_append observer sees
     agg: Aggregator = field(default_factory=Aggregator)
-    trials_done: int = 0
     cancel_requested: bool = False
     #: set to make the engine stop at the next wave boundary
     stop_event: threading.Event = field(default_factory=threading.Event)
+
+    @property
+    def trials_done(self) -> int:
+        # a copy of the cells, taken at once: the engine thread may be
+        # adding one
+        return sum(cell.trials for cell in list(self.agg.cells.values()))
 
     def status(self) -> Dict:
         """JSON-ready status for the HTTP API."""
@@ -225,7 +234,6 @@ class JobScheduler:
         now = time.monotonic()
         with self._lock:
             job.agg.add(result)
-            job.trials_done += 1
             self._completions.append(now)
             while self._completions and \
                     self._completions[0] < now - RATE_WINDOW_S:
@@ -301,12 +309,20 @@ class JobScheduler:
         """Worker-thread body: the unmodified campaign engine, its waves
         fanned out by a :class:`WaveDispatcher` (which runs a wave in
         this process whenever no worker is live)."""
+        store = self._make_store(job)
+        if store.exists():
+            # a re-adopted job: count what an earlier server already ran
+            done = [TrialResult.from_record(record)
+                    for record in store.iter_trials()]
+            with self._lock:
+                for result in done:
+                    job.agg.add(result)
         dispatcher = WaveDispatcher(
             self.broker, job_id=job.job_id,
             expect_workers=self.expect_workers,
             worker_wait=self.worker_wait, metrics=self.metrics)
         return run_campaign(
-            job.spec, self._make_store(job), workers=job.workers,
+            job.spec, store, workers=job.workers,
             runner=self.runner, should_stop=job.stop_event.is_set,
             executor=dispatcher)
 

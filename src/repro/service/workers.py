@@ -97,6 +97,11 @@ class WorkerInfo:
     leases: Set[str] = field(default_factory=set)
 
 
+#: what the broker counts, as ``service.lease.<name>`` registry counters
+LEASE_COUNTS = ("granted", "completed", "expired", "requeued", "abandoned",
+                "rejected")
+
+
 class LeaseBroker:
     """Coordinator-side lease/worker state. Thread-safe.
 
@@ -127,14 +132,9 @@ class LeaseBroker:
         self._queue: List[str] = []
         self._worker_seq = itertools.count(1)
         self.ever_registered = False
-        self.counters: Dict[str, int] = {
-            "granted": 0, "completed": 0, "expired": 0, "requeued": 0,
-            "abandoned": 0, "rejected": 0,
-        }
         self.recovery_latencies: List[float] = []
 
     def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] += amount
         self.metrics.counter(f"service.lease.{name}").inc(amount)
 
     # -- worker lifecycle ---------------------------------------------------
@@ -337,10 +337,14 @@ class LeaseBroker:
             self._cv.wait(timeout=timeout)
 
     def stats(self) -> Dict:
+        # a snapshot, not ``counter()``, which would register the counts
+        # not yet taken
+        registry = self.metrics.snapshot()["counters"]
         with self._cv:
             latencies = list(self.recovery_latencies)
             return {
-                "counters": dict(self.counters),
+                "counters": {name: registry.get(f"service.lease.{name}", 0)
+                             for name in LEASE_COUNTS},
                 "live_workers": self._live_locked(),
                 "ever_registered": self.ever_registered,
                 "recovery_latencies": latencies,
@@ -406,7 +410,7 @@ class WaveDispatcher:
                 if self.broker.live_workers() > 0:
                     return True
                 self.broker.wait(timeout=min(
-                    0.05, max(0.0, deadline - self.clock())))
+                    self.poll_interval, max(0.0, deadline - self.clock())))
             if not self.broker.ever_registered:
                 # nobody ever showed up: stop re-checking every wave
                 self._local_only = True

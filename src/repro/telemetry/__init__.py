@@ -9,9 +9,10 @@ One :class:`Telemetry` object bundles the two sinks the simulators feed:
 
 Systems take ``telemetry=None`` (the default: disabled). Hot paths bind
 ``events`` once and use the ``if sink is not None`` idiom from
-``core/pipeline.py``, so a disabled run pays at most a handful of
-``None`` checks on already-cold branches; warm paths may instead go
-through :data:`NULL_REGISTRY` whose instruments are shared no-ops.
+``core/pipeline.py``, and the systems observe a histogram only through
+``DualCoreSystem._observe``, which does nothing without telemetry; so a
+disabled run pays at most a handful of ``None`` checks on already-cold
+branches.
 
 Usage::
 
@@ -28,9 +29,7 @@ Usage::
 from __future__ import annotations
 
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import (
-    Counter, Gauge, Histogram, MetricsRegistry, NullRegistry, NULL_REGISTRY,
-)
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class Telemetry:
@@ -43,7 +42,7 @@ class Telemetry:
 
 __all__ = [
     "Telemetry",
-    "MetricsRegistry", "NullRegistry", "NULL_REGISTRY",
+    "MetricsRegistry",
     "Counter", "Gauge", "Histogram",
     "EventLog",
 ]

@@ -1,17 +1,11 @@
 """Hierarchical metrics registry: counters, gauges, histograms.
 
 Metric names are dotted paths (``unsync.cb.full_stalls``,
-``core0.l1d.misses``) so summaries can roll up by prefix. Two backends
-share one interface:
-
-* :class:`MetricsRegistry` — the live backend; every instrument records.
-* :class:`NullRegistry` — the disabled backend; every lookup returns a
-  shared no-op singleton, so instrumented code can call
-  ``metrics.counter("x").inc()`` unconditionally and pay only an empty
-  method call when telemetry is off. Hot loops should prefer the
-  ``if sink is not None`` idiom from ``core/pipeline.py`` instead; the
-  null backend exists for warm paths (recovery episodes, drains, result
-  rollups) where an extra call per *event* is irrelevant.
+``core0.l1d.misses``) so summaries can roll up by prefix. There is one
+backend, :class:`MetricsRegistry`; a run with telemetry off has no
+registry at all, and instrumented code tests for that (the systems'
+``DualCoreSystem._observe`` and the ``if sink is not None`` idiom from
+``core/pipeline.py``).
 
 Everything here is plain integer/float arithmetic — deterministic and
 order-independent for integral counters, which is what lets the campaign
@@ -48,10 +42,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def track_max(self, value: float) -> None:
-        if value > self.value:
-            self.value = value
 
 
 class Histogram:
@@ -135,77 +125,3 @@ class MetricsRegistry:
             "histograms": {n: h.to_dict()
                            for n, h in sorted(self._histograms.items())},
         }
-
-    def counters_dict(self) -> Dict[str, float]:
-        return {n: c.value for n, c in sorted(self._counters.items())}
-
-
-# ---------------------------------------------------------------------------
-# null backend
-# ---------------------------------------------------------------------------
-class _NullCounter:
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def track_max(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "null"
-    bounds: Tuple[float, ...] = ()
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def to_dict(self) -> Dict:
-        return {"count": 0, "sum": 0.0, "mean": 0.0,
-                "bounds": [], "buckets": [0]}
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRegistry:
-    """Disabled-telemetry backend: every instrument is a shared no-op."""
-
-    def counter(self, name: str) -> _NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def merge_counters(self, flat: Dict[str, float]) -> None:
-        pass
-
-    def snapshot(self) -> Dict:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def counters_dict(self) -> Dict[str, float]:
-        return {}
-
-
-#: module-wide disabled backend (stateless, safe to share)
-NULL_REGISTRY = NullRegistry()

@@ -196,7 +196,7 @@ class UnSyncSystem(DualCoreSystem):
         latency = result.latency_cycles
         self._detected(now, event, latency, block=strike.block,
                        latency=latency, corrected=result.corrected)
-        self._met.histogram("unsync.detection.latency").observe(latency)
+        self._observe("unsync.detection.latency", latency)
         if not result.corrected:
             # corrected (e.g. SECDED) is fixed in place, no recovery;
             # detected-only raises the pair-wide recovery interrupt
@@ -283,8 +283,7 @@ class UnSyncSystem(DualCoreSystem):
                                 "regfile_copy": plan.regfile_copy_cycles,
                                 "l1_copy": plan.l1_copy_cycles,
                                 "cb_copy": plan.cb_copy_cycles})
-        self._met.histogram("unsync.recovery.duration").observe(
-            plan.total_cycles)
+        self._observe("unsync.recovery.duration", plan.total_cycles)
 
         # steps 2-3: flush the erroneous pipeline, adopt the clean state
         bad.flush_pipeline()

@@ -9,10 +9,7 @@ generated instruction soup.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-from repro.isa.assembler import assemble
-from repro.isa.program import Program
+from typing import Dict
 
 DOT_PRODUCT = """
 # dot product of two 64-element vectors (a[i] = i+1, b[i] = 2i+1)
@@ -498,10 +495,3 @@ KERNELS: Dict[str, str] = {
     "crc8_table": CRC32_TABLE,
 }
 
-
-def load_kernel(name: str) -> Program:
-    """Assemble a hand-written kernel by name."""
-    if name not in KERNELS:
-        raise KeyError(f"unknown kernel {name!r}; "
-                       f"known: {', '.join(sorted(KERNELS))}")
-    return assemble(KERNELS[name], name=name)

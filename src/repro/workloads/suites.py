@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.program import Program
-from repro.workloads.generator import generated_program
 from repro.workloads.profiles import PROFILES, WorkloadProfile
 
 SPEC2000: Dict[str, WorkloadProfile] = {
@@ -13,8 +11,6 @@ SPEC2000: Dict[str, WorkloadProfile] = {
 MIBENCH: Dict[str, WorkloadProfile] = {
     name: p for name, p in PROFILES.items() if p.suite == "mibench"}
 ALL_BENCHMARKS: Dict[str, WorkloadProfile] = dict(PROFILES)
-
-_cache: Dict[str, Program] = {}
 
 
 def benchmark_names(suite: str = "all") -> List[str]:
@@ -27,13 +23,3 @@ def benchmark_names(suite: str = "all") -> List[str]:
         return sorted(ALL_BENCHMARKS)
     raise ValueError(f"unknown suite {suite!r}")
 
-
-def load_benchmark(name: str) -> Program:
-    """Assembled program for benchmark ``name`` (cached — programs are
-    deterministic in the profile seed)."""
-    if name not in ALL_BENCHMARKS:
-        raise KeyError(f"unknown benchmark {name!r}; "
-                       f"known: {', '.join(sorted(ALL_BENCHMARKS))}")
-    if name not in _cache:
-        _cache[name] = generated_program(ALL_BENCHMARKS[name])
-    return _cache[name]

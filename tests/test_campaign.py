@@ -150,13 +150,17 @@ def test_store_mid_file_garbage_is_corruption(tmp_path):
         list(store.iter_trials())
 
 
-def test_store_repair_truncates_torn_line(tmp_path):
+# the second tail is cut inside a multi-byte character: not UTF-8
+@pytest.mark.parametrize("tail", [b'{"torn":', b'{"kind": "trial", "c\xc3'],
+                         ids=["torn-json", "not-utf8"])
+def test_store_repair_truncates_torn_line(tmp_path, tail):
     path = tmp_path / "c.jsonl"
     store = ResultStore(path)
     store.create(small_spec())
     good = path.read_bytes()
-    with open(path, "a") as fh:
-        fh.write('{"torn":')
+    with open(path, "ab") as fh:
+        fh.write(tail)
+    assert list(store.iter_trials()) == []
     assert store.repair() is True
     assert path.read_bytes() == good
     assert store.repair() is False  # idempotent
@@ -442,12 +446,14 @@ def test_cli_campaign_summarize_missing_store(tmp_path):
               str(tmp_path / "absent.jsonl")])
 
 
-def test_trial_context_memoizes_programs():
-    from repro.campaign.trial import _TrialContext
+def test_each_workload_is_assembled_once_per_process():
+    from repro.workloads import (
+        ALL_BENCHMARKS, load_benchmark, load_kernel, load_workload,
+        workload_names,
+    )
 
-    ctx = _TrialContext()
-    prog1 = ctx.program("fibonacci")
-    prog2 = ctx.program("fibonacci")
-    assert prog1 is prog2                      # assembled exactly once
-    ctx.clear()
-    assert ctx.program("fibonacci") is not prog1
+    for name in workload_names():
+        program = load_workload(name)
+        assert load_workload(name) is program
+        loader = load_benchmark if name in ALL_BENCHMARKS else load_kernel
+        assert loader(name) is program

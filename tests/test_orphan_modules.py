@@ -20,8 +20,10 @@ ROOTS = ("repro", "repro.__main__", "repro.cli")
 
 #: reached only from tests and examples until campaign outcome labels
 #: propagate undetected strikes through them (ROADMAP.md, "Outcome labels
-#: that hold up")
-AWAITING_CALLER = {"repro.faults.sdc", "repro.faults.avf"}
+#: that hold up"); ``repro.isa.encoding`` is how a struck ``l1i_data``
+#: word will be re-decoded there
+AWAITING_CALLER = {"repro.faults.sdc", "repro.faults.avf",
+                   "repro.isa.encoding"}
 
 
 def _modules():

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignError, CampaignSpec, TrialResult
+from repro.campaign.engine import run_campaign
 from repro.service import journal as journal_mod
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal, JournalLocked
@@ -155,6 +156,20 @@ def test_journal_stale_lock_is_broken(tmp_path, monkeypatch):
     journal.release_lock()
 
 
+def test_journal_lock_with_our_pid_and_no_holder_is_broken(tmp_path):
+    """A server restarted under its dead predecessor's pid (pid 1 in a
+    restarted container) takes over the lock that predecessor left; a
+    live journal of this process still blocks a second one."""
+    journal = JobJournal(tmp_path / "journal.jsonl")
+    with open(journal.lock_path, "w") as fh:
+        json.dump({"pid": os.getpid(), "created": time.time()}, fh)
+    journal.acquire_lock()
+    with pytest.raises(JournalLocked):
+        JobJournal(tmp_path / "journal.jsonl").acquire_lock()
+    journal.release_lock()
+    assert not os.path.exists(journal.lock_path)
+
+
 # ---------------------------------------------------------------------------
 # scheduler
 # ---------------------------------------------------------------------------
@@ -224,8 +239,8 @@ def test_adopt_orphans_resumes_without_duplicates(tmp_path):
     run_until_settled(sched2)
     assert adopted[0].state == DONE
     # resumed 2, ran 4 — and every (cell, seed) appears exactly once
-    records = [json.loads(line)
-               for line in open(job.store_path)][1:]
+    with open(job.store_path) as fh:
+        records = [json.loads(line) for line in fh][1:]
     keys = [(r["cell"], r["seed"]) for r in records]
     assert len(keys) == 6
     assert len(set(keys)) == 6
@@ -269,7 +284,30 @@ def test_drain_suspends_running_job_for_readoption(tmp_path):
     adopted = sched2.adopt_orphans()
     run_until_settled(sched2)
     assert adopted[0].state == DONE
-    assert adopted[0].trials_done + job.trials_done == 6
+    assert adopted[0].trials_done == 6  # the suspended run's trials too
+
+
+def test_readopted_job_counts_the_trials_its_store_held(tmp_path):
+    """Re-adopted with 4 of its 8 trials on disk, a job ends counting all
+    8, while the service's trial counter counts the 4 this server ran."""
+    spec = small_spec(trials=8, batch=4)
+    full = tmp_path / "full.jsonl"
+    run_campaign(spec, full, workers=1, runner=fast_runner)
+    store = tmp_path / "job-000001" / "store.jsonl"
+    store.parent.mkdir()
+    store.write_bytes(b"".join(full.read_bytes().splitlines(True)[:5]))
+    JobJournal(tmp_path / "journal.jsonl").submitted(
+        "job-000001", spec=spec.to_dict(), store=str(store), workers=1,
+        fingerprint=spec.fingerprint())
+    sched = make_scheduler(tmp_path)
+    [job] = sched.adopt_orphans()
+    run_until_settled(sched)
+    assert job.state == DONE
+    assert job.trials_done == job.status()["total_trials"] == 8
+    assert sched.rollup()["totals"]["trials"] == 8
+    assert sched.metrics.snapshot()["counters"][
+        "service.trials.completed"] == 4
+    assert store.read_bytes() == full.read_bytes()
 
 
 def test_drain_under_cancellation_storm(tmp_path):
@@ -376,7 +414,10 @@ def service(tmp_path, monkeypatch):
     def run():
         asyncio.set_event_loop(loop)
         loop.run_until_complete(svc.start())
-        loop.run_forever()
+        try:
+            loop.run_forever()
+        finally:
+            loop.close()
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()

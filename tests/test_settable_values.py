@@ -20,7 +20,6 @@ from repro import cli
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import execute_trials
 from repro.campaign.progress import Ticker
-from repro.campaign.trial import _TrialContext
 from repro.faults import ser
 from repro.faults.adversarial import AdversarialInjector
 from repro.hwcost.components import CB_ENTRIES
@@ -197,7 +196,6 @@ def test_runtime_constants_keep_their_values():
     assert CampaignService.stream_interval == 1.0
     assert ServiceClient.poll_interval == 0.2
     assert Ticker.interval == 0.5
-    assert _TrialContext.cap == 8
     assert cli.NODE_ACCELERATION == 1e12
     assert (ser.FREQUENCY_HZ, ser.IPC) == (2e9, 1.0)
     assert EventLog.limit == 200_000

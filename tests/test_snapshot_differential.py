@@ -48,7 +48,7 @@ from repro.campaign.snapshot import (
 )
 from repro.campaign.spec import CampaignSpec, TrialSpec
 from repro.campaign.store import ResultStore
-from repro.campaign.trial import _TrialContext, run_trial
+from repro.campaign.trial import run_trial
 from repro.checkpoint.snapshot import (
     SnapshotUnsupported,
     capture_system,
@@ -266,16 +266,6 @@ def test_cow_memory_equals_plain_memory():
 # ---------------------------------------------------------------------------
 # worker-local memo bounds
 # ---------------------------------------------------------------------------
-def test_trial_context_memos_are_lru_bounded(monkeypatch):
-    monkeypatch.setattr(_TrialContext, "cap", 2)
-    ctx = _TrialContext()
-    ctx.program("fibonacci")
-    ctx.program("checksum")
-    ctx.program("fibonacci")  # refresh: fibonacci is now most recent
-    ctx.program("gzip")
-    assert list(ctx.programs) == ["fibonacci", "gzip"]  # checksum evicted
-
-
 def test_prefix_cache_is_lru_bounded():
     cache = PrefixSnapshotCache(max_prefixes=2)
     for scheme in ("unsync", "reunion", "reptfd"):

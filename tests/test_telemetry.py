@@ -7,7 +7,7 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.harness.runner import run_scheme
-from repro.telemetry import NULL_REGISTRY, MetricsRegistry, Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.chrome import to_chrome, validate_chrome, write_chrome
 from repro.telemetry.events import (
     CB_DRAIN, EIH_INTERRUPT, EIH_RECOVERY, EventLog, FAULT_DETECTED,
@@ -32,10 +32,9 @@ def test_counter_gauge_histogram_basics(monkeypatch):
     reg.counter("a.b").inc()
     reg.counter("a.b").inc(4)
     assert reg.counter("a.b").value == 5
-    reg.gauge("occ").set(3)
-    reg.gauge("occ").track_max(7)
-    reg.gauge("occ").track_max(2)
-    assert reg.gauge("occ").value == 7
+    reg.gauge("occ").set(7)
+    reg.gauge("occ").set(2)
+    assert reg.gauge("occ").value == 2
     h = reg.histogram("lat")
     for v in (5, 50, 500):
         h.observe(v)
@@ -59,16 +58,13 @@ def test_merge_counters_and_snapshot():
     json.dumps(snap)  # JSON-ready
 
 
-def test_null_registry_is_shared_noop():
-    c = NULL_REGISTRY.counter("anything")
-    assert c is NULL_REGISTRY.counter("else")
-    c.inc(100)
-    assert c.value == 0
-    NULL_REGISTRY.histogram("h").observe(5)
-    NULL_REGISTRY.gauge("g").track_max(5)
-    NULL_REGISTRY.merge_counters({"a": 1})
-    assert NULL_REGISTRY.snapshot() == {"counters": {}, "gauges": {},
-                                        "histograms": {}}
+def test_systems_observe_histograms_only_with_telemetry():
+    from repro.redundancy.pair import BaselineSystem
+    program = load_workload("fibonacci")
+    tel = Telemetry()
+    BaselineSystem(program, telemetry=tel)._observe("x.latency", 5)
+    assert tel.metrics.snapshot()["histograms"]["x.latency"]["count"] == 1
+    BaselineSystem(program)._observe("x.latency", 5)  # off: nothing to feed
 
 
 # ---------------------------------------------------------------------------

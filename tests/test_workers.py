@@ -23,6 +23,7 @@ from repro.campaign.store import ResultStore
 from repro.service.server import CampaignService, spec_from_request
 from repro.service.workers import (ABANDONED, PENDING, Lease, LeaseBroker,
                                    WaveDispatcher, WorkerClient, run_worker)
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def small_spec(**overrides):
@@ -122,8 +123,24 @@ def test_broker_register_claim_complete():
     assert broker.complete(worker_id, "L1", records) is False
     state, got = broker.poll(["L1"])["L1"]
     assert state == "done" and got == records
-    assert broker.counters["completed"] == 1
-    assert broker.counters["rejected"] == 1
+    counts = broker.stats()["counters"]
+    assert counts["completed"] == 1 and counts["rejected"] == 1
+
+
+def test_broker_counts_only_in_its_registry():
+    registry = MetricsRegistry()
+    broker = LeaseBroker(lease_ttl=10.0, clock=FakeClock(),
+                         metrics=registry)
+    assert not hasattr(broker, "counters")
+    worker_id = broker.register("alpha")["worker_id"]
+    broker.offer([Lease(lease_id="L1", job_id="j",
+                        trials=wire_trials(small_spec())[:1])])
+    broker.claim(worker_id)
+    # reading the six counts adds no zero-valued counter to the registry
+    assert broker.stats()["counters"] == {
+        "granted": 1, "completed": 0, "expired": 0, "requeued": 0,
+        "abandoned": 0, "rejected": 0}
+    assert registry.snapshot()["counters"] == {"service.lease.granted": 1}
 
 
 def test_broker_unknown_worker_claim_raises():
@@ -160,7 +177,7 @@ def test_expired_lease_requeues_and_late_complete_is_first_wins():
     broker.claim(dead)
     clock.now += 6.0
     assert broker.expire_overdue() == 1
-    assert broker.counters["requeued"] == 1
+    assert broker.stats()["counters"]["requeued"] == 1
     state, _ = broker.poll(["L1"])["L1"]
     assert state == PENDING
     # the presumed-dead worker posts first: its work is valid, accepted
@@ -189,7 +206,7 @@ def test_lease_abandoned_after_requeue_budget(monkeypatch):
     assert broker.expire_overdue() == 1
     state, _ = broker.poll(["L1"])["L1"]
     assert state == ABANDONED
-    assert broker.counters["abandoned"] == 1
+    assert broker.stats()["counters"]["abandoned"] == 1
     # withdrawn for local execution; a late post is now rejected
     taken = broker.withdraw(["L1"])
     assert len(taken) == 1
@@ -432,6 +449,34 @@ def test_journal_repair_completes_newline_less_record(tmp_path):
     assert journal.repair() is False
 
 
+def test_journal_append_drops_a_garbled_complete_final_line(tmp_path):
+    """A final line that ends in its newline but does not parse is
+    dropped before the next append, so it never becomes mid-file garbage
+    that makes every later replay (and so server start) raise."""
+    journal = JobJournal(tmp_path / "j.jsonl")
+    journal.submitted("job-000001", spec={}, store="s", workers=None,
+                      fingerprint="")
+    with open(journal.path, "a") as fh:
+        fh.write('{"event": "fini\n')
+    journal.started("job-000001")
+    assert [e.state for e in journal.replay()] == ["started"]
+
+
+@pytest.mark.parametrize("tail", [b'{"event": "\xff\xfe', b'\xff\xfe\n'],
+                         ids=["fragment", "complete-line"])
+def test_journal_repair_drops_a_tail_that_is_not_utf8(tmp_path, tail):
+    journal = JobJournal(tmp_path / "j.jsonl")
+    journal.submitted("job-000001", spec={}, store="s", workers=None,
+                      fingerprint="")
+    good = (tmp_path / "j.jsonl").read_bytes()
+    with open(journal.path, "ab") as fh:
+        fh.write(tail)
+    # a torn final line, whatever its bytes
+    assert [e.state for e in journal.replay()] == ["submitted"]
+    assert journal.repair() is True
+    assert (tmp_path / "j.jsonl").read_bytes() == good
+
+
 # ---------------------------------------------------------------------------
 # HTTP worker loop end-to-end
 # ---------------------------------------------------------------------------
@@ -452,7 +497,10 @@ def worker_service(tmp_path, monkeypatch):
     def run():
         asyncio.set_event_loop(loop)
         loop.run_until_complete(svc.start())
-        loop.run_forever()
+        try:
+            loop.run_forever()
+        finally:
+            loop.close()
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
@@ -524,8 +572,8 @@ def test_worker_fast_forwards_from_its_prefix_cache(tmp_path,
         assert not worker.is_alive()
         # one wave of four cells: four leases, all finished by the worker
         assert stats["leases"] == 4 and stats["trials"] == 16
-        assert broker.counters["completed"] == 4
-        assert svc.scheduler.metrics.counters_dict().get(
+        assert broker.stats()["counters"]["completed"] == 4
+        assert svc.scheduler.metrics.snapshot()["counters"].get(
             "service.dispatch.local_takeover", 0) == 0
         assert set(CACHE._prefixes) == {("unsync", "fibonacci", None),
                                         ("reunion", "fibonacci", None)}
