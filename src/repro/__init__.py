@@ -27,27 +27,18 @@ Package map (see DESIGN.md for the full inventory):
 
 __version__ = "0.1.0"
 
-from repro.isa import assemble, Program
+from repro.isa.assembler import assemble
 from repro.isa.golden import run as golden_run
-from repro.core import SystemConfig, CoreConfig
-from repro.redundancy import BaselineSystem, RunResult
-from repro.unsync import UnSyncSystem, UnSyncConfig
-from repro.reunion import ReunionSystem, ReunionParams
-from repro.faults import FaultInjector, SERModel
-from repro.workloads import load_benchmark, load_kernel, load_workload, \
-    benchmark_names
-from repro.harness import compare_schemes, run_scheme
-from repro.campaign import CampaignSpec, run_campaign, summarize_store
+from repro.unsync.system import UnSyncSystem, UnSyncConfig
+from repro.faults.injector import FaultInjector
+from repro.workloads import load_benchmark
+from repro.harness.runner import compare_schemes
 
 __all__ = [
     "__version__",
-    "assemble", "Program", "golden_run",
-    "SystemConfig", "CoreConfig",
-    "BaselineSystem", "RunResult",
+    "assemble", "golden_run",
     "UnSyncSystem", "UnSyncConfig",
-    "ReunionSystem", "ReunionParams",
-    "FaultInjector", "SERModel",
-    "load_benchmark", "load_kernel", "load_workload", "benchmark_names",
-    "compare_schemes", "run_scheme",
-    "CampaignSpec", "run_campaign", "summarize_store",
+    "FaultInjector",
+    "load_benchmark",
+    "compare_schemes",
 ]

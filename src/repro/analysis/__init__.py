@@ -25,40 +25,6 @@ discipline) and the "Static analysis" section of the README.
 
 from __future__ import annotations
 
-from repro.analysis.config import LintConfig, load_config
-from repro.analysis.findings import Finding
-from repro.analysis.framework import (
-    FileContext,
-    LintInternalError,
-    Rule,
-    check_source,
-)
-from repro.analysis.rules import ALL_RULES, rule_catalogue
-from repro.analysis.runner import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_INTERNAL_ERROR,
-    LintReport,
-    lint_tree,
-    render_json,
-    render_text,
-)
+from repro.analysis.rules import rule_catalogue
 
-__all__ = [
-    "ALL_RULES",
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_INTERNAL_ERROR",
-    "FileContext",
-    "Finding",
-    "LintConfig",
-    "LintInternalError",
-    "LintReport",
-    "Rule",
-    "check_source",
-    "lint_tree",
-    "load_config",
-    "render_json",
-    "render_text",
-    "rule_catalogue",
-]
+__all__ = ["rule_catalogue"]

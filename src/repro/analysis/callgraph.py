@@ -61,11 +61,6 @@ class CallGraph:
                  for site in sites if not site.external}
         return sorted(pairs)
 
-    def external_calls(self, caller: str) -> List[str]:
-        """Sorted, deduplicated external callees of one function."""
-        return sorted({s.callee for s in self.sites.get(caller, [])
-                       if s.external})
-
 
 def resolve_call(table: SymbolTable, fi: FunctionInfo, ctx: FileContext,
                  call: ast.Call) -> Optional[Tuple[str, bool]]:

@@ -235,20 +235,3 @@ def run_project_rules(files: Dict[str, FileContext],
             raise LintInternalError(
                 f"rule {rule.code} crashed: {exc!r}") from exc
     return findings
-
-
-def check_source(source: str, path: str, rules: Iterable[Rule],
-                 config: Optional[LintConfig] = None) -> List[Finding]:
-    """Run ``rules`` over one file's source; sorted, pragma-filtered.
-
-    ``path`` is the POSIX-style path relative to the lint root — rule
-    scoping (``config.rule_applies``) keys off it. A file that does not
-    parse yields exactly one :data:`PARSE_ERROR_CODE` finding.
-    Whole-program rules in the battery run over a one-file project.
-    """
-    parsed = parse_context(source, path)
-    if isinstance(parsed, Finding):
-        return [parsed]
-    findings = run_file_rules(parsed, rules, config)
-    findings.extend(run_project_rules({path: parsed}, rules, config))
-    return sorted(findings)

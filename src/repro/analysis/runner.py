@@ -23,8 +23,7 @@ import json
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.config import LintConfig, LintConfigError, load_config
 from repro.analysis.findings import Finding
@@ -248,11 +247,3 @@ def run_lint_cli(paths: Sequence[str],
     except (LintConfigError, LintInternalError) as exc:
         print(f"simlint internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-
-
-def self_check() -> Tuple[LintReport, LintConfig]:
-    """Lint ``src/repro/analysis`` itself with every rule everywhere."""
-    here = Path(__file__).resolve().parent
-    config = LintConfig(root=here.parent.parent.parent, rule_paths={})
-    report = lint_tree(config, paths=("src/repro/analysis",))
-    return report, config

@@ -9,8 +9,8 @@ table indexes every top-level function, class, and method of a parsed
 file set under canonical dotted symbols (``repro.campaign.trial
 .run_trial``, ``repro.unsync.eih.ErrorInterruptHandler.poll``) and
 folds each module's import map into one project-wide alias map, so
-``repro.analysis.LintConfig`` canonicalizes to
-``repro.analysis.config.LintConfig`` no matter how many re-export hops
+``repro.campaign.run_campaign`` canonicalizes to
+``repro.campaign.engine.run_campaign`` no matter how many re-export hops
 sit in between.
 
 Everything here is deterministic: modules index in sorted path order
@@ -166,8 +166,8 @@ class SymbolTable:
     def canonicalize(self, dotted: str) -> str:
         """Follow import aliases until a project symbol (or fixpoint).
 
-        ``repro.analysis.LintConfig`` -> ``repro.analysis.config
-        .LintConfig``; chains of re-exports are followed with a cycle
+        ``repro.campaign.run_campaign`` -> ``repro.campaign.engine
+        .run_campaign``; chains of re-exports are followed with a cycle
         guard; a name that never lands on a project symbol is returned
         in its most-resolved form (e.g. ``time.monotonic``).
         """

@@ -23,38 +23,12 @@ worker counts, interruptions, retries and timing can never change a
 number, only the wall-clock. The tests pin this.
 """
 
-from repro.campaign.aggregate import Aggregator, CellAggregate
-from repro.campaign.engine import (
-    CampaignSummary,
-    as_store,
-    run_campaign,
-    summarize_store,
-)
-from repro.campaign.executor import ExecutionReport, execute_trials
-from repro.campaign.progress import ProgressTracker, Ticker
-from repro.campaign.spec import (
-    CampaignError,
-    CampaignSpec,
-    TrialSpec,
-    cell_id,
-)
-from repro.campaign.store import ResultStore, StoreCorruption
-from repro.campaign.trial import (
-    TrialResult,
-    classify_trial,
-    crash_result,
-    hang_result,
-    run_trial,
-)
+from repro.campaign.engine import as_store, run_campaign, summarize_store
+from repro.campaign.spec import CampaignError, CampaignSpec
+from repro.campaign.trial import run_trial
 
 __all__ = [
-    "Aggregator", "CellAggregate",
-    "CampaignSummary", "as_store", "run_campaign", "summarize_store",
-    "ExecutionReport", "execute_trials",
-    "ProgressTracker", "Ticker",
-    "CampaignError", "CampaignSpec", "TrialSpec",
-    "cell_id",
-    "ResultStore", "StoreCorruption",
-    "TrialResult", "classify_trial", "crash_result", "hang_result",
+    "as_store", "run_campaign", "summarize_store",
+    "CampaignError", "CampaignSpec",
     "run_trial",
 ]

@@ -137,13 +137,6 @@ class Aggregator:
             self.cells[cell] = CellAggregate(cell)
         self.cells[cell].add(result)
 
-    def get(self, cell: str) -> Optional[CellAggregate]:
-        return self.cells.get(cell)
-
-    @property
-    def total_trials(self) -> int:
-        return sum(c.trials for c in self.cells.values())
-
     def summary(self, cell_order: Optional[List[str]] = None) -> Dict:
         """Machine-readable per-cell + total statistics.
 

@@ -136,10 +136,6 @@ class CampaignSpec:
                           watchdog_cycles=self.watchdog_cycles)
                 for i in range(self.trials)]
 
-    def expand(self) -> List[TrialSpec]:
-        """Every trial of the campaign, cell-major, seed-ascending."""
-        return [t for cell in self.cells() for t in self.cell_trials(*cell)]
-
     def batches(self, scheme: str, workload: str,
                 ser: float) -> List[List[TrialSpec]]:
         """A cell's trials chunked into fixed scheduling batches."""

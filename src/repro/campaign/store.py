@@ -84,19 +84,24 @@ def read_jsonl(path: str) -> Iterator[Any]:
 
     A torn final line (a writer killed mid-append) is dropped; a line
     anywhere earlier that does not parse raises :class:`StoreCorruption`.
+    Lines are read as they are yielded, so a reader that stops early
+    (:meth:`ResultStore.load_spec`) reads no further.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            yield json.loads(line)
-        except ValueError:
-            if i == len(lines) - 1:
-                return  # torn final line from a killed writer
-            raise StoreCorruption(
-                f"{path}:{i + 1}: unparsable non-final record")
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                # final: nothing follows it, or it ended the file when
+                # read (a running job's results request can read a
+                # store while its engine appends)
+                if not line.endswith(b"\n") or not fh.readline():
+                    return  # torn final line from a killed writer
+                raise StoreCorruption(
+                    f"{path}:{number}: unparsable non-final record")
+            yield record
 
 
 class ResultStore:
@@ -162,7 +167,3 @@ class ResultStore:
                 continue
             seen.add(key)
             yield record
-
-    def completed(self) -> Set[Tuple[str, int]]:
-        """Keys of every trial already on disk."""
-        return {(r["cell"], r["seed"]) for r in self.iter_trials()}

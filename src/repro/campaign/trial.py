@@ -18,9 +18,6 @@ from typing import Dict, Optional, Tuple
 from repro.campaign.spec import TrialSpec
 from repro.faults.events import Outcome
 
-#: outcome keys in record order (FaultEvent outcomes plus derived ones)
-OUTCOME_KEYS: Tuple[str, ...] = tuple(o.value for o in Outcome)
-
 
 def classify_trial(outcomes: Dict[str, int]) -> str:
     """Collapse a trial's per-event outcome counts into ONE taxonomy label.

@@ -10,7 +10,3 @@ trial resumes from the newest epoch before its first strike.
 * :class:`~repro.checkpoint.store.CheckpointStore` — the bounded ring
   those snapshots live in, with cost accounting and a cycle lookup.
 """
-
-from repro.checkpoint.store import Checkpoint, CheckpointStore
-
-__all__ = ["Checkpoint", "CheckpointStore"]

@@ -34,8 +34,6 @@ class CheckpointStore:
             raise ValueError("need at least one checkpoint slot")
         self.capacity = capacity
         self._stack: List[Checkpoint] = []
-        self.captures = 0
-        self.bytes_captured = 0
 
     def __len__(self) -> int:
         return len(self._stack)
@@ -49,7 +47,7 @@ class CheckpointStore:
 
     def capture_payload(self, seq: int, cycle: int, payload: Any,
                         delta_bytes: int) -> Checkpoint:
-        """Store an opaque snapshot payload and charge its cost.
+        """Store an opaque snapshot payload with its cost.
 
         The caller supplies ``delta_bytes`` because only it knows the
         payload's incremental footprint (the differential-replay cache
@@ -60,8 +58,6 @@ class CheckpointStore:
         cp = Checkpoint(seq=seq, cycle=cycle, state=payload,
                         delta_bytes=delta_bytes)
         self._stack.append(cp)
-        self.captures += 1
-        self.bytes_captured += delta_bytes
         return cp
 
     def at_or_before(self, cycle: int) -> Optional[Checkpoint]:

@@ -28,11 +28,11 @@ from repro.harness.report import format_table, pct
 
 
 def _cmd_list(args) -> int:
-    from repro.workloads import ALL_BENCHMARKS, KERNELS
+    from repro.workloads import KERNELS, PROFILES
     rows = [(name, p.suite, f"{100 * p.serializing_pct:.1f}%",
              f"{100 * p.store_pct:.0f}%", p.ilp.name,
              f"{p.working_set_kb}KB")
-            for name, p in sorted(ALL_BENCHMARKS.items())]
+            for name, p in sorted(PROFILES.items())]
     print(format_table(
         ["benchmark", "suite", "serializing", "stores", "ILP", "ws"],
         rows, title="Synthetic benchmarks"))

@@ -20,15 +20,3 @@ Redundancy schemes plug in through :class:`~repro.core.pipeline.CommitGate`
 commit point (and observe commits), which is exactly where both papers'
 mechanisms live architecturally.
 """
-
-from repro.core.config import CoreConfig, SystemConfig
-from repro.core.branch import BimodalPredictor
-from repro.core.rob import ROB, ROBEntry, EntryState
-from repro.core.pipeline import Pipeline, CommitGate, NullGate, PipelineStats
-
-__all__ = [
-    "CoreConfig", "SystemConfig",
-    "BimodalPredictor",
-    "ROB", "ROBEntry", "EntryState",
-    "Pipeline", "CommitGate", "NullGate", "PipelineStats",
-]

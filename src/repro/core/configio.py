@@ -83,9 +83,5 @@ def from_dict(data: Dict[str, Any]) -> SystemConfig:
     return SystemConfig(**kwargs)
 
 
-def save(config: SystemConfig, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(to_dict(config), indent=2) + "\n")
-
-
 def load(path: Union[str, Path]) -> SystemConfig:
     return from_dict(json.loads(Path(path).read_text()))

@@ -50,10 +50,6 @@ class IssueQueue:
         self._entries.clear()
         return n
 
-    def sample_occupancy(self) -> None:
-        self.occupancy_samples += 1
-        self.occupancy_sum += len(self._entries)
-
     def mean_occupancy(self) -> float:
         if not self.occupancy_samples:
             return 0.0

@@ -203,8 +203,8 @@ class Pipeline:
         if self.done:
             return
         self.stats.cycles += 1
-        # inlined {rob,iq,lsq}.sample_occupancy() — this runs every cycle
-        # of every core, so the three method calls are worth eliding
+        # sample ROB, IQ and LSQ occupancy inline: this runs every cycle
+        # of every core, so three method calls are worth eliding
         rob = self.rob
         rob.occupancy_samples += 1
         rob.occupancy_sum += len(rob._entries)

@@ -15,28 +15,3 @@ This package provides:
 * :mod:`repro.faults.events` — fault-event records and outcome taxonomy
   (masked / detected / silent data corruption).
 """
-
-from repro.faults.ser import (
-    SERModel, fit_to_per_cycle, fit_to_per_instruction, scale_fit,
-    PAPER_SER_90NM_PER_INSTRUCTION, BREAK_EVEN_SER,
-)
-from repro.faults.injector import FaultInjector, Strike, BlockInventory, BLOCKS
-from repro.faults.detection import (
-    Detector, ParityDetector, DMRDetector, SECDEDDetector, NoDetector,
-)
-from repro.faults.events import FaultEvent, Outcome, TRIAL_OUTCOMES
-from repro.faults.adversarial import (
-    ADVERSARIAL_MODEL, AdversarialInjector, FAULT_MODELS, STANDARD_MODEL,
-    adversarial_injector,
-)
-
-__all__ = [
-    "SERModel", "fit_to_per_cycle", "fit_to_per_instruction", "scale_fit",
-    "PAPER_SER_90NM_PER_INSTRUCTION", "BREAK_EVEN_SER",
-    "FaultInjector", "Strike", "BlockInventory", "BLOCKS",
-    "Detector", "ParityDetector", "DMRDetector", "SECDEDDetector",
-    "NoDetector",
-    "FaultEvent", "Outcome", "TRIAL_OUTCOMES",
-    "ADVERSARIAL_MODEL", "AdversarialInjector",
-    "FAULT_MODELS", "STANDARD_MODEL", "adversarial_injector",
-]

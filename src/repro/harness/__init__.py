@@ -8,18 +8,10 @@ prints them in the paper's shape so a bench run is directly comparable to
 the published rows.
 """
 
-from repro.harness.runner import run_scheme, compare_schemes, SchemeComparison
-from repro.harness.experiments import (
-    fig4_serializing, fig5_fi_latency, fig6_cb_size,
-    ser_sweep, break_even_analysis, roec_coverage,
-    Fig4Row, Fig5Point, Fig6Point, SERPoint, ROECRow,
-)
-from repro.harness.report import format_table, print_table
+from repro.harness.runner import run_scheme, compare_schemes
+from repro.harness.experiments import fig5_fi_latency, fig6_cb_size
 
 __all__ = [
-    "run_scheme", "compare_schemes", "SchemeComparison",
-    "fig4_serializing", "fig5_fi_latency", "fig6_cb_size",
-    "ser_sweep", "break_even_analysis", "roec_coverage",
-    "Fig4Row", "Fig5Point", "Fig6Point", "SERPoint", "ROECRow",
-    "format_table", "print_table",
+    "run_scheme", "compare_schemes",
+    "fig5_fi_latency", "fig6_cb_size",
 ]

@@ -18,24 +18,3 @@ up into Table II; :mod:`repro.hwcost.die` projects Table III's many-core
 die sizes. DESIGN.md records that the roll-up arithmetic reproduces the
 paper's own accounting rather than independent synthesis.
 """
-
-from repro.hwcost.tech import TechNode, TECH_65NM, TECH_90NM
-from repro.hwcost.components import (
-    Component, crc_generator, csb_array, cb_array, forwarding_datapath,
-    unsync_detection_blocks, mips_core, REGFILE_CELL_UM2, CSB_CELL_UM2,
-)
-from repro.hwcost.cacti import CacheModel, Protection
-from repro.hwcost.synthesis import (
-    CoreCosts, synthesize, SynthesisReport, table2,
-)
-from repro.hwcost.die import DieProjection, project_die, TABLE3_PROCESSORS
-
-__all__ = [
-    "TechNode", "TECH_65NM", "TECH_90NM",
-    "Component", "crc_generator", "csb_array", "cb_array",
-    "forwarding_datapath", "unsync_detection_blocks", "mips_core",
-    "REGFILE_CELL_UM2", "CSB_CELL_UM2",
-    "CacheModel", "Protection",
-    "CoreCosts", "synthesize", "SynthesisReport", "table2",
-    "DieProjection", "project_die", "TABLE3_PROCESSORS",
-]

@@ -11,8 +11,6 @@ CSB_CELL_UM2           10.40      Sec IV-3: CSB cell, 1.3x RF cell (3rd
                                   read port)
 CRC_GATES              238        Sec IV-2, citing Albertengo & Sisto
 CHECK_STAGE_AREA_UM2   45447      Table II: Reunion core - MIPS core
-EXECUTE_FRACTION       0.615      derived: CHECK = 75% of Execute area
-                                  (Sec IV-1) => Execute = 45447/0.75
 UNSYNC_DETECT_FRACT    0.176      Sec VI-A-1: "17.6% increased core-area"
 MIPS_CORE_AREA_UM2     98558      Table II
 MIPS_CORE_POWER_W      1.153      Table II
@@ -42,7 +40,6 @@ CRC_GATES = 238
 CHECK_STAGE_AREA_UM2 = 45447.0
 MIPS_CORE_AREA_UM2 = 98558.0
 MIPS_CORE_POWER_W = 1.153
-EXECUTE_FRACTION = CHECK_STAGE_AREA_UM2 / 0.75 / MIPS_CORE_AREA_UM2
 UNSYNC_DETECT_FRACTION = 0.176
 CHECK_POWER_FRACTION = 0.768
 UNSYNC_DETECT_POWER_FRACTION = 0.418

@@ -2,9 +2,9 @@
 
 Only what the cost model needs: a NAND2-equivalent gate area, an SRAM
 cell area, and the synthesis frequency. 65 nm matches the paper's
-synthesis runs; 90 nm exists for the Table III processors fabricated at
-that node (die projection scales per-core overheads, so only relative
-numbers matter there).
+synthesis runs. The Table III processors were fabricated at 90 nm, but
+die projection scales per-core overheads, so only relative numbers
+matter there and no second node is needed.
 """
 
 from __future__ import annotations
@@ -29,6 +29,3 @@ class TechNode:
 #: The paper's synthesis corner: 65 nm, 300 MHz, density 0.49.
 TECH_65NM = TechNode(name="65nm", feature_nm=65, gate_area_um2=1.8,
                      sram_cell_um2=0.525, frequency_hz=300e6)
-
-TECH_90NM = TechNode(name="90nm", feature_nm=90, gate_area_um2=3.2,
-                     sram_cell_um2=1.0, frequency_hz=300e6)

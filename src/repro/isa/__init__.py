@@ -16,30 +16,5 @@ Public entry points:
 * :class:`~repro.isa.program.Program` — code + data image.
 
 :mod:`repro.isa.encoding` holds the 32-bit binary form
-(``encode``/``decode``); nothing in the simulator uses it yet. It is
-imported from that module, not re-exported here.
+(``encode``/``decode``); nothing in the simulator uses it yet.
 """
-
-from repro.isa.instructions import (
-    Instruction,
-    InstrClass,
-    Opcode,
-    OPCODE_CLASS,
-    REG_COUNT,
-    is_serializing,
-)
-from repro.isa.program import Program, DataSegment
-from repro.isa.assembler import assemble, AssemblerError
-
-__all__ = [
-    "Instruction",
-    "InstrClass",
-    "Opcode",
-    "OPCODE_CLASS",
-    "REG_COUNT",
-    "is_serializing",
-    "Program",
-    "DataSegment",
-    "assemble",
-    "AssemblerError",
-]

@@ -48,9 +48,6 @@ class ArchState:
     mem: PagedMemory = field(default_factory=PagedMemory)
     pc: int = 0
 
-    def read_reg(self, r: int) -> int:
-        return 0 if r == 0 else self.regs[r]
-
     def read_mem(self, addr: int, width: int) -> int:
         return self.mem.read(addr, width)
 

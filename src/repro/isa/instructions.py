@@ -194,8 +194,9 @@ def _rem32(a: int, b: int) -> int:
 
 #: Per-opcode pure ALU/MUL/DIV semantics: ``fn(a, b) -> result``. ``b`` is
 #: the second operand (rs2's value or the immediate — the caller selects).
-#: Both :meth:`Instruction.alu_result` and the golden executor's dispatch
-#: table index this, so there is exactly one definition of each opcode.
+#: The golden executor's dispatch table indexes this, so there is exactly
+#: one definition of each opcode. All arithmetic wraps to 32 bits;
+#: division by zero returns 0 (the simulator's trap-free semantics).
 ALU_FUNCS: Dict[Opcode, Callable[[int, int], int]] = {
     Opcode.ADD: lambda a, b: (a + b) & WORD_MASK,
     Opcode.ADDI: lambda a, b: (a + b) & WORD_MASK,
@@ -327,20 +328,6 @@ class Instruction:
     # ------------------------------------------------------------------
     # functional semantics
     # ------------------------------------------------------------------
-    def alu_result(self, a: int, b: int) -> int:
-        """Pure ALU/MUL/DIV result for source values ``a`` (rs1) and ``b``.
-
-        ``b`` is the second operand: rs2's value for register forms, the
-        immediate for immediate forms (the caller selects). All arithmetic
-        wraps to 32 bits; division by zero returns 0 (matching the
-        simulator's trap-free semantics). Semantics live in
-        :data:`ALU_FUNCS`, shared with the golden executor's dispatch table.
-        """
-        fn = ALU_FUNCS.get(self.op)
-        if fn is None:
-            raise ValueError(f"{self.op} has no ALU semantics")
-        return fn(a, b)
-
     def branch_taken(self, a: int, b: int) -> bool:
         """Evaluate a conditional branch for source values ``a``, ``b``."""
         fn = BRANCH_FUNCS.get(self.op)

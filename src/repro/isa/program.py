@@ -36,9 +36,6 @@ class DataSegment:
         for i in range(4):
             self.write_byte(addr + i, (value >> (8 * i)) & 0xFF)
 
-    def read_word(self, addr: int) -> int:
-        return sum(self.read_byte(addr + i) << (8 * i) for i in range(4))
-
     def items(self) -> Iterator:
         return iter(sorted(self._bytes.items()))
 

@@ -13,17 +13,3 @@ the redundant-pair simulators stay exact about program semantics while the
 hierarchy stays exact about latency and contention, which is all the
 paper's Figures 4-6 depend on.
 """
-
-from repro.mem.cache import Cache, CacheConfig, WritePolicy, AccessResult
-from repro.mem.mshr import MSHRFile
-from repro.mem.bus import Bus
-from repro.mem.tlb import TLB, TLBConfig
-from repro.mem.dram import DRAM
-from repro.mem.l2 import SharedL2
-from repro.mem.hierarchy import MemPort
-
-__all__ = [
-    "Cache", "CacheConfig", "WritePolicy", "AccessResult",
-    "MSHRFile", "Bus", "TLB", "TLBConfig", "DRAM", "SharedL2",
-    "MemPort",
-]

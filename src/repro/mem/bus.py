@@ -62,7 +62,3 @@ class Bus:
         if self.busy(now):
             return -1
         return self.request(now, duration)
-
-    def reset(self) -> None:
-        self._free_at = 0
-        self.stats = BusStats()

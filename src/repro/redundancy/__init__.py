@@ -9,7 +9,6 @@ behaviour. The unprotected baseline that Figures 4-6 normalise against
 lives here too (a single core with a plain store write buffer).
 """
 
-from repro.redundancy.pair import DualCoreSystem, BaselineSystem
-from repro.redundancy.stats import RunResult, WriteBuffer
+from repro.redundancy.pair import BaselineSystem
 
-__all__ = ["DualCoreSystem", "BaselineSystem", "RunResult", "WriteBuffer"]
+__all__ = ["BaselineSystem"]

@@ -377,14 +377,6 @@ class DualCoreSystem:
             metrics=metrics,
         )
 
-    # -- verification helper -------------------------------------------------
-    def states_agree(self) -> bool:
-        """Architectural agreement between the two cores (fault-free
-        invariant; tests lean on this)."""
-        a, b = self.pipelines
-        return (a.committed_state.regs == b.committed_state.regs
-                and a.committed_state.mem == b.committed_state.mem)
-
 
 class _WriteBufferGate(CommitGate):
     """Baseline gate: retired stores enter the write buffer."""

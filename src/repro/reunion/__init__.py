@@ -16,17 +16,3 @@ Public API:
 * :class:`~repro.reunion.check_stage.CheckStage` — interval/verification
   bookkeeping shared by the pair.
 """
-
-from repro.reunion.fingerprint import (
-    crc16, crc16_update, FingerprintGenerator, CRC16_POLY,
-)
-from repro.reunion.csb import CheckStageBuffer, csb_entries_for
-from repro.reunion.check_stage import CheckStage, GroupMap, ReunionParams
-from repro.reunion.system import ReunionSystem
-
-__all__ = [
-    "crc16", "crc16_update", "FingerprintGenerator", "CRC16_POLY",
-    "CheckStageBuffer", "csb_entries_for",
-    "CheckStage", "GroupMap", "ReunionParams",
-    "ReunionSystem",
-]

@@ -19,9 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
 
-#: CSB entry width in bits (instruction tag + output data), from Sec IV-3.
-ENTRY_BITS = 66
-
 
 def csb_entries_for(fingerprint_interval: int, comparison_latency: int) -> int:
     """Paper's CSB sizing rule.

@@ -46,11 +46,6 @@ def crc16_update(crc: int, data: bytes) -> int:
     return crc
 
 
-def crc16(data: bytes) -> int:
-    """One-shot CRC-16 of ``data``."""
-    return crc16_update(CRC16_INIT, data)
-
-
 class FingerprintGenerator:
     """Accumulates one fingerprint over a window of retired instructions.
 
@@ -79,7 +74,3 @@ class FingerprintGenerator:
     @property
     def value(self) -> int:
         return self._crc
-
-    def reset(self) -> None:
-        self._crc = CRC16_INIT
-        self.length = 0

@@ -31,7 +31,6 @@ from repro.schemes.base import (
     get,
     protected_schemes,
     register,
-    unregister,
 )
 from repro.schemes.builtin import (
     BaselineScheme,
@@ -48,17 +47,11 @@ register(MEEKScheme())
 register(BaselineScheme())
 
 __all__ = [
-    "BaselineScheme",
-    "MEEKScheme",
-    "RepTFDScheme",
     "ResilienceScheme",
-    "ReunionScheme",
     "SchemeSystemCost",
-    "UnSyncScheme",
     "UnknownSchemeError",
     "available",
     "get",
     "protected_schemes",
     "register",
-    "unregister",
 ]

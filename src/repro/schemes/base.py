@@ -162,11 +162,6 @@ def register(scheme: ResilienceScheme) -> ResilienceScheme:
     return scheme
 
 
-def unregister(name: str) -> None:
-    """Remove a scheme (test hygiene; unknown names are a no-op)."""
-    _REGISTRY.pop(name, None)
-
-
 def get(name: str) -> ResilienceScheme:
     """The descriptor registered under ``name``."""
     try:

@@ -33,21 +33,3 @@ Every determinism invariant of the single-process engine survives
 multiplexing because the service only decides *when* grids run, never
 what a trial computes or in what order a store's bytes land.
 """
-
-from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.journal import JobJournal, JournalLocked
-from repro.service.retry import (HTTP_RETRY, RetryError, RetryPolicy,
-                                 call_with_retry)
-from repro.service.scheduler import Job, JobScheduler
-from repro.service.workers import (LeaseBroker, WaveDispatcher,
-                                   WorkerClient, run_worker)
-
-__all__ = [
-    "ChaosConfig", "ChaosController", "ChaosError",
-    "HTTP_RETRY",
-    "Job", "JobJournal", "JobScheduler", "JournalLocked",
-    "LeaseBroker", "RetryError", "RetryPolicy",
-    "ServiceClient", "ServiceError",
-    "WaveDispatcher", "WorkerClient", "call_with_retry", "run_worker",
-]

@@ -29,7 +29,7 @@ Usage::
 from __future__ import annotations
 
 from repro.telemetry.events import EventLog
-from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry
 
 
 class Telemetry:
@@ -40,9 +40,4 @@ class Telemetry:
         self.events = EventLog()
 
 
-__all__ = [
-    "Telemetry",
-    "MetricsRegistry",
-    "Counter", "Gauge", "Histogram",
-    "EventLog",
-]
+__all__ = ["Telemetry"]

@@ -46,13 +46,6 @@ REPLAY_GATE = "replay.gate"           #: span: commit stalled, replay Q full
 CHECKQ_GATE = "checkq.gate"           #: span: commit stalled, check Q full
 CHECKQ_DRAIN = "checkq.drain"         #: checker verified a queue batch
 
-EVENT_NAMES = (
-    FAULT_INJECTED, FAULT_DETECTED, FAULT_SDC, FAULT_MULTIBIT, FAULT_DUE,
-    EIH_INTERRUPT, EIH_RECOVERY, CB_GATE, CB_DRAIN, FP_COMPARE, FP_MISMATCH,
-    ROLLBACK, CSB_GATE, MEM_MISS_BURST, RECOVERY_REENTRY, RECOVERY_ABORT,
-    WATCHDOG_TRIP, REPLAY_COMPARE, REPLAY_GATE, CHECKQ_GATE, CHECKQ_DRAIN,
-)
-
 
 class Event:
     """One timestamped occurrence on one track."""

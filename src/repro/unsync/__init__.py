@@ -17,15 +17,3 @@ Public API:
   signalling.
 * :mod:`repro.unsync.recovery` — the always-forward recovery cost model.
 """
-
-from repro.unsync.comm_buffer import CommBuffer, CBEntry
-from repro.unsync.eih import ErrorInterruptHandler
-from repro.unsync.recovery import RecoveryCostModel, RecoveryPlan
-from repro.unsync.system import UnSyncSystem, UnSyncConfig
-
-__all__ = [
-    "CommBuffer", "CBEntry",
-    "ErrorInterruptHandler",
-    "RecoveryCostModel", "RecoveryPlan",
-    "UnSyncSystem", "UnSyncConfig",
-]

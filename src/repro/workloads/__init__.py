@@ -20,8 +20,8 @@ Hand-written algorithmic kernels (sort, checksum, dot product, ...) live
 in :mod:`repro.workloads.kernels` for tests and examples that want real
 programs rather than statistical clones.
 
-Each workload is assembled once per process: :func:`load_workload`,
-:func:`load_benchmark` and :func:`load_kernel` all return the one
+Each workload is assembled once per process: :func:`load_workload` and
+:func:`load_benchmark` both return the one
 :class:`~repro.isa.program.Program` kept for that name. Programs are
 never mutated after assembly, so every system, trial, prefix snapshot
 and pool worker of a process shares it (all 28 together hold ~0.4 MB).
@@ -31,11 +31,8 @@ from typing import Dict
 
 from repro.isa.assembler import assemble
 from repro.isa.program import Program
-from repro.workloads.profiles import WorkloadProfile, ILP, PROFILES
-from repro.workloads.generator import generate, generated_program
-from repro.workloads.suites import (
-    SPEC2000, MIBENCH, ALL_BENCHMARKS, benchmark_names,
-)
+from repro.workloads.profiles import PROFILES
+from repro.workloads.generator import generated_program
 from repro.workloads.kernels import KERNELS
 
 #: workload name -> its assembled program, for the life of the process
@@ -45,7 +42,7 @@ _PROGRAMS: Dict[str, Program] = {}
 def workload_names():
     """Every runnable workload: calibrated benchmarks plus hand-written
     kernels."""
-    return sorted(ALL_BENCHMARKS) + sorted(KERNELS)
+    return sorted(PROFILES) + sorted(KERNELS)
 
 
 def load_workload(name: str) -> Program:
@@ -57,8 +54,8 @@ def load_workload(name: str) -> Program:
     """
     program = _PROGRAMS.get(name)
     if program is None:
-        if name in ALL_BENCHMARKS:
-            program = generated_program(ALL_BENCHMARKS[name])
+        if name in PROFILES:
+            program = generated_program(PROFILES[name])
         elif name in KERNELS:
             program = assemble(KERNELS[name], name=name)
         else:
@@ -70,25 +67,13 @@ def load_workload(name: str) -> Program:
 
 def load_benchmark(name: str) -> Program:
     """Assembled program for calibrated benchmark ``name``."""
-    if name not in ALL_BENCHMARKS:
+    if name not in PROFILES:
         raise KeyError(f"unknown benchmark {name!r}; "
-                       f"known: {', '.join(sorted(ALL_BENCHMARKS))}")
-    return load_workload(name)
-
-
-def load_kernel(name: str) -> Program:
-    """Assembled program for hand-written kernel ``name``."""
-    if name not in KERNELS:
-        raise KeyError(f"unknown kernel {name!r}; "
-                       f"known: {', '.join(sorted(KERNELS))}")
+                       f"known: {', '.join(sorted(PROFILES))}")
     return load_workload(name)
 
 
 __all__ = [
-    "WorkloadProfile", "ILP", "PROFILES",
-    "generate", "generated_program",
-    "SPEC2000", "MIBENCH", "ALL_BENCHMARKS", "load_benchmark",
-    "benchmark_names",
-    "KERNELS", "load_kernel",
-    "load_workload", "workload_names",
+    "PROFILES", "KERNELS",
+    "load_benchmark", "load_workload", "workload_names",
 ]

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import assemble
-from repro.workloads import load_kernel
+from repro.isa.assembler import assemble
+from repro.workloads import load_workload
 
 
 SUM_LOOP = """
@@ -71,6 +71,16 @@ buf: .space 2048
 """
 
 
+@pytest.fixture
+def restored_registry():
+    """The scheme registry, restored in place when the test ends."""
+    from repro.schemes import base
+    saved = dict(base._REGISTRY)
+    yield base._REGISTRY
+    base._REGISTRY.clear()
+    base._REGISTRY.update(saved)
+
+
 @pytest.fixture(scope="session")
 def sum_loop():
     """Small mixed kernel with a verifiable result."""
@@ -91,9 +101,9 @@ def store_burst():
 
 @pytest.fixture(scope="session")
 def dot_product():
-    return load_kernel("dot_product")
+    return load_workload("dot_product")
 
 
 @pytest.fixture(scope="session")
 def bubble_sort():
-    return load_kernel("bubble_sort")
+    return load_workload("bubble_sort")

@@ -7,19 +7,21 @@ import json
 import pytest
 
 from repro.campaign import (
-    CampaignError, CampaignSpec, classify_trial, crash_result, hang_result,
-    run_campaign, run_trial, summarize_store,
+    CampaignError, CampaignSpec, run_campaign, run_trial, summarize_store,
 )
+from repro.campaign.trial import classify_trial, crash_result, hang_result
 from repro.campaign.spec import TrialSpec
-from repro.faults import (
-    ADVERSARIAL_MODEL, FAULT_MODELS, STANDARD_MODEL, TRIAL_OUTCOMES,
-    AdversarialInjector, adversarial, adversarial_injector,
+from repro.faults import adversarial
+from repro.faults.adversarial import (
+    ADVERSARIAL_MODEL, FAULT_MODELS, STANDARD_MODEL, AdversarialInjector,
+    adversarial_injector,
 )
-from repro.faults.events import Outcome
+from repro.faults.events import Outcome, TRIAL_OUTCOMES
 from repro.faults.injector import (
     BLOCKS, BlockInventory, FaultInjector, Strike,
 )
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.redundancy.pair import SimulationHang
 from repro.reunion.system import REUNION_UNCORE_BLOCKS, ReunionSystem
 from repro.unsync.eih import ErrorInterruptHandler

@@ -6,7 +6,7 @@ from repro.faults.avf import (
     StructureAVF, effective_fit, occupancy_avf, pipeline_avf_report,
     regfile_liveness_avf,
 )
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.redundancy import BaselineSystem
 from repro.workloads import load_benchmark
 

@@ -2,18 +2,22 @@
 aggregation, progress, CLI). End-to-end resume/determinism pins live in
 ``test_campaign_resume.py``."""
 
+import io
 import json
 
 import pytest
 
 from repro.campaign import (
-    Aggregator, CampaignError, CampaignSpec, ProgressTracker, ResultStore,
-    StoreCorruption, Ticker, TrialResult, cell_id,
-    execute_trials, run_campaign, run_trial, summarize_store,
+    CampaignError, CampaignSpec, run_campaign, run_trial, summarize_store,
 )
-from repro.campaign.executor import ExecutionReport
-from repro.campaign.spec import TrialSpec
+from repro.campaign.aggregate import Aggregator
+from repro.campaign.executor import ExecutionReport, execute_trials
+from repro.campaign.progress import ProgressTracker, Ticker
+from repro.campaign.spec import TrialSpec, cell_id
+from repro.campaign.store import ResultStore, StoreCorruption
+from repro.campaign.trial import TrialResult
 from repro.harness.statistics import wilson_interval
+from tests.helpers import expand
 
 
 def small_spec(**overrides):
@@ -54,7 +58,7 @@ def test_spec_rejects_bad_grids():
 def test_spec_expansion_is_cell_major_and_seeded():
     spec = small_spec(schemes=("unsync", "reunion"), sers=(0.01, 0.02),
                       trials=3, seed_base=7)
-    trials = spec.expand()
+    trials = expand(spec)
     assert len(trials) == spec.total_trials == 2 * 2 * 3
     assert trials[0] == TrialSpec("unsync", "fibonacci", 0.01, 7)
     assert [t.seed for t in trials[:3]] == [7, 8, 9]
@@ -110,9 +114,10 @@ def test_store_roundtrip(tmp_path):
     assert not store.exists()
     store.create(spec)
     assert store.exists() and store.load_spec() == spec
-    trial = spec.expand()[0]
+    trial = expand(spec)[0]
     store.append_trial(fake_result(trial).to_record())
-    assert store.completed() == {trial.key()}
+    assert {(r["cell"], r["seed"]) for r in store.iter_trials()} == \
+        {trial.key()}
     with pytest.raises(CampaignError):
         store.create(spec)  # no silent overwrite
 
@@ -120,7 +125,7 @@ def test_store_roundtrip(tmp_path):
 def test_store_deduplicates_on_key(tmp_path):
     store = ResultStore(tmp_path / "c.jsonl")
     store.create(small_spec())
-    trial = small_spec().expand()[0]
+    trial = expand(small_spec())[0]
     store.append_trial(fake_result(trial, strikes=1).to_record())
     store.append_trial(fake_result(trial, strikes=9).to_record())
     records = list(store.iter_trials())
@@ -131,7 +136,7 @@ def test_store_tolerates_torn_final_line(tmp_path):
     path = tmp_path / "c.jsonl"
     store = ResultStore(path)
     store.create(small_spec())
-    trial = small_spec().expand()[0]
+    trial = expand(small_spec())[0]
     store.append_trial(fake_result(trial).to_record())
     with open(path, "a") as fh:
         fh.write('{"kind": "trial", "cel')  # killed mid-write
@@ -145,9 +150,38 @@ def test_store_mid_file_garbage_is_corruption(tmp_path):
     with open(path, "a") as fh:
         fh.write("not json\n")
         fh.write(json.dumps(fake_result(
-            small_spec().expand()[0]).to_record()) + "\n")
+            expand(small_spec())[0]).to_record()) + "\n")
     with pytest.raises(StoreCorruption):
         list(store.iter_trials())
+
+
+def test_store_read_stops_at_an_append_in_flight(tmp_path, monkeypatch):
+    """A store read while its engine appends (a running job's results
+    request) stops at the half-written line, even if the rest lands
+    before the reader looks past it."""
+    from repro.campaign import store as store_mod
+
+    path = tmp_path / "c.jsonl"
+    store = ResultStore(path)
+    store.create(small_spec())
+    record = fake_result(expand(small_spec())[0]).to_record()
+    line = json.dumps(dict(record, kind="trial")) + "\n"
+    with open(path, "a") as fh:
+        fh.write(line[:20])
+
+    class AppendingFile(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            if not n and path.stat().st_size < 2 * len(line):
+                with open(path, "a") as fh:  # the engine ends its line
+                    fh.write(line[20:])
+            return n
+
+    monkeypatch.setattr(store_mod, "open", lambda path, mode: (
+        io.BufferedReader(AppendingFile(path))), raising=False)
+    assert list(store.iter_trials()) == []
+    monkeypatch.undo()
+    assert len(list(store.iter_trials())) == 1
 
 
 # the second tail is cut inside a multi-byte character: not UTF-8
@@ -170,11 +204,42 @@ def test_store_repair_completes_newline_less_record(tmp_path):
     path = tmp_path / "c.jsonl"
     store = ResultStore(path)
     store.create(small_spec())
-    record = fake_result(small_spec().expand()[0]).to_record()
+    record = fake_result(expand(small_spec())[0]).to_record()
     with open(path, "a") as fh:
         fh.write(json.dumps(dict(record, kind="trial")))  # no newline
     assert store.repair() is True
     assert len(list(store.iter_trials())) == 1
+
+
+def test_load_spec_reads_only_the_header(tmp_path, monkeypatch):
+    """read_jsonl streams, so the header costs the same to load however
+    many trials follow it: a 2.5 MB store costs one buffered read."""
+    from repro.campaign import store as store_mod
+
+    path = tmp_path / "big.jsonl"
+    store = ResultStore(path)
+    spec = small_spec()
+    store.create(spec)
+    record = fake_result(expand(spec)[0]).to_record()
+    line = json.dumps(dict(record, kind="trial"), sort_keys=True) + "\n"
+    with open(path, "a") as fh:
+        fh.write(line * (2_500_000 // len(line) + 1))
+    reads = []
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buffer):
+            reads.append(super().readinto(buffer))
+            return reads[-1]
+
+        def readall(self):
+            data = super().readall()
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(store_mod, "open", lambda path, mode: (
+        io.BufferedReader(CountingFile(path))), raising=False)
+    assert store.load_spec() == spec
+    assert 0 < sum(reads) <= io.DEFAULT_BUFFER_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +283,7 @@ def test_executor_retries_once_then_succeeds():
         return fake_result(trial)
 
     report = ExecutionReport()
-    results = execute_trials(spec.expand(), workers=1, runner=flaky,
+    results = execute_trials(expand(spec), workers=1, runner=flaky,
                              report=report)
     assert [r.seed for r in results] == [0, 1, 2, 3]
     assert report.retries == 1 and report.worker_failures == 1
@@ -229,7 +294,7 @@ def test_executor_records_double_failure_as_crash():
         raise ValueError("always")
 
     report = ExecutionReport()
-    results = execute_trials(small_spec().expand(), workers=1, runner=broken,
+    results = execute_trials(expand(small_spec()), workers=1, runner=broken,
                              report=report)
     # one pathological trial costs a CRASH data point, not the campaign
     assert [r.seed for r in results] == [0, 1, 2, 3]
@@ -240,13 +305,13 @@ def test_executor_records_double_failure_as_crash():
 
 def test_executor_on_result_order_matches_submission():
     seen = []
-    execute_trials(small_spec().expand(), workers=1, runner=fake_result,
+    execute_trials(expand(small_spec()), workers=1, runner=fake_result,
                    on_result=lambda r: seen.append(r.seed))
     assert seen == [0, 1, 2, 3]
 
 
 def test_executor_pool_matches_serial():
-    trials = small_spec(trials=6).expand()
+    trials = expand(small_spec(trials=6))
     serial = execute_trials(trials, workers=1)
     pooled = execute_trials(trials, workers=3)
     assert serial == pooled
@@ -258,9 +323,9 @@ def test_executor_pool_matches_serial():
 def test_aggregate_counts_and_wilson_ci():
     spec = small_spec(trials=8)
     agg = Aggregator()
-    for i, trial in enumerate(spec.expand()):
+    for i, trial in enumerate(expand(spec)):
         agg.add(fake_result(trial, strikes=2, sdc=1 if i < 2 else 0))
-    cell = agg.get("unsync/fibonacci/0.01")
+    cell = agg.cells["unsync/fibonacci/0.01"]
     assert cell.trials == 8 and cell.strikes == 16 and cell.sdc_trials == 2
     assert cell.sdc_interval == wilson_interval(2, 8)
     assert cell.recovered_trials == 8  # every trial had a recovery too
@@ -272,7 +337,7 @@ def test_aggregate_counts_and_wilson_ci():
 def test_aggregate_order_independent():
     spec = small_spec(trials=10)
     results = [fake_result(t, strikes=t.seed % 3, sdc=t.seed % 2)
-               for t in spec.expand()]
+               for t in expand(spec)]
     fwd, rev = Aggregator(), Aggregator()
     for r in results:
         fwd.add(r)
@@ -284,9 +349,9 @@ def test_aggregate_order_independent():
 def test_ci_met_thresholds():
     spec = small_spec(trials=100)
     agg = Aggregator()
-    for trial in spec.expand():
+    for trial in expand(spec):
         agg.add(fake_result(trial, strikes=1, sdc=0))
-    cell = agg.get("unsync/fibonacci/0.01")
+    cell = agg.cells["unsync/fibonacci/0.01"]
     width = cell.sdc_interval.width / 2
     assert cell.ci_met(width + 1e-12)
     assert not cell.ci_met(width / 2)
@@ -448,12 +513,11 @@ def test_cli_campaign_summarize_missing_store(tmp_path):
 
 def test_each_workload_is_assembled_once_per_process():
     from repro.workloads import (
-        ALL_BENCHMARKS, load_benchmark, load_kernel, load_workload,
-        workload_names,
+        PROFILES, load_benchmark, load_workload, workload_names,
     )
 
     for name in workload_names():
         program = load_workload(name)
         assert load_workload(name) is program
-        loader = load_benchmark if name in ALL_BENCHMARKS else load_kernel
-        assert loader(name) is program
+        if name in PROFILES:
+            assert load_benchmark(name) is program

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.config import CoreConfig, SystemConfig
-from repro.core.configio import from_dict, load, save, to_dict
+from repro.core.configio import from_dict, load, to_dict
 from repro.mem.cache import WritePolicy
 
 
@@ -54,7 +54,7 @@ def test_unknown_cache_key_rejected():
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "machine.json"
     cfg = SystemConfig(core=CoreConfig(rob_entries=40))
-    save(cfg, path)
+    path.write_text(json.dumps(to_dict(cfg), indent=2))  # as config-dump
     assert load(path) == cfg
     # and it is actual JSON
     assert json.loads(path.read_text())["core"]["rob_entries"] == 40
@@ -64,9 +64,8 @@ def test_loaded_config_runs(tmp_path, sum_loop):
     from repro.isa import golden
     from repro.redundancy import BaselineSystem
     path = tmp_path / "narrow.json"
-    save(SystemConfig(core=CoreConfig(
-        fetch_width=2, dispatch_width=2, issue_width=2, commit_width=2)),
-        path)
+    path.write_text(json.dumps(to_dict(SystemConfig(core=CoreConfig(
+        fetch_width=2, dispatch_width=2, issue_width=2, commit_width=2)))))
     res = BaselineSystem(sum_loop, config=load(path)).run()
     assert res.state.mem == golden.run(sum_loop).state.mem
 

@@ -9,6 +9,7 @@ from repro.core.iq import IssueQueue
 from repro.core.lsq import LSQ
 from repro.core.rob import ROB, ROBEntry
 from repro.isa.instructions import Instruction, Opcode
+from repro.redundancy.pair import BaselineSystem
 
 
 def entry(seq, op=Opcode.ADD, **kw):
@@ -52,13 +53,26 @@ def test_rob_flush():
     assert rob.empty
 
 
-def test_rob_occupancy_sampling():
-    rob = ROB(8)
-    rob.push(entry(0))
-    rob.sample_occupancy()
-    rob.push(entry(1))
-    rob.sample_occupancy()
-    assert rob.mean_occupancy() == pytest.approx(1.5)
+def test_rob_occupancy_sampling(sum_loop):
+    """``Pipeline.step`` samples ROB, IQ and LSQ occupancy inline at the
+    top of every live cycle; each mean is exactly what a cycle-by-cycle
+    observer records there (Fig 5's ``rob_mean_occupancy``)."""
+    system = BaselineSystem(sum_loop)
+    pipe = system.pipelines[0]
+    seen = {"rob": [], "iq": [], "lsq": []}
+    step = pipe.step
+
+    def observed_step(now):
+        if not pipe.done:
+            for name, lens in seen.items():
+                lens.append(len(getattr(pipe, name)))
+        step(now)
+
+    pipe.step = observed_step
+    system.run()
+    for name, lens in seen.items():
+        assert len(lens) == pipe.stats.cycles and max(lens) > 0, name
+        assert getattr(pipe, name).mean_occupancy() == sum(lens) / len(lens)
 
 
 def test_rob_mean_occupancy_empty():

@@ -4,7 +4,8 @@ eviction traffic and pair-system bookkeeping."""
 
 import pytest
 
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.mem.bus import Bus
 from repro.mem.cache import CacheConfig, WritePolicy
 from repro.mem.hierarchy import MemPort

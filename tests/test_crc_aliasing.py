@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.reunion.fingerprint import CRC16_INIT, FingerprintGenerator, crc16
+from repro.reunion.fingerprint import CRC16_INIT, FingerprintGenerator
 
 
 def _random_stream(rng, n):

@@ -8,9 +8,7 @@ import pytest
 from repro.harness.energy import compare_energy, energy_estimate
 from repro.harness.runner import compare_schemes, run_scheme
 from repro.hwcost.tech import TECH_65NM
-from repro.schemes import (
-    ResilienceScheme, available, get, register, unregister,
-)
+from repro.schemes import ResilienceScheme, available, get, register
 from repro.workloads import load_benchmark, load_workload
 
 #: each registered scheme's ``energy_estimate(...).breakdown`` on
@@ -72,20 +70,17 @@ def test_event_energy_scheme_specific(gzip_runs):
     assert uns.event_energy_j < 0.2 * uns.core_energy_j
 
 
-def test_unknown_scheme_rejected(gzip_runs):
+def test_unknown_scheme_rejected(gzip_runs, restored_registry):
     class Uncosted(ResilienceScheme):
         name = "uncosted"  # registered, but no system_cost model
 
     res = gzip_runs["baseline"]
     register(Uncosted())
-    try:
-        for scheme in ("quantum", "uncosted"):
-            res2 = type(res)(name=res.name, scheme=scheme, cycles=1,
-                             instructions=1, state=res.state)
-            with pytest.raises(ValueError):
-                energy_estimate(res2)
-    finally:
-        unregister("uncosted")
+    for scheme in ("quantum", "uncosted"):
+        res2 = type(res)(name=res.name, scheme=scheme, cycles=1,
+                         instructions=1, state=res.state)
+        with pytest.raises(ValueError):
+            energy_estimate(res2)
 
 
 @pytest.mark.parametrize("scheme", available())

@@ -14,7 +14,7 @@ from repro.isa import golden
 from repro.schemes import get, protected_schemes
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
-from repro.workloads import load_kernel
+from repro.workloads import load_workload
 
 SEEDS = range(10)
 
@@ -32,7 +32,7 @@ FAST_RECOVERY = UnSyncConfig(
 
 @pytest.fixture(scope="module")
 def program():
-    return load_kernel("checksum")
+    return load_workload("checksum")
 
 
 @pytest.fixture(scope="module")

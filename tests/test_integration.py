@@ -9,13 +9,15 @@ import pytest
 
 from repro.core.config import CoreConfig, SystemConfig
 from repro.faults.injector import Block, BlockInventory, FaultInjector
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.redundancy.pair import BaselineSystem, DualCoreSystem
 from repro.reunion.check_stage import ReunionParams
 from repro.reunion.system import ReunionSystem
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
-from repro.workloads import load_kernel
+from repro.workloads import load_workload
+from tests.helpers import states_agree
 
 
 ALL_SCHEMES = ("baseline", "unsync", "reunion")
@@ -33,7 +35,7 @@ def run_all(program):
 @pytest.mark.parametrize("kernel", ["dot_product", "bubble_sort",
                                     "checksum", "matmul", "atomic_counter"])
 def test_all_machines_agree_on_kernels(kernel):
-    prog = load_kernel(kernel)
+    prog = load_workload(kernel)
     runs = run_all(prog)
     gold = runs.pop("golden")
     for name, res in runs.items():
@@ -45,7 +47,7 @@ def test_all_machines_agree_on_kernels(kernel):
 def test_dual_core_base_runs_both_cores(sum_loop):
     system = DualCoreSystem(sum_loop)
     res = system.run()
-    assert system.states_agree()
+    assert states_agree(system)
     # both pipelines committed the full stream
     assert all(p.stats.committed == res.instructions
                for p in system.pipelines)
@@ -63,7 +65,7 @@ def test_redundant_pairs_share_one_bus(sum_loop):
 def test_unsync_recovery_mid_atomic_kernel():
     """Recovery while non-idempotent SWAPs are in flight must still
     produce the golden outcome (the always-forward property)."""
-    prog = load_kernel("atomic_counter")
+    prog = load_workload("atomic_counter")
     gold = golden.run(prog)
     cfg = UnSyncConfig(recovery=RecoveryCostModel(l1_restore="invalidate"))
     system = UnSyncSystem(prog, unsync=cfg,
@@ -76,7 +78,7 @@ def test_unsync_recovery_mid_atomic_kernel():
 def test_reunion_rollback_mid_atomic_kernel():
     """Rollback across SWAPs: the serializing group-cut must keep
     re-execution exact."""
-    prog = load_kernel("atomic_counter")
+    prog = load_workload("atomic_counter")
     gold = golden.run(prog)
     inv = BlockInventory([Block("rob", 80 * 72, pre_commit=True)])
     system = ReunionSystem(prog,

@@ -8,11 +8,11 @@ import pytest
 
 from repro.isa import golden
 from repro.redundancy import BaselineSystem
-from repro.workloads import load_kernel
+from repro.workloads import load_workload
 
 
 def result_of(name, max_instructions=500_000):
-    prog = load_kernel(name)
+    prog = load_workload(name)
     res = golden.run(prog, max_instructions=max_instructions)
     return res.state.read_mem(prog.labels["result"], 4)
 
@@ -67,7 +67,7 @@ def test_crc8_table_driven():
 @pytest.mark.parametrize("name", ["sieve", "binary_search", "string_search",
                                   "gcd_chain", "crc8_table"])
 def test_extended_kernels_pipeline_equivalence(name):
-    prog = load_kernel(name)
+    prog = load_workload(name)
     gold = golden.run(prog, max_instructions=500_000)
     res = BaselineSystem(prog).run(max_cycles=2_000_000)
     assert res.state.regs == gold.state.regs

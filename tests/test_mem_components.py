@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.mem.bus import Bus
 from repro.mem.cache import CacheConfig, WritePolicy
 from repro.mem.dram import DRAM
@@ -80,14 +80,6 @@ def test_bus_try_request_respects_busy():
 def test_bus_zero_duration_rejected():
     with pytest.raises(ValueError):
         Bus().request(0, 0)
-
-
-def test_bus_reset():
-    bus = Bus()
-    bus.request(0, 10)
-    bus.reset()
-    assert not bus.busy(0)
-    assert bus.stats.transactions == 0
 
 
 # ---------------------------------------------------------------------------

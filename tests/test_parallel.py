@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.campaign import CampaignSpec, execute_trials
+from repro.campaign import CampaignSpec
+from repro.campaign.executor import execute_trials
 from repro.harness.runner import run_scheme
 from repro.reunion.check_stage import ReunionParams
 from repro.unsync.system import UnSyncConfig
 from repro.workloads import load_benchmark
+from tests.helpers import expand
 
 SCHEMES = ("unsync", "reunion", "reptfd", "meek")
 
@@ -15,7 +17,7 @@ SCHEMES = ("unsync", "reunion", "reptfd", "meek")
 def trials():
     spec = CampaignSpec(schemes=SCHEMES, workloads=("sha",), sers=(0.001,),
                         trials=2, batch=2)
-    return spec.expand()
+    return expand(spec)
 
 
 @pytest.fixture(scope="module")

@@ -8,9 +8,10 @@ the golden interpreter's.
 import pytest
 
 from repro.core.config import CoreConfig, SystemConfig
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.redundancy import BaselineSystem
-from repro.workloads import KERNELS, load_benchmark, load_kernel
+from repro.workloads import KERNELS, load_benchmark, load_workload
 
 
 def assert_matches_golden(program):
@@ -27,7 +28,7 @@ def assert_matches_golden(program):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_kernels_match_golden(kernel):
-    assert_matches_golden(load_kernel(kernel))
+    assert_matches_golden(load_workload(kernel))
 
 
 @pytest.mark.parametrize("bench", ["bzip2", "galgel", "mcf", "sha", "qsort"])

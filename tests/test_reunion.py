@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.events import Outcome
 from repro.faults.injector import Block, BlockInventory, FaultInjector
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.redundancy.pair import BaselineSystem
 from repro.reunion.check_stage import CheckStage, GroupMap, ReunionParams
-from repro.reunion.csb import CheckStageBuffer, csb_entries_for, ENTRY_BITS
+from repro.reunion.csb import CheckStageBuffer, csb_entries_for
 from repro.reunion.fingerprint import (
-    CRC16_POLY, FingerprintGenerator, crc16, crc16_update,
+    CRC16_POLY, FingerprintGenerator, crc16_update,
 )
 from repro.reunion.system import ReunionSystem
+from tests.helpers import crc16
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +60,6 @@ def test_fingerprint_includes_store_data():
     assert a.value != b.value
 
 
-def test_fingerprint_reset():
-    g = FingerprintGenerator()
-    g.add(0, result=9)
-    g.reset()
-    h = FingerprintGenerator()
-    assert g.value == h.value and g.length == 0
-
-
 @settings(max_examples=30)
 @given(st.binary(min_size=1, max_size=64))
 def test_crc16_is_16_bits(data):
@@ -80,10 +74,6 @@ def test_csb_sizing_rule_matches_paper():
     assert csb_entries_for(10, 6) == 17
     # Sec IV-3: FI=50 -> the paper's 39,125 um^2 CSB is 57 entries
     assert csb_entries_for(50, 6) == 57
-
-
-def test_csb_entry_bits():
-    assert ENTRY_BITS == 66
 
 
 def test_csb_in_order_admission_enforced():

@@ -19,19 +19,22 @@ import repro.schemes as schemes
 from repro.campaign import (
     CampaignError, CampaignSpec, run_campaign,
 )
+from repro.campaign.spec import TrialSpec
+from repro.campaign.trial import build_injector
 from repro.faults.adversarial import adversarial_injector
 from repro.faults.events import Outcome
 from repro.faults.injector import FaultInjector, Strike
 from repro.harness.runner import run_scheme
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.schemes import (
     ResilienceScheme, UnknownSchemeError, available, get, protected_schemes,
-    register, unregister,
+    register,
 )
 from repro.schemes import meek, reptfd
 from repro.schemes.meek import MEEKSystem
 from repro.schemes.reptfd import RepTFDSystem
-from repro.workloads import KERNELS, load_kernel, load_workload
+from repro.workloads import KERNELS, load_workload
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -95,7 +98,7 @@ def test_get_unknown_is_a_valueerror_listing_choices():
         assert name in msg
 
 
-def test_register_roundtrip_and_live_protected_view():
+def test_register_roundtrip_and_live_protected_view(restored_registry):
     class Dummy(ResilienceScheme):
         name = "dummy"
         protected = True
@@ -103,20 +106,16 @@ def test_register_roundtrip_and_live_protected_view():
         def build_system(self, program, config=None, **kwargs):
             raise NotImplementedError
 
-    try:
-        register(Dummy())
-        assert "dummy" in available()
-        assert isinstance(get("dummy"), Dummy)
-        # the campaign layer sees new registrations immediately
-        assert "dummy" in protected_schemes()
-        CampaignSpec(schemes=("dummy",), workloads=("fibonacci",),
-                     sers=(0.001,), trials=1)
-    finally:
-        unregister("dummy")
-    assert "dummy" not in available()
     with pytest.raises(CampaignError):
         CampaignSpec(schemes=("dummy",), workloads=("fibonacci",),
                      sers=(0.001,), trials=1)
+    register(Dummy())
+    assert "dummy" in available()
+    assert isinstance(get("dummy"), Dummy)
+    # the campaign layer sees new registrations immediately
+    assert "dummy" in protected_schemes()
+    CampaignSpec(schemes=("dummy",), workloads=("fibonacci",),
+                 sers=(0.001,), trials=1)
 
 
 def test_reregistering_a_name_wins_and_keeps_position():
@@ -153,7 +152,7 @@ def test_scheme_counters_and_recovery_metric(name):
 
 @functools.lru_cache(maxsize=None)
 def _kernel_and_gold(kernel):
-    program = load_kernel(kernel)
+    program = load_workload(kernel)
     return program, golden.run(program, max_instructions=500_000)
 
 
@@ -484,11 +483,14 @@ PINNED_SYSTEM_COSTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_SYSTEM_COSTS))
 def test_system_cost_is_bit_equal_to_pinned_pricing(name):
-    from repro.hwcost.tech import TECH_65NM, TECH_90NM
+    from repro.hwcost.tech import TECH_65NM, TechNode
     from repro.schemes import SchemeSystemCost
+    # a second node, so the pricing is seen to scale with the node
+    tech_90nm = TechNode(name="90nm", feature_nm=90, gate_area_um2=3.2,
+                         sram_cell_um2=1.0, frequency_hz=300e6)
     label, n_cores, at_65nm, at_90nm = PINNED_SYSTEM_COSTS[name]
     for tech, (area, power) in ((None, at_65nm), (TECH_65NM, at_65nm),
-                                (TECH_90NM, at_90nm)):
+                                (tech_90nm, at_90nm)):
         assert get(name).system_cost(tech) == SchemeSystemCost(
             scheme=label, n_cores=n_cores, total_area_um2=area,
             total_power_w=power, self_correcting=False)
@@ -527,3 +529,23 @@ def test_cli_choices_come_from_registry():
         parser.parse_args(
             ["campaign", "run", "--store", "x.jsonl", "--workloads", "f",
              "--schemes", "baseline"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_standard_strikes_depend_only_on_the_seed(seed):
+    """Under the standard fault model a trial's strikes are a function of
+    its seed alone, so every protected scheme meets the same strikes and
+    a multi-scheme store is a paired experiment. (The adversarial model
+    adds each scheme's own uncore blocks, so it is left out.)"""
+    program = load_workload("checksum")
+    streams = []
+    for name in protected_schemes():
+        injector = build_injector(TrialSpec(name, "checksum", 1e-2, seed))
+        system = get(name).build_system(program, injector=injector)
+        while not system.finished() and system.now < 3000:
+            system.step()
+        streams.append([(e.cycle, e.block, e.bit)
+                        for e in system.fault_events])
+    shortest = min(len(s) for s in streams)
+    assert shortest > 0
+    assert all(s[:shortest] == streams[0][:shortest] for s in streams)

@@ -6,8 +6,8 @@ from repro.faults.avf import regfile_liveness_avf
 from repro.faults.sdc import (
     SDCCampaign, SDCOutcome, run_with_corruption,
 )
-from repro.isa import assemble
-from repro.workloads import load_kernel
+from repro.isa.assembler import assemble
+from repro.workloads import load_workload
 
 
 DEAD_VALUE = assemble("""
@@ -69,7 +69,7 @@ def test_corrupting_loop_counter_can_crash():
 
 
 def test_memory_corruption_of_result_is_sdc():
-    prog = load_kernel("fibonacci")
+    prog = load_workload("fibonacci")
     addr = prog.labels["result"]
     from repro.isa import golden
     total = golden.run(prog).instructions
@@ -91,7 +91,7 @@ def test_unknown_target_rejected():
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def checksum_campaign():
-    return SDCCampaign(load_kernel("checksum"), trials=150,
+    return SDCCampaign(load_workload("checksum"), trials=150,
                        seed=3).run_campaign(target="reg")
 
 
@@ -108,8 +108,8 @@ def test_campaign_masking_dominates(checksum_campaign):
 
 
 def test_campaign_deterministic():
-    a = SDCCampaign(load_kernel("fibonacci"), trials=40, seed=9)
-    b = SDCCampaign(load_kernel("fibonacci"), trials=40, seed=9)
+    a = SDCCampaign(load_workload("fibonacci"), trials=40, seed=9)
+    b = SDCCampaign(load_workload("fibonacci"), trials=40, seed=9)
     assert [r.outcome for r in a.run_campaign().results] == \
         [r.outcome for r in b.run_campaign().results]
 
@@ -117,6 +117,6 @@ def test_campaign_deterministic():
 def test_dynamic_sdc_rate_tracks_static_avf(checksum_campaign):
     """The static liveness AVF and the measured non-masked rate must
     agree on order of magnitude — the AVF-validation experiment."""
-    avf = regfile_liveness_avf(load_kernel("checksum"))
+    avf = regfile_liveness_avf(load_workload("checksum"))
     dynamic = 1.0 - checksum_campaign.masking_rate
     assert dynamic == pytest.approx(avf, abs=0.15)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.harness.plot import line_chart
 from repro.harness.sensitivity import KNOBS, elasticity, sweep
-from repro.workloads import load_kernel
+from repro.workloads import load_workload
 
 
 # ---------------------------------------------------------------------------
@@ -12,7 +12,7 @@ from repro.workloads import load_kernel
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def rob_sweep():
-    return sweep(load_kernel("checksum"), "rob_entries", (16, 80),
+    return sweep(load_workload("checksum"), "rob_entries", (16, 80),
                  schemes=("baseline", "reunion"))
 
 
@@ -39,7 +39,7 @@ def test_reunion_more_rob_sensitive_than_baseline(rob_sweep):
 
 def test_unknown_parameter_rejected():
     with pytest.raises(ValueError, match="unknown parameter"):
-        sweep(load_kernel("fibonacci"), "warp_factor", (1, 2))
+        sweep(load_workload("fibonacci"), "warp_factor", (1, 2))
 
 
 def test_all_knobs_produce_valid_configs():
@@ -62,7 +62,7 @@ def test_elasticity_validation(rob_sweep):
 
 
 def test_dram_latency_hurts():
-    pts = sweep(load_kernel("dot_product"), "dram_latency", (100, 800),
+    pts = sweep(load_workload("dot_product"), "dram_latency", (100, 800),
                 schemes=("baseline",))
     assert pts[1].cycles >= pts[0].cycles
 

@@ -14,7 +14,8 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import CampaignError, CampaignSpec, TrialResult
+from repro.campaign import CampaignError, CampaignSpec
+from repro.campaign.trial import TrialResult
 from repro.campaign.engine import run_campaign
 from repro.service import journal as journal_mod
 from repro.service.client import ServiceClient, ServiceError
@@ -24,6 +25,7 @@ from repro.service.scheduler import (
 )
 from repro.service.server import CampaignService, spec_from_request
 from repro.service.workers import LeaseBroker
+from tests.helpers import expand
 
 
 def small_spec(**overrides):
@@ -229,7 +231,7 @@ def test_adopt_orphans_resumes_without_duplicates(tmp_path):
     # against the job's store for one batch worth of trials
     store = sched1._make_store(job)
     store.create(job.spec)
-    for trial in job.spec.expand()[:2]:
+    for trial in expand(job.spec)[:2]:
         store.append_trial(fast_runner(trial).to_record())
     # restart: a fresh scheduler over the same journal and data dir
     sched2 = make_scheduler(tmp_path)
@@ -259,9 +261,10 @@ def test_adopt_orphans_rejects_fingerprint_mismatch(tmp_path):
 
 
 def test_drain_suspends_running_job_for_readoption(tmp_path):
-    gate = threading.Event()
+    gate, entered = threading.Event(), threading.Event()
 
     def slow_runner(trial):
+        entered.set()
         gate.wait(timeout=10.0)
         return fast_runner(trial)
 
@@ -270,8 +273,10 @@ def test_drain_suspends_running_job_for_readoption(tmp_path):
 
     async def drive():
         task = asyncio.create_task(sched.run())
-        while job.state != RUNNING:
-            await asyncio.sleep(0.01)
+        # a job is RUNNING before its engine thread reaches the first
+        # wave, and a stop that lands first suspends it with no trials:
+        # wait until a trial is in flight
+        assert await asyncio.to_thread(entered.wait, 10.0)
         sched.request_stop()  # drain: engine stops at a wave boundary
         gate.set()
         await task

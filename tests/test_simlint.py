@@ -13,25 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ALL_RULES,
-    LintConfig,
-    check_source,
-    lint_tree,
-    load_config,
-    render_json,
-    rule_catalogue,
-)
-from repro.analysis.config import LintConfigError
+from repro.analysis import rule_catalogue
+from repro.analysis.config import LintConfig, LintConfigError, load_config
 from repro.analysis.framework import LintInternalError, Rule
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.runner import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_INTERNAL_ERROR,
+    EXIT_CLEAN, EXIT_FINDINGS, EXIT_INTERNAL_ERROR, lint_tree, render_json,
     run_lint_cli,
-    self_check,
 )
 from repro.cli import main as cli_main
+from tests.helpers import check_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -946,7 +937,9 @@ class TestRealTree:
         assert first == second
 
     def test_analysis_package_passes_its_own_rules(self):
-        report, _ = self_check()
+        # every rule on every file, whatever DEFAULT_RULE_PATHS scopes
+        config = LintConfig(root=REPO_ROOT, rule_paths={})
+        report = lint_tree(config, paths=("src/repro/analysis",))
         assert report.findings == [], "\n".join(
             f.render() for f in report.findings)
         assert report.files >= 10  # the whole package was actually walked

@@ -16,24 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    ALL_RULES,
-    LintConfig,
-    check_source,
-    lint_tree,
-)
 from repro.analysis.callgraph import build_project, postorder
+from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.analysis.framework import parse_context
+from repro.analysis.rules import ALL_RULES
 from repro.analysis.runner import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_INTERNAL_ERROR,
-    render_sarif,
+    EXIT_CLEAN, EXIT_FINDINGS, EXIT_INTERNAL_ERROR, lint_tree, render_sarif,
     run_lint_cli,
 )
 from repro.analysis.symbols import module_name
 from repro.cli import main as cli_main
+from tests.helpers import check_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = "tests/data/taint_fixtures"
@@ -169,8 +163,9 @@ class TestCallGraph:
                     return time.monotonic()
             """,
         })
-        assert project.graph.external_calls("pkg.t.now") == \
-            ["time.monotonic"]
+        assert [(s.callee, s.external)
+                for s in project.graph.sites["pkg.t.now"]] == \
+            [("time.monotonic", True)]
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,7 @@ def test_capture_payload_accounts_like_capture():
     store = CheckpointStore(capacity=2)
     store.capture_payload(seq=0, cycle=0, payload=b"abc", delta_bytes=3)
     store.capture_payload(seq=1, cycle=10, payload=b"defg", delta_bytes=4)
-    assert store.captures == 2
-    assert store.bytes_captured == 7
+    assert [(cp.cycle, cp.delta_bytes) for cp in store] == [(0, 3), (10, 4)]
     assert store.full
     with pytest.raises(RuntimeError):
         store.capture_payload(seq=2, cycle=20, payload=b"x", delta_bytes=1)

@@ -7,13 +7,13 @@ import pytest
 
 from repro.faults.injector import FaultInjector
 from repro.harness.runner import run_scheme
-from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry import Telemetry
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 from repro.telemetry.chrome import to_chrome, validate_chrome, write_chrome
 from repro.telemetry.events import (
     CB_DRAIN, EIH_INTERRUPT, EIH_RECOVERY, EventLog, FAULT_DETECTED,
     FAULT_INJECTED, FP_COMPARE,
 )
-from repro.telemetry.metrics import Histogram
 from repro.telemetry.summary import summarize_path, summarize_snapshot
 from repro.workloads import load_workload
 

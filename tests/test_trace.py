@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.trace import PipelineTracer, render_timeline
-from repro.isa import assemble
+from repro.isa.assembler import assemble
 from repro.redundancy.pair import BaselineSystem
 from repro.reunion.system import ReunionSystem
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import SystemConfig
 from repro.faults.events import Outcome
 from repro.faults.injector import FaultInjector
-from repro.isa import assemble, golden
+from repro.isa import golden
+from repro.isa.assembler import assemble
 from repro.mem.cache import WritePolicy
 from repro.redundancy.pair import BaselineSystem
 from repro.schemes import available, get
@@ -18,6 +19,7 @@ from repro.unsync.comm_buffer import (
 from repro.unsync.eih import ErrorInterruptHandler
 from repro.unsync.recovery import RecoveryCostModel
 from repro.unsync.system import UnSyncConfig, UnSyncSystem
+from tests.helpers import states_agree
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def test_unsync_matches_golden(sum_loop):
 def test_unsync_cores_agree(sum_loop):
     system = UnSyncSystem(sum_loop)
     system.run()
-    assert system.states_agree()
+    assert states_agree(system)
 
 
 def test_unsync_requires_write_through():

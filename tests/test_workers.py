@@ -10,11 +10,12 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, TrialResult, TrialSpec
+from repro.campaign import CampaignSpec
+from repro.campaign.spec import TrialSpec
+from repro.campaign.trial import TrialResult, run_trial
 from repro.campaign.engine import run_campaign
 from repro.campaign.executor import ExecutionReport
 from repro.campaign.snapshot import CACHE
-from repro.campaign.trial import run_trial
 from repro.service.chaos import ChaosConfig, ChaosController, ChaosError
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.journal import JobJournal
@@ -24,6 +25,7 @@ from repro.service.server import CampaignService, spec_from_request
 from repro.service.workers import (ABANDONED, PENDING, Lease, LeaseBroker,
                                    WaveDispatcher, WorkerClient, run_worker)
 from repro.telemetry.metrics import MetricsRegistry
+from tests.helpers import expand
 
 
 def small_spec(**overrides):
@@ -94,7 +96,7 @@ def test_spec_with_every_field_set_survives_every_decoder(tmp_path):
     assert store.load_spec() == spec
     assert spec_from_request(dict(record, workers=2)) == spec
 
-    trials = spec.expand()
+    trials = expand(spec)
     for f in dataclasses.fields(TrialSpec):
         assert any(getattr(t, f.name) != f.default for t in trials), f.name
     broker = LeaseBroker(lease_ttl=10.0)

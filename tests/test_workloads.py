@@ -1,43 +1,35 @@
-"""Tests for the workload generator, profiles, suites, and kernels."""
+"""Tests for the workload generator, profiles and kernels."""
 
 import pytest
 
 from repro.isa import golden
-from repro.workloads import (
-    ALL_BENCHMARKS, KERNELS, MIBENCH, PROFILES, SPEC2000, benchmark_names,
-    generate, generated_program, load_benchmark, load_kernel,
-)
+from repro.workloads import KERNELS, PROFILES, load_benchmark, load_workload
+from repro.workloads.generator import generate, generated_program
 from repro.workloads.profiles import ILP, WorkloadProfile
 
 
 # ---------------------------------------------------------------------------
 # registries
 # ---------------------------------------------------------------------------
-def test_suites_partition_profiles():
-    assert set(SPEC2000) | set(MIBENCH) == set(ALL_BENCHMARKS)
-    assert not set(SPEC2000) & set(MIBENCH)
+def test_every_profile_names_its_suite():
+    assert {p.suite for p in PROFILES.values()} == {"spec2000", "mibench"}
 
 
 def test_paper_benchmarks_present():
     for name in ("bzip2", "ammp", "galgel"):
-        assert name in SPEC2000
-
-
-def test_benchmark_names_sorted():
-    names = benchmark_names("spec2000")
-    assert names == sorted(names)
-    with pytest.raises(ValueError):
-        benchmark_names("spec2077")
+        assert PROFILES[name].suite == "spec2000"
 
 
 def test_unknown_benchmark_raises():
     with pytest.raises(KeyError):
         load_benchmark("doom")
-
-
-def test_unknown_kernel_raises():
     with pytest.raises(KeyError):
-        load_kernel("doom")
+        load_benchmark("fibonacci")  # a kernel, not a benchmark
+
+
+def test_unknown_workload_raises():
+    with pytest.raises(KeyError):
+        load_workload("doom")
 
 
 def test_load_benchmark_cached():
@@ -58,7 +50,7 @@ def test_paper_serializing_fractions(name, expected):
     assert actual == pytest.approx(expected, rel=0.5)
 
 
-@pytest.mark.parametrize("name", sorted(ALL_BENCHMARKS))
+@pytest.mark.parametrize("name", sorted(PROFILES))
 def test_all_mixes_near_profile(name):
     prog = load_benchmark(name)
     res = golden.run(prog, max_instructions=200_000)
@@ -136,5 +128,5 @@ def test_ilp_knob_low_means_one_chain():
 
 def test_all_kernels_assemble_and_halt():
     for name in KERNELS:
-        prog = load_kernel(name)
+        prog = load_workload(name)
         assert golden.run(prog).halted
